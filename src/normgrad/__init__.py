@@ -10,7 +10,7 @@ desk scale.
 """
 
 from .errors import ContractViolation, DegeneratePointError, NumericalFailure
-from .vectors import WeightedMeanAccumulator, as_vector, axpy, dot, l2_norm
+from .vectors import WeightedMeanAccumulator, as_vector, l2_norm
 from .problems import (
     FAMILIES,
     HolderSpec,

@@ -32,7 +32,6 @@ from .problems import (
     check_descent_inequality,
     check_grad_bound,
     finite_diff_grad,
-    local_constant_from_parts,
     local_holder_constant,
     problem_from_config,
     sample_holder_constant,
@@ -46,6 +45,7 @@ from .reduction import (
     run_adagrad_warmup,
     run_normalized,
     start_at_distance,
+    step_local_constants,
 )
 from .vectors import l2_norm
 
@@ -301,24 +301,19 @@ def trajectory_rows(result: CellResult) -> list:
 
     weight is 1/||g_t|| for normalized runs and 1.0 (uniform) for warm-up
     runs; local_L is empty at steps sitting exactly at the optimum."""
+    run = result.run
     unit = result.config.kind != "adagrad_da"
-    spec = result.problem.spec
-    rows = []
-    for i, (gn, gap) in enumerate(zip(result.run.grad_norms, result.run.suboptimalities)):
-        if spec.nu == 0.0:
-            local = gn
-        elif gap > 0.0:
-            local = local_constant_from_parts(spec, gn, gap)
-        else:
-            local = ""
-        rows.append({
+    local = step_local_constants(run, result.problem.spec)
+    return [
+        {
             "t": i + 1,
             "f_gap": gap,
             "grad_norm": gn,
             "weight": (1.0 / gn) if unit else 1.0,
-            "local_L": local,
-        })
-    return rows
+            "local_L": "" if c is None else c,
+        }
+        for i, (gn, gap, c) in enumerate(zip(run.grad_norms, run.suboptimalities, local))
+    ]
 
 
 def summary_record(result: CellResult, eps_zero: float = DEFAULT_EPS_ZERO) -> dict:
@@ -343,30 +338,35 @@ def summary_record(result: CellResult, eps_zero: float = DEFAULT_EPS_ZERO) -> di
     }
 
 
-def _problem_nu(problem_record: dict) -> float:
-    family = problem_record["family"]
-    if family == "power_norm":
-        return float(problem_record["parameters"]["nu"])
-    return {"quadratic": 1.0, "l2_norm": 0.0, "huber": 1.0, "log_sum_exp": 1.0}[family]
+def _visited_dist_sq(run: RunRecord, center: np.ndarray) -> list:
+    """Squared distances from center of every point a run visited: the
+    loss-fed iterates, plus the stop point of an early stop."""
+    points = list(run.iterates)
+    if run.terminated_early:
+        points.append(run.average_point)
+    return [float(np.dot(x - center, x - center)) for x in points]
 
 
 def rate_fit_from_records(records) -> RateFit:
     """Fit the convergence rate from summary records (one per horizon).
 
     Uses f_gap_mean of runs that did not stop early; all records must share
-    the same smoothness exponent."""
+    the same smoothness exponent. A malformed record raises ConfigError."""
     if not records:
         raise ConfigError("insufficient data: no summary records")
-    nus = {_problem_nu(rec["config"]["problem"]) for rec in records}
-    if len(nus) != 1:
-        raise ConfigError(f"rate fit needs a single nu, got {sorted(nus)}")
-    nu = nus.pop()
-    horizons = []
-    gaps = []
-    for rec in sorted(records, key=lambda r: r["config"]["T"]):
-        horizons.append(rec["config"]["T"])
-        gaps.append(None if rec["terminated_early"] else rec["f_gap_mean"])
-    return fit_rate(horizons, gaps, predicted_slope=-(1.0 + nu) / 2.0)
+    try:
+        nus = {problem_from_config(rec["config"]["problem"]).spec.nu for rec in records}
+        if len(nus) != 1:
+            raise ConfigError(f"rate fit needs a single nu, got {sorted(nus)}")
+        nu = nus.pop()
+        horizons = []
+        gaps = []
+        for rec in sorted(records, key=lambda r: r["config"]["T"]):
+            horizons.append(rec["config"]["T"])
+            gaps.append(None if rec["terminated_early"] else rec["f_gap_mean"])
+        return fit_rate(horizons, gaps, predicted_slope=-(1.0 + nu) / 2.0)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad summary record: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +378,17 @@ def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=DEFAULT_SWEEP_LEARNERS,
                dimension=DEFAULT_DIMENSION, distance=DEFAULT_DISTANCE,
                step_scale=1.0, eps_zero=DEFAULT_EPS_ZERO):
     """Run the (nu x learner x horizon x seed) grid over the interpolation
-    family and yield one row dict per cell, in deterministic grid order."""
+    family and yield one row dict per cell, in deterministic grid order.
+
+    This is a generator: each cell runs when its row is requested, and a
+    bad grid raises ConfigError at the first request. A row holds the
+    SWEEP_COLUMNS (the summary_record fields plus nu, learner, T, seed and
+    max_iterate_dist_sq) and the CellResult under "_cell"."""
     if not nus or not learners or not horizons or not seeds:
         raise ConfigError("sweep grid must be nonempty in every axis")
     for kind in learners:
         if kind not in LEARNER_KINDS:
             raise ConfigError(f"unknown learner kind {kind!r}")
-    rows = []
     for nu in nus:
         problem = PowerNorm(float(nu), dimension)
         for kind in learners:
@@ -392,32 +396,16 @@ def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=DEFAULT_SWEEP_LEARNERS,
             for horizon in horizons:
                 for seed in seeds:
                     cell = run_cell(problem, record, int(horizon), int(seed), eps_zero)
-                    max_dist_sq = 0.0
-                    pts = list(cell.run.iterates)
-                    if cell.run.average_point is not None and cell.run.terminated_early:
-                        pts.append(cell.run.average_point)
-                    for x in pts:
-                        dist_sq = float(np.dot(x - problem.minimizer, x - problem.minimizer))
-                        max_dist_sq = max(max_dist_sq, dist_sq)
-                    r = cell.report
-                    rows.append({
+                    yield {
+                        **summary_record(cell, eps_zero),
                         "nu": float(nu),
                         "learner": kind,
                         "T": int(horizon),
                         "seed": int(seed),
-                        "steps_taken": cell.run.steps_taken,
-                        "terminated_early": cell.run.terminated_early,
-                        "grad_bound_exceeded": cell.run.grad_bound_exceeded,
-                        "f_gap_avg": r.measured,
-                        "f_gap_mean": cell.run.mean_suboptimality,
-                        "psi_at_xstar": r.psi_at_xstar,
-                        "bound_gm": r.bound_gm,
-                        "bound_am": r.bound_am,
-                        "bound_closed_form": r.bound_closed_form,
-                        "max_iterate_dist_sq": max_dist_sq,
+                        "max_iterate_dist_sq": max(
+                            _visited_dist_sq(cell.run, problem.minimizer), default=0.0),
                         "_cell": cell,
-                    })
-    return rows
+                    }
 
 
 def rate_experiment(nu: float, kind: str, horizons=DEFAULT_HORIZONS,
@@ -483,23 +471,37 @@ def _sample_point(problem: Problem, rng, min_smooth_dist: float = 0.0) -> np.nda
             return x
 
 
+class _Tally:
+    """Count, failures and worst value over the values a suite checks. A
+    value passes only when it is <= 0, so a NaN counts as a failure."""
+
+    def __init__(self):
+        self.total = 0
+        self.failures = 0
+        self.worst = -math.inf
+
+    def add(self, value: float) -> None:
+        self.total += 1
+        self.worst = max(self.worst, value)
+        if not (value <= 0.0):
+            self.failures += 1
+
+    def result(self, name: str) -> SuiteResult:
+        return SuiteResult(name, self.total, self.failures, self.worst, self.failures == 0)
+
+
 def suite_descent(samples: int, seed: int, l_scale: float = 1.0,
                   name: str = "descent") -> SuiteResult:
     """Descent inequality on random pairs, per family."""
-    failures = 0
-    worst = -math.inf
-    total = 0
+    tally = _Tally()
     for problem in canonical_problems():
         rng = np.random.default_rng(seed)
         for _ in range(samples):
             x = _sample_point(problem, rng)
             y = _sample_point(problem, rng)
             check = check_descent_inequality(problem, x, y, l_scale=l_scale)
-            total += 1
-            worst = max(worst, check.residual - check.slack)
-            if not check.passed:
-                failures += 1
-    return SuiteResult(name, total, failures, worst, failures == 0)
+            tally.add(check.residual - check.slack)
+    return tally.result(name)
 
 
 def suite_descent_negative_control(samples: int, seed: int) -> SuiteResult:
@@ -513,9 +515,7 @@ def suite_descent_negative_control(samples: int, seed: int) -> SuiteResult:
 
 def suite_grad_bound(samples: int, seed: int) -> SuiteResult:
     """Gradient-norm bound on random points, families with nu > 0."""
-    failures = 0
-    worst = -math.inf
-    total = 0
+    tally = _Tally()
     for problem in canonical_problems():
         if problem.spec.nu <= 0.0:
             continue
@@ -523,40 +523,29 @@ def suite_grad_bound(samples: int, seed: int) -> SuiteResult:
         for _ in range(samples):
             x = _sample_point(problem, rng)
             check = check_grad_bound(problem, x)
-            total += 1
-            worst = max(worst, check.residual - 1e-9 * (1.0 + abs(check.rhs)))
-            if not check.passed:
-                failures += 1
-    return SuiteResult("grad_bound", total, failures, worst, failures == 0)
+            tally.add(check.residual - 1e-9 * (1.0 + abs(check.rhs)))
+    return tally.result("grad_bound")
 
 
 def suite_gradient_check(samples: int, seed: int) -> SuiteResult:
     """Analytic gradients against central differences (1e-5 relative),
     sampling away from nonsmooth sets."""
-    failures = 0
-    worst = -math.inf
-    total = 0
+    tally = _Tally()
     for problem in canonical_problems():
         rng = np.random.default_rng(seed)
         for _ in range(samples):
             x = _sample_point(problem, rng, min_smooth_dist=1e-3)
             a = problem.grad(x)
             fd = finite_diff_grad(problem, x, h=1e-6)
-            rel = l2_norm(a - fd) / (1e-12 + l2_norm(a))
-            total += 1
-            worst = max(worst, rel - 1e-5)
-            if rel > 1e-5:
-                failures += 1
-    return SuiteResult("gradient_check", total, failures, worst, failures == 0)
+            tally.add(l2_norm(a - fd) / (1e-12 + l2_norm(a)) - 1e-5)
+    return tally.result("gradient_check")
 
 
 def suite_convexity(samples: int, seed: int) -> SuiteResult:
     """f(lam x + (1-lam) y) <= lam f(x) + (1-lam) f(y) + 1e-9 on random
     segments (a tenth of the configured samples per family)."""
     n = max(1, samples // 10)
-    failures = 0
-    worst = -math.inf
-    total = 0
+    tally = _Tally()
     for problem in canonical_problems():
         rng = np.random.default_rng(seed)
         for _ in range(n):
@@ -565,37 +554,25 @@ def suite_convexity(samples: int, seed: int) -> SuiteResult:
             lam = rng.uniform()
             mid = problem.eval(lam * x + (1.0 - lam) * y)
             chord = lam * problem.eval(x) + (1.0 - lam) * problem.eval(y)
-            residual = mid - chord - 1e-9
-            total += 1
-            worst = max(worst, residual)
-            if residual > 0.0:
-                failures += 1
-    return SuiteResult("convexity", total, failures, worst, failures == 0)
+            tally.add(mid - chord - 1e-9)
+    return tally.result("convexity")
 
 
 def suite_holder_sampling(samples: int, seed: int) -> SuiteResult:
     """Sampled smoothness ratio never above the declared constant (10 seeds
     per family, a tenth of the configured samples each)."""
     n = max(1, samples // 10)
-    failures = 0
-    worst = -math.inf
-    total = 0
+    tally = _Tally()
     for problem in canonical_problems():
         for offset in range(10):
             value = sample_holder_constant(problem, n, seed + offset)
-            excess = value - problem.spec.l_nu - 1e-9
-            total += 1
-            worst = max(worst, excess)
-            if excess > 0.0:
-                failures += 1
-    return SuiteResult("holder_sampling", total, failures, worst, failures == 0)
+            tally.add(value - problem.spec.l_nu - 1e-9)
+    return tally.result("holder_sampling")
 
 
 def suite_local_constant(samples: int, seed: int) -> SuiteResult:
     """Pointwise local constants never above the global one (nu > 0)."""
-    failures = 0
-    worst = -math.inf
-    total = 0
+    tally = _Tally()
     for problem in canonical_problems():
         if problem.spec.nu <= 0.0:
             continue
@@ -604,29 +581,21 @@ def suite_local_constant(samples: int, seed: int) -> SuiteResult:
             x = _sample_point(problem, rng)
             if problem.gap(x) <= 0.0:
                 continue
-            excess = local_holder_constant(problem, x) - problem.spec.l_nu - 1e-9
-            total += 1
-            worst = max(worst, excess)
-            if excess > 0.0:
-                failures += 1
-    return SuiteResult("local_constant", total, failures, worst, failures == 0)
+            tally.add(local_holder_constant(problem, x) - problem.spec.l_nu - 1e-9)
+    return tally.result("local_constant")
 
 
 def suite_means_ordering(samples: int, seed: int) -> SuiteResult:
     """hm <= gm <= am (relative 1e-12) on random positive sequences of
     lengths 1..64 spanning twelve orders of magnitude."""
     rng = np.random.default_rng(seed)
-    failures = 0
-    worst = -math.inf
+    tally = _Tally()
     for _ in range(samples):
         n = int(rng.integers(1, 65))
         vals = np.exp(rng.uniform(-14.0, 14.0, n))
         hm, gm, am = hm_gm_am(vals)
-        slack = max((hm - gm) / gm, (gm - am) / am)
-        worst = max(worst, slack - 1e-12)
-        if slack > 1e-12:
-            failures += 1
-    return SuiteResult("means_ordering", samples, failures, worst, failures == 0)
+        tally.add(max((hm - gm) / gm, (gm - am) / am) - 1e-12)
+    return tally.result("means_ordering")
 
 
 _CHAIN_HORIZONS = tuple(2 ** k for k in range(4, 13))
@@ -643,25 +612,16 @@ def _chain_learner_records():
 def suite_bounded_iterates(samples: int, seed: int) -> SuiteResult:
     """Constant-step normalized runs keep every iterate within
     ||x_1 - x*||^2 + alpha^2 of the minimizer (squared distances)."""
-    failures = 0
-    worst = -math.inf
-    total = 0
+    tally = _Tally()
     for problem in canonical_problems(DEFAULT_DIMENSION):
         record = {"kind": "ogd_const", "step_scale": 1.0, "start_distance": DEFAULT_DISTANCE}
         for horizon in _CHAIN_HORIZONS:
             cell = run_cell(problem, record, horizon, seed)
             d_sq = l2_norm(cell.config.start - problem.minimizer) ** 2
             limit = d_sq + cell.config.step_scale ** 2 + 1e-9
-            pts = list(cell.run.iterates)
-            if cell.run.terminated_early and cell.run.average_point is not None:
-                pts.append(cell.run.average_point)
-            for x in pts:
-                dist_sq = l2_norm(x - problem.minimizer) ** 2
-                total += 1
-                worst = max(worst, dist_sq - limit)
-                if dist_sq > limit:
-                    failures += 1
-    return SuiteResult("bounded_iterates", total, failures, worst, failures == 0)
+            for dist_sq in _visited_dist_sq(cell.run, problem.minimizer):
+                tally.add(dist_sq - limit)
+    return tally.result("bounded_iterates")
 
 
 def suite_reduction_chain(samples: int, seed: int) -> SuiteResult:
@@ -671,37 +631,28 @@ def suite_reduction_chain(samples: int, seed: int) -> SuiteResult:
     the averaged point obeys the weighted mean of the per-step gaps
     (+1e-9), the weighted gap sum stays below psi (+1e-6), and an early
     stop really sits at a zero-gradient point."""
-    failures = 0
-    worst = -math.inf
-    total = 0
+    tally = _Tally()
     for problem in canonical_problems(DEFAULT_DIMENSION):
         for record in _chain_learner_records():
             record = dict(record, start_distance=DEFAULT_DISTANCE)
             for horizon in _CHAIN_HORIZONS:
                 cell = run_cell(problem, record, horizon, seed)
                 run, rep = cell.run, cell.report
-                checks = []
-                checks.append(run.average_suboptimality - run.mean_suboptimality - 1e-9)
+                tally.add(run.average_suboptimality - run.mean_suboptimality - 1e-9)
                 if run.steps_taken > 0:
                     gap_w = sum(g / n for g, n in zip(run.suboptimalities, run.grad_norms))
-                    checks.append(gap_w - rep.psi_at_xstar - 1e-6)
-                    checks.append(rep.measured - rep.bound_gm - 1e-9 * (1.0 + rep.bound_gm))
-                    checks.append(rep.bound_gm - rep.bound_am - 1e-9 * (1.0 + rep.bound_am))
+                    tally.add(gap_w - rep.psi_at_xstar - 1e-6)
+                    tally.add(rep.measured - rep.bound_gm - 1e-9 * (1.0 + rep.bound_gm))
+                    tally.add(rep.bound_gm - rep.bound_am - 1e-9 * (1.0 + rep.bound_am))
                 if not run.terminated_early:
                     # psi/steps matches the closed form only for full runs
-                    checks.append(rep.bound_am - rep.bound_closed_form
-                                  - 1e-9 * (1.0 + rep.bound_closed_form))
-                checks.append(rep.measured - rep.bound_closed_form
+                    tally.add(rep.bound_am - rep.bound_closed_form
                               - 1e-9 * (1.0 + rep.bound_closed_form))
+                tally.add(rep.measured - rep.bound_closed_form
+                          - 1e-9 * (1.0 + rep.bound_closed_form))
                 if run.terminated_early:
-                    gstop = l2_norm(problem.grad(run.average_point))
-                    checks.append(gstop - DEFAULT_EPS_ZERO)
-                for c in checks:
-                    total += 1
-                    worst = max(worst, c)
-                    if c > 0.0:
-                        failures += 1
-    return SuiteResult("reduction_chain", total, failures, worst, failures == 0)
+                    tally.add(l2_norm(problem.grad(run.average_point)) - DEFAULT_EPS_ZERO)
+    return tally.result("reduction_chain")
 
 
 SUITES = {

@@ -85,8 +85,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    rows = []
+    violations = []
     try:
-        rows = sweep_rows(
+        for row in sweep_rows(
             nus=[float(v) for v in args.nu],
             learners=list(args.learner),
             horizons=[int(t) for t in args.horizons],
@@ -94,14 +96,14 @@ def cmd_sweep(args) -> int:
             dimension=args.dimension,
             distance=args.distance,
             step_scale=args.step_scale,
-        )
+        ):
+            # check each cell as it arrives and keep only its row
+            violations.extend(bound_violations(row.pop("_cell")))
+            rows.append(row)
     except (ConfigError, ContractViolation) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    violations = []
-    for row in rows:
-        violations.extend(bound_violations(row.pop("_cell")))
     body = rows_to_csv(rows, SWEEP_COLUMNS)
     if args.out:
         _write_text(args.out, body)

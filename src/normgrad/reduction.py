@@ -1,10 +1,11 @@
 """Black-box drivers and the theoretical bound compositions.
 
-`run_normalized` feeds a unit-norm learner the normalized gradients
-g_t / ||g_t|| and returns the 1/||g_t||-weighted average of the iterates
-(stopping immediately when a gradient norm falls to the zero threshold).
-`run_adagrad_warmup` feeds raw gradients to the adagrad_da learner and
-returns the uniform average.
+Both drivers run one step loop. `run_normalized` feeds a unit-norm
+learner the normalized gradients g_t / ||g_t|| and returns the
+1/||g_t||-weighted average of the iterates (stopping immediately when a
+gradient norm falls to the zero threshold). `run_adagrad_warmup` feeds raw
+gradients to the adagrad_da learner and returns the uniform average (the
+same loop with weight 1).
 
 The bound side composes a regret guarantee psi with the mean of pointwise
 local smoothness constants:
@@ -48,6 +49,7 @@ __all__ = [
     "closed_form_rate",
     "BoundReport",
     "bound_report",
+    "step_local_constants",
     "start_at_distance",
 ]
 
@@ -91,6 +93,64 @@ def _checked_grad(problem: Problem, x: np.ndarray, step: int) -> np.ndarray:
     return g
 
 
+def _check_run_args(config: LearnerConfig, problem: Problem, horizon: int) -> None:
+    if horizon < 1:
+        raise ContractViolation(f"horizon must be >= 1, got {horizon}")
+    if config.start.size != problem.dimension:
+        raise ContractViolation(
+            f"start has dimension {config.start.size}, problem wants {problem.dimension}")
+
+
+def _drive(config: LearnerConfig, problem: Problem, horizon: int,
+           eps_zero: float = DEFAULT_EPS_ZERO) -> RunRecord:
+    """The step loop behind both drivers.
+
+    Each round serves x_t and evaluates g_t = grad f(x_t). A unit-norm
+    learner stops returning x_t if ||g_t|| <= eps_zero, and otherwise is fed
+    g_t / ||g_t|| with averaging weight 1/||g_t||. adagrad_da is fed the raw
+    g_t with weight 1 and never stops early; a norm above its bound G only
+    sets grad_bound_exceeded.
+    """
+    learner = make_learner(config)
+    unit = learner.unit_norm_losses
+    record = RunRecord(horizon=horizon)
+    acc = WeightedMeanAccumulator(problem.dimension)
+    weighted_gap_sum = 0.0
+    bound = config.grad_bound_init + 1e-9
+
+    for t in range(1, horizon + 1):
+        x = learner.next_point()
+        g = _checked_grad(problem, x, t)
+        gn = l2_norm(g)
+        if unit and gn <= eps_zero:
+            record.terminated_early = True
+            record.stop_index = t
+            record.average_point = x.copy()
+            break
+        gap = problem.gap(x)
+        record.iterates.append(x)
+        record.grad_norms.append(gn)
+        record.suboptimalities.append(gap)
+        w = 1.0 / gn if unit else 1.0
+        acc.push(x, w)
+        weighted_gap_sum += w * gap
+        if unit:
+            learner.observe(g / gn)
+        else:
+            record.grad_bound_exceeded |= gn > bound
+            learner.observe(g, enforce_bound=False)
+
+    record.steps_taken = len(record.iterates)
+    if not record.terminated_early:
+        record.average_point = acc.finalize()
+    record.average_suboptimality = problem.gap(record.average_point)
+    if record.steps_taken > 0:
+        record.mean_suboptimality = weighted_gap_sum / acc.weight_sum
+    else:
+        record.mean_suboptimality = record.average_suboptimality
+    return record
+
+
 def run_normalized(config: LearnerConfig, problem: Problem, horizon: int,
                    eps_zero: float = DEFAULT_EPS_ZERO) -> RunRecord:
     """Drive a unit-norm learner with normalized gradients for <= horizon steps.
@@ -104,91 +164,26 @@ def run_normalized(config: LearnerConfig, problem: Problem, horizon: int,
         raise ContractViolation(
             f"run_normalized drives unit-norm learners {UNIT_NORM_KINDS}, "
             f"got {config.kind!r}; use run_adagrad_warmup for raw gradients")
-    if horizon < 1:
-        raise ContractViolation(f"horizon must be >= 1, got {horizon}")
     if not (eps_zero > 0.0):
         raise ContractViolation(f"eps_zero must be positive, got {eps_zero}")
-    if config.start.size != problem.dimension:
-        raise ContractViolation(
-            f"start has dimension {config.start.size}, problem wants {problem.dimension}")
-
-    learner = make_learner(config)
-    record = RunRecord(horizon=horizon)
-    acc = WeightedMeanAccumulator(problem.dimension)
-    weighted_gap_sum = 0.0
-
-    for t in range(1, horizon + 1):
-        x = learner.next_point()
-        g = _checked_grad(problem, x, t)
-        gn = l2_norm(g)
-        if gn <= eps_zero:
-            record.terminated_early = True
-            record.stop_index = t
-            record.average_point = x.copy()
-            break
-        gap = problem.gap(x)
-        record.iterates.append(x)
-        record.grad_norms.append(gn)
-        record.suboptimalities.append(gap)
-        w = 1.0 / gn
-        acc.push(x, w)
-        weighted_gap_sum += w * gap
-        learner.observe(g / gn)
-
-    record.steps_taken = len(record.iterates)
-    if not record.terminated_early:
-        record.average_point = acc.finalize()
-    record.average_suboptimality = problem.gap(record.average_point)
-    if record.steps_taken > 0:
-        record.mean_suboptimality = weighted_gap_sum / acc.weight_sum
-    else:
-        record.mean_suboptimality = record.average_suboptimality
-    return record
+    _check_run_args(config, problem, horizon)
+    return _drive(config, problem, horizon, eps_zero)
 
 
 def run_adagrad_warmup(config: LearnerConfig, problem: Problem, horizon: int) -> RunRecord:
     """Drive adagrad_da with raw gradients for exactly horizon steps.
 
-    The average is uniform over the iterates. A realized gradient norm above
-    the configured bound G does not abort the run; it only sets
-    grad_bound_exceeded (the guarantee is void in that case, which callers
-    check via the flag).
+    The same loop as run_normalized with weight 1: the average is uniform
+    over the iterates. A realized gradient norm above the configured bound G
+    does not abort the run; it only sets grad_bound_exceeded (the guarantee
+    is void in that case, which callers check via the flag).
     """
     if config.kind != "adagrad_da":
         raise ContractViolation(
             f"run_adagrad_warmup drives adagrad_da, got {config.kind!r}; "
             f"use run_normalized for unit-norm learners")
-    if horizon < 1:
-        raise ContractViolation(f"horizon must be >= 1, got {horizon}")
-    if config.start.size != problem.dimension:
-        raise ContractViolation(
-            f"start has dimension {config.start.size}, problem wants {problem.dimension}")
-
-    learner = make_learner(config)
-    record = RunRecord(horizon=horizon)
-    point_sum = np.zeros(problem.dimension)
-    gap_sum = 0.0
-    bound = config.grad_bound_init + 1e-9
-
-    for t in range(1, horizon + 1):
-        x = learner.next_point()
-        g = _checked_grad(problem, x, t)
-        gn = l2_norm(g)
-        gap = problem.gap(x)
-        record.iterates.append(x)
-        record.grad_norms.append(gn)
-        record.suboptimalities.append(gap)
-        if gn > bound:
-            record.grad_bound_exceeded = True
-        point_sum += x
-        gap_sum += gap
-        learner.observe(g, enforce_bound=False)
-
-    record.steps_taken = horizon
-    record.average_point = point_sum / horizon
-    record.average_suboptimality = problem.gap(record.average_point)
-    record.mean_suboptimality = gap_sum / horizon
-    return record
+    _check_run_args(config, problem, horizon)
+    return _drive(config, problem, horizon)
 
 
 class MeanTriple(NamedTuple):
@@ -315,13 +310,15 @@ class BoundReport:
     local_constants: list
 
 
-def _local_constants(run: RunRecord, spec: HolderSpec) -> list:
+def step_local_constants(run: RunRecord, spec: HolderSpec) -> list:
+    """Local constant of every loss-fed step: the gradient norm at nu = 0,
+    otherwise local_constant_from_parts, or None at a step sitting exactly
+    at the optimum (where the constant is undefined)."""
     if spec.nu == 0.0:
         return list(run.grad_norms)
     return [
-        local_constant_from_parts(spec, gn, gap)
+        local_constant_from_parts(spec, gn, gap) if gap > 0.0 else None
         for gn, gap in zip(run.grad_norms, run.suboptimalities)
-        if gap > 0.0
     ]
 
 
@@ -340,16 +337,15 @@ def bound_report(run: RunRecord, problem: Problem, config: LearnerConfig) -> Bou
         return BoundReport(0.0, 0.0, 0.0, closed, measured, [])
 
     steps = run.steps_taken
+    local = [c for c in step_local_constants(run, problem.spec) if c is not None]
     if config.kind == "adagrad_da":
         grad_sq = sum(g * g for g in run.grad_norms)
         psi = regret_bound(config, d, steps, grad_sq_sum=grad_sq)
         gap_bound = psi / steps
-        local = _local_constants(run, problem.spec)
         return BoundReport(psi, gap_bound, gap_bound, closed, measured, local)
 
     psi_horizon = config.horizon if config.kind == "ogd_const" else steps
     psi = regret_bound(config, d, psi_horizon)
-    local = _local_constants(run, problem.spec)
     if local:
         gm = regret_to_gap_bound(psi, steps, problem.spec, local, use_geometric_mean=True)
         am = regret_to_gap_bound(psi, steps, problem.spec, local, use_geometric_mean=False)

@@ -1,9 +1,9 @@
-"""Dense vector arithmetic and the weighted-average accumulator.
+"""Vector validation, the Euclidean norm and the weighted-average accumulator.
 
-Vectors are plain 1-D float64 numpy arrays. Binary operations require equal
-dimensions and raise :class:`ContractViolation` otherwise. Accumulation is
-plain left-to-right summation; runs are short enough (<= ~2^14 steps) that
-compensated summation is unnecessary.
+Vectors are plain 1-D float64 numpy arrays. The accumulator requires points
+of its own dimension and raises :class:`ContractViolation` otherwise.
+Accumulation is plain left-to-right summation; runs are short enough
+(<= ~2^14 steps) that compensated summation is unnecessary.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from .errors import ContractViolation
 
 __all__ = [
     "as_vector",
-    "dot",
     "l2_norm",
-    "axpy",
     "WeightedMeanAccumulator",
 ]
 
@@ -33,26 +31,9 @@ def as_vector(coords, *, name: str = "vector") -> np.ndarray:
     return v
 
 
-def _require_same_dim(u: np.ndarray, v: np.ndarray, op: str) -> None:
-    if u.shape != v.shape:
-        raise ContractViolation(f"{op}: dimension mismatch {u.shape} vs {v.shape}")
-
-
-def dot(u: np.ndarray, v: np.ndarray) -> float:
-    """Inner product sum_i u_i v_i."""
-    _require_same_dim(u, v, "dot")
-    return float(np.dot(u, v))
-
-
 def l2_norm(v: np.ndarray) -> float:
     """Euclidean norm; exactly 0 only for the zero vector."""
     return math.sqrt(float(np.dot(v, v)))
-
-
-def axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Return y + a*x without mutating either input."""
-    _require_same_dim(x, y, "axpy")
-    return y + a * x
 
 
 class WeightedMeanAccumulator:
@@ -72,7 +53,10 @@ class WeightedMeanAccumulator:
         """Accumulate point x with weight w > 0."""
         if not (w > 0.0) or not math.isfinite(w):
             raise ContractViolation(f"weight must be positive and finite, got {w}")
-        _require_same_dim(x, self.weighted_point_sum, "WeightedMeanAccumulator.push")
+        if x.shape != self.weighted_point_sum.shape:
+            raise ContractViolation(
+                f"WeightedMeanAccumulator.push: dimension mismatch "
+                f"{x.shape} vs {self.weighted_point_sum.shape}")
         self.weight_sum += w
         self.weighted_point_sum += w * x
 

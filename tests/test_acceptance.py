@@ -5,6 +5,7 @@ captured output of failing tests)."""
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +19,16 @@ from normgrad import (
 )
 from normgrad.bench import (
     SUITES,
+    SWEEP_COLUMNS,
     bound_violations,
     rate_experiment,
+    rows_to_csv,
     run_cell,
     sweep_rows,
 )
 from normgrad.vectors import l2_norm
 
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 RATE_LEARNERS = ("ogd_const", "da_sqrt")
 RATE_NUS = (0.0, 0.5, 1.0)
 
@@ -39,8 +43,14 @@ def _report(number: int, name: str, failures: list) -> None:
 
 @pytest.fixture(scope="module")
 def default_sweep():
-    rows = sweep_rows()  # library defaults: nu x learner x 2^8..2^14 x seeds 0..2
-    return rows
+    # library defaults: nu x learner x 2^8..2^14 x seeds 0..2
+    return list(sweep_rows())
+
+
+def test_default_sweep_matches_reference_csv(default_sweep):
+    body = rows_to_csv(default_sweep, SWEEP_COLUMNS)
+    reference = (REFERENCE_DIR / "sweep_default.csv").read_bytes()
+    assert body.encode("utf-8") == reference
 
 
 def test_criterion_1_rate_interpolation():

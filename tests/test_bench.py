@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,8 +169,8 @@ def test_kt_closed_form_distance_ratio():
 
 
 def test_sweep_rows_grid_shape_and_bounds():
-    rows = sweep_rows(nus=(0.0, 1.0), learners=("ogd_const", "adagrad_da"),
-                      horizons=(16, 64), seeds=(0,), dimension=4)
+    rows = list(sweep_rows(nus=(0.0, 1.0), learners=("ogd_const", "adagrad_da"),
+                           horizons=(16, 64), seeds=(0,), dimension=4))
     assert len(rows) == 2 * 2 * 2
     for row in rows:
         cell = row.pop("_cell")
@@ -177,19 +178,19 @@ def test_sweep_rows_grid_shape_and_bounds():
         assert set(SWEEP_COLUMNS) <= set(row)
         assert not row["grad_bound_exceeded"]
     with pytest.raises(ConfigError):
-        sweep_rows(nus=(), learners=("kt",), horizons=(4,), seeds=(0,))
+        list(sweep_rows(nus=(), learners=("kt",), horizons=(4,), seeds=(0,)))
     with pytest.raises(ConfigError):
-        sweep_rows(nus=(0.5,), learners=("sgd",), horizons=(4,), seeds=(0,))
+        list(sweep_rows(nus=(0.5,), learners=("sgd",), horizons=(4,), seeds=(0,)))
 
 
 def test_rows_to_csv_deterministic():
-    rows = sweep_rows(nus=(0.5,), learners=("kt",), horizons=(16, 32), seeds=(0, 1),
-                      dimension=3)
+    rows = list(sweep_rows(nus=(0.5,), learners=("kt",), horizons=(16, 32), seeds=(0, 1),
+                           dimension=3))
     for row in rows:
         row.pop("_cell")
     body1 = rows_to_csv(rows, SWEEP_COLUMNS)
-    rows2 = sweep_rows(nus=(0.5,), learners=("kt",), horizons=(16, 32), seeds=(0, 1),
-                       dimension=3)
+    rows2 = list(sweep_rows(nus=(0.5,), learners=("kt",), horizons=(16, 32), seeds=(0, 1),
+                            dimension=3))
     for row in rows2:
         row.pop("_cell")
     body2 = rows_to_csv(rows2, SWEEP_COLUMNS)
@@ -212,6 +213,22 @@ def test_negative_control_detects_halved_constants():
     res = SUITES["descent_negative_control"](500, seed=0)
     assert res.passed  # i.e. the corruption was caught
     assert res.failures > 0
+
+
+def test_suite_counts_nonfinite_value_as_failure(monkeypatch):
+    monkeypatch.setattr(Quadratic, "eval", lambda self, x: float("nan"))
+    res = SUITES["convexity"](100, seed=0)
+    assert not res.passed
+    assert res.failures == 10  # every quadratic segment, nothing else
+
+
+def test_driver_suites_match_reference_report():
+    reference = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+         / "check_default.json").read_text())
+    expected = {s["name"]: s for s in reference["suites"]}
+    for res in run_suites(["bounded_iterates", "reduction_chain"], 10_000, 0):
+        assert res.as_dict() == expected[res.name]
 
 
 def test_unknown_suite_rejected():
@@ -285,6 +302,28 @@ def test_cli_ratefit_insufficient_data_exit_1(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert main(["ratefit", "--in", str(out / "summary.json")]) == 1
+
+
+def test_cli_ratefit_malformed_record_exit_2(tmp_path):
+    def record(t, problem):
+        return {"config": {"problem": problem, "T": t},
+                "terminated_early": False, "f_gap_mean": 1.0 / t}
+
+    power = {"family": "power_norm", "dimension": 2, "parameters": {"nu": 1.0}}
+    no_t = [record(t, power) for t in (4, 16, 64)]
+    del no_t[1]["config"]["T"]
+    cases = {
+        "cubic": [record(t, {"family": "cubic", "dimension": 2}) for t in (4, 16, 64)],
+        "no_parameters": [record(t, {"family": "power_norm", "dimension": 2})
+                          for t in (4, 16, 64)],
+        "no_t": no_t,
+    }
+    for name, records in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"records": records}))
+        assert main(["ratefit", "--in", str(path)]) == 2, name
+        with pytest.raises(ConfigError, match="bad summary record"):
+            rate_fit_from_records(records)
 
 
 def test_cli_sweep_deterministic_csv(tmp_path):
