@@ -16,7 +16,7 @@ phase generic at every default horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .vectors import l2_norm
 
 __all__ = [
     "ConfigError",
+    "InsufficientData",
     "DEFAULT_DIMENSION",
     "DEFAULT_DISTANCE",
     "DEFAULT_SEEDS",
@@ -98,6 +99,10 @@ class ConfigError(Exception):
     """Malformed experiment configuration (CLI exit code 2)."""
 
 
+class InsufficientData(ConfigError):
+    """Too few usable horizons for a rate fit (CLI exit code 1)."""
+
+
 # ---------------------------------------------------------------------------
 # rate fitting
 
@@ -115,24 +120,17 @@ class RateFit:
     n_excluded: int
 
     def as_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "predicted_slope": self.predicted_slope,
-            "n_points": self.n_points,
-            "n_excluded": self.n_excluded,
-        }
+        return asdict(self)
 
 
 def fit_rate(horizons, gaps, predicted_slope: float) -> RateFit:
     """Fit log(gap) against log(T). Horizons with nonpositive gap (early
     stops at the optimum) are excluded; fewer than 3 usable points raise
-    ConfigError("insufficient data")."""
+    InsufficientData."""
     pts = [(t, g) for t, g in zip(horizons, gaps) if g is not None and g > 0.0]
     excluded = len(list(horizons)) - len(pts)
     if len(pts) < 3:
-        raise ConfigError(
+        raise InsufficientData(
             f"insufficient data: rate fit needs >= 3 horizons with positive "
             f"suboptimality, got {len(pts)}")
     lx = [math.log(t) for t, _ in pts]
@@ -168,25 +166,29 @@ def parse_experiment_config(record: dict) -> ExperimentConfig:
 
     {"problem": {...}, "learner": {"kind": ..., "start": [...] |
      "start_distance": float, ...}, "horizons": [ints, strictly increasing],
-     "seed": int, "eps_zero": float}
+     "seed": int >= 0, "eps_zero": float}
+
+    The learner record is resolved for every horizon here, so a malformed
+    learner field raises ConfigError before anything runs.
     """
     try:
         problem = problem_from_config(record["problem"])
         learner = dict(record["learner"])
         horizons = [int(t) for t in record["horizons"]]
-    except (KeyError, TypeError, ValueError, ContractViolation) as exc:
+        seed = record.get("seed", 0)
+        eps_zero = float(record.get("eps_zero", DEFAULT_EPS_ZERO))
+        if not horizons:
+            raise ConfigError("horizons must be nonempty")
+        if any(b <= a for a, b in zip(horizons, horizons[1:])) or horizons[0] < 1:
+            raise ConfigError("horizons must be strictly increasing positives")
+        if not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+        if not (eps_zero > 0.0):
+            raise ConfigError("eps_zero must be positive")
+        for horizon in horizons:
+            resolve_learner_config(problem, learner, horizon, seed)
+    except (KeyError, TypeError, ValueError, ContractViolation, ConfigError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
-    if not horizons:
-        raise ConfigError("bad experiment config: horizons must be nonempty")
-    if any(b <= a for a, b in zip(horizons, horizons[1:])) or horizons[0] < 1:
-        raise ConfigError("bad experiment config: horizons must be strictly increasing positives")
-    if learner.get("kind") not in LEARNER_KINDS:
-        raise ConfigError(
-            f"bad experiment config: learner kind must be one of {LEARNER_KINDS}")
-    seed = int(record.get("seed", 0))
-    eps_zero = float(record.get("eps_zero", DEFAULT_EPS_ZERO))
-    if not (eps_zero > 0.0):
-        raise ConfigError("bad experiment config: eps_zero must be positive")
     return ExperimentConfig(problem, learner, horizons, seed, eps_zero)
 
 
@@ -199,13 +201,17 @@ def resolve_learner_config(problem: Problem, record: dict, horizon: int,
     ogd_const always runs at horizon == T regardless of any horizon field.
     The adagrad_da gradient bound defaults to the gradient norm at the
     start (its largest realized value on the shipped descent problems),
-    floored at 1.
+    floored at 1. A start whose dimension is not the problem's raises
+    ContractViolation.
     """
     kind = record["kind"]
     if "start" in record and record["start"] is not None:
         start = np.asarray(record["start"], dtype=np.float64)
     else:
         start = start_at_distance(problem, float(record.get("start_distance", DEFAULT_DISTANCE)), seed)
+    if start.shape != (problem.dimension,):
+        raise ContractViolation(
+            f"start has shape {start.shape}, problem wants ({problem.dimension},)")
     kwargs = {
         "kind": kind,
         "start": start,
@@ -230,6 +236,7 @@ class CellResult:
     seed: int
     run: RunRecord
     report: BoundReport
+    eps_zero: float
 
 
 def run_cell(problem: Problem, learner_record: dict, horizon: int, seed: int,
@@ -241,7 +248,7 @@ def run_cell(problem: Problem, learner_record: dict, horizon: int, seed: int,
     else:
         run = run_normalized(config, problem, horizon, eps_zero)
     report = bound_report(run, problem, config)
-    return CellResult(problem, config, horizon, seed, run, report)
+    return CellResult(problem, config, horizon, seed, run, report, eps_zero)
 
 
 def _leq(a: float, b: float, slack: float = 1e-9) -> bool:
@@ -316,7 +323,7 @@ def trajectory_rows(result: CellResult) -> list:
     ]
 
 
-def summary_record(result: CellResult, eps_zero: float = DEFAULT_EPS_ZERO) -> dict:
+def summary_record(result: CellResult) -> dict:
     r = result.report
     return {
         "config": {
@@ -324,7 +331,7 @@ def summary_record(result: CellResult, eps_zero: float = DEFAULT_EPS_ZERO) -> di
             "learner": result.config.config_record(),
             "T": result.horizon,
             "seed": result.seed,
-            "eps_zero": eps_zero,
+            "eps_zero": result.eps_zero,
         },
         "steps_taken": result.run.steps_taken,
         "terminated_early": result.run.terminated_early,
@@ -351,9 +358,10 @@ def rate_fit_from_records(records) -> RateFit:
     """Fit the convergence rate from summary records (one per horizon).
 
     Uses f_gap_mean of runs that did not stop early; all records must share
-    the same smoothness exponent. A malformed record raises ConfigError."""
+    the same smoothness exponent. A malformed record raises ConfigError,
+    too few usable horizons InsufficientData."""
     if not records:
-        raise ConfigError("insufficient data: no summary records")
+        raise InsufficientData("insufficient data: no summary records")
     try:
         nus = {problem_from_config(rec["config"]["problem"]).spec.nu for rec in records}
         if len(nus) != 1:
@@ -376,28 +384,32 @@ def rate_fit_from_records(records) -> RateFit:
 def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=DEFAULT_SWEEP_LEARNERS,
                horizons=DEFAULT_HORIZONS, seeds=DEFAULT_SEEDS,
                dimension=DEFAULT_DIMENSION, distance=DEFAULT_DISTANCE,
-               step_scale=1.0, eps_zero=DEFAULT_EPS_ZERO):
+               step_scale=1.0):
     """Run the (nu x learner x horizon x seed) grid over the interpolation
     family and yield one row dict per cell, in deterministic grid order.
 
-    This is a generator: each cell runs when its row is requested, and a
-    bad grid raises ConfigError at the first request. A row holds the
-    SWEEP_COLUMNS (the summary_record fields plus nu, learner, T, seed and
-    max_iterate_dist_sq) and the CellResult under "_cell"."""
+    This is a generator: each cell runs when its row is requested. The
+    whole grid is checked at the first request, before any cell runs: an
+    empty axis, an unknown learner, a nu outside [0, 1], a horizon below 1
+    or a negative seed raises. A row holds the SWEEP_COLUMNS (the
+    summary_record fields plus nu, learner, T, seed and max_iterate_dist_sq)
+    and the CellResult under "_cell"."""
     if not nus or not learners or not horizons or not seeds:
         raise ConfigError("sweep grid must be nonempty in every axis")
     for kind in learners:
         if kind not in LEARNER_KINDS:
             raise ConfigError(f"unknown learner kind {kind!r}")
-    for nu in nus:
-        problem = PowerNorm(float(nu), dimension)
+    if min(horizons) < 1 or min(seeds) < 0:
+        raise ConfigError("sweep horizons must be >= 1 and seeds >= 0")
+    problems = [PowerNorm(float(nu), dimension) for nu in nus]
+    for nu, problem in zip(nus, problems):
         for kind in learners:
             record = {"kind": kind, "start_distance": distance, "step_scale": step_scale}
             for horizon in horizons:
                 for seed in seeds:
-                    cell = run_cell(problem, record, int(horizon), int(seed), eps_zero)
+                    cell = run_cell(problem, record, int(horizon), int(seed))
                     yield {
-                        **summary_record(cell, eps_zero),
+                        **summary_record(cell),
                         "nu": float(nu),
                         "learner": kind,
                         "T": int(horizon),
@@ -440,14 +452,7 @@ class SuiteResult:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "failures": self.failures,
-            "worst_slack": self.worst_slack,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def canonical_problems(dimension: int = 3) -> list:
@@ -473,7 +478,8 @@ def _sample_point(problem: Problem, rng, min_smooth_dist: float = 0.0) -> np.nda
 
 class _Tally:
     """Count, failures and worst value over the values a suite checks. A
-    value passes only when it is <= 0, so a NaN counts as a failure."""
+    value passes only when it is <= 0, so a NaN counts as a failure, and a
+    NaN, once seen, stays the worst value."""
 
     def __init__(self):
         self.total = 0
@@ -482,7 +488,8 @@ class _Tally:
 
     def add(self, value: float) -> None:
         self.total += 1
-        self.worst = max(self.worst, value)
+        if value > self.worst or math.isnan(value):
+            self.worst = value
         if not (value <= 0.0):
             self.failures += 1
 
@@ -671,6 +678,8 @@ SUITES = {
 
 def run_suites(names=None, samples: int = 10_000, seed: int = 0):
     """Run the named suites (all by default); returns the result list."""
+    if samples < 1 or seed < 0:
+        raise ConfigError(f"samples must be >= 1 and seed >= 0, got {samples} and {seed}")
     if names is None:
         names = list(SUITES)
     results = []

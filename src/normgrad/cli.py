@@ -5,8 +5,9 @@
     normgrad ratefit --in summary.json [summary2.json ...]
     normgrad check [--suite NAME ...] [--samples N] [--seed S]
 
-Exit codes: 0 all checks pass, 1 a property or bound failed, 2 bad usage or
-configuration.
+Exit codes: 0 all checks pass, 1 a property or bound failed (or ratefit found
+too few usable horizons), 2 bad usage, configuration or file. `main` is the
+only place that maps an error to an exit code.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .bench import (
     DEFAULT_SEEDS,
     DEFAULT_SWEEP_LEARNERS,
     DEFAULT_SWEEP_NUS,
+    InsufficientData,
     SUITES,
     SWEEP_COLUMNS,
     TRAJECTORY_COLUMNS,
@@ -48,31 +50,22 @@ def _write_text(path: str, body: str) -> None:
 
 
 def cmd_run(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        exp = parse_experiment_config(raw)
-    except (OSError, json.JSONDecodeError, ConfigError, ContractViolation) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.config, "r", encoding="utf-8") as fh:
+        exp = parse_experiment_config(json.load(fh))
 
     os.makedirs(args.out, exist_ok=True)
     records = []
     violations = []
-    try:
-        for horizon in exp.horizons:
-            cell = run_cell(exp.problem, exp.learner_record, horizon, exp.seed, exp.eps_zero)
-            body = rows_to_csv(trajectory_rows(cell), TRAJECTORY_COLUMNS)
-            _write_text(os.path.join(args.out, f"trajectory_T{horizon}.csv"), body)
-            records.append(summary_record(cell, exp.eps_zero))
-            violations.extend(bound_violations(cell))
-    except (ConfigError, ContractViolation) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    for horizon in exp.horizons:
+        cell = run_cell(exp.problem, exp.learner_record, horizon, exp.seed, exp.eps_zero)
+        body = rows_to_csv(trajectory_rows(cell), TRAJECTORY_COLUMNS)
+        _write_text(os.path.join(args.out, f"trajectory_T{horizon}.csv"), body)
+        records.append(summary_record(cell))
+        violations.extend(bound_violations(cell))
 
     try:
         rate_fit = rate_fit_from_records(records).as_dict()
-    except ConfigError:
+    except InsufficientData:
         rate_fit = None
     summary = {"records": records, "rate_fit": rate_fit}
     _write_text(os.path.join(args.out, "summary.json"),
@@ -87,22 +80,12 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     rows = []
     violations = []
-    try:
-        for row in sweep_rows(
-            nus=[float(v) for v in args.nu],
-            learners=list(args.learner),
-            horizons=[int(t) for t in args.horizons],
-            seeds=[int(s) for s in args.seeds],
-            dimension=args.dimension,
-            distance=args.distance,
-            step_scale=args.step_scale,
-        ):
-            # check each cell as it arrives and keep only its row
-            violations.extend(bound_violations(row.pop("_cell")))
-            rows.append(row)
-    except (ConfigError, ContractViolation) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    for row in sweep_rows(nus=args.nu, learners=args.learner, horizons=args.horizons,
+                          seeds=args.seeds, dimension=args.dimension,
+                          distance=args.distance, step_scale=args.step_scale):
+        # check each cell as it arrives and keep only its row
+        violations.extend(bound_violations(row.pop("_cell")))
+        rows.append(row)
 
     body = rows_to_csv(rows, SWEEP_COLUMNS)
     if args.out:
@@ -117,32 +100,21 @@ def cmd_sweep(args) -> int:
 
 def cmd_ratefit(args) -> int:
     records = []
-    try:
-        for path in args.inputs:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            records.extend(payload["records"] if isinstance(payload, dict) else payload)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        fit = rate_fit_from_records(records)
-    except ConfigError as exc:
-        if "insufficient data" in str(exc):
-            print(str(exc), file=sys.stderr)
-            return 1
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    for path in args.inputs:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        # a 'run' summary, or a bare list of its records
+        recs = payload.get("records") if isinstance(payload, dict) else payload
+        if not isinstance(recs, list):
+            raise ConfigError(f"{path}: not a summary: expected a list of records")
+        records.extend(recs)
+    fit = rate_fit_from_records(records)
     print(json.dumps(fit.as_dict(), indent=2))
     return 0
 
 
 def cmd_check(args) -> int:
-    try:
-        results = run_suites(args.suite or None, samples=args.samples, seed=args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    results = run_suites(args.suite or None, samples=args.samples, seed=args.seed)
     passed = all(r.passed for r in results)
     report = {
         "samples": args.samples,
@@ -201,9 +173,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except InsufficientData as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    except (ConfigError, ContractViolation, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,8 +2,11 @@
 
 Vectors are plain 1-D float64 numpy arrays. The accumulator requires points
 of its own dimension and raises :class:`ContractViolation` otherwise.
-Accumulation is plain left-to-right summation; runs are short enough
-(<= ~2^14 steps) that compensated summation is unnecessary.
+Accumulation is plain left-to-right summation. Runs reach 2^17 steps (the
+benchmark's long run); there the worst-case rounding error of a sum is
+(n - 1) * 2^-53 ~ 1.5e-11 relative to the summed magnitudes, well under the
+1e-9 relative slack of the bound checks, so compensated summation is not
+used.
 """
 
 from __future__ import annotations

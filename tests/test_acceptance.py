@@ -3,6 +3,7 @@
 Each test prints one PASS/FAIL line (visible with pytest -s or in the
 captured output of failing tests)."""
 
+import json
 import math
 import time
 from pathlib import Path
@@ -97,14 +98,20 @@ def test_criterion_3_bounded_iterates(default_sweep):
 
 def test_criterion_4_inequality_suites():
     failures = []
+    reference = json.loads((REFERENCE_DIR / "check_default.json").read_text())
+    expected = {s["name"]: s for s in reference["suites"]}
     for name in ("descent", "grad_bound", "means_ordering"):
         res = SUITES[name](10_000, seed=0)
         if not res.passed:
             failures.append(f"{name}: {res.failures} failures over {res.samples} samples "
                             f"(worst slack {res.worst_slack!r})")
+        if res.as_dict() != expected[name]:
+            failures.append(f"{name}: {res.as_dict()} differs from the reference report")
     control = SUITES["descent_negative_control"](10_000, seed=0)
     if not control.passed:
         failures.append("halved-constant negative control was not caught")
+    if control.as_dict() != expected[control.name]:
+        failures.append(f"{control.name}: {control.as_dict()} differs from the reference report")
     _report(4, "descent / gradient-bound / means suites at 10^4 samples", failures)
 
 

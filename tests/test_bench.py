@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normgrad import LearnerConfig, Quadratic, closed_form_rate
+from normgrad import ContractViolation, LearnerConfig, Quadratic, closed_form_rate
 from normgrad.bench import (
     ConfigError,
+    InsufficientData,
     SUITES,
     SWEEP_COLUMNS,
     TRAJECTORY_COLUMNS,
@@ -42,9 +43,9 @@ def test_fit_rate_exact_power_law():
 def test_fit_rate_excludes_nonpositive_and_requires_three():
     fit = fit_rate([4, 16, 64, 256], [0.25, 0.0625, 0.015625, 0.0], predicted_slope=-1.0)
     assert fit.n_points == 3 and fit.n_excluded == 1
-    with pytest.raises(ConfigError, match="insufficient data"):
+    with pytest.raises(InsufficientData, match="insufficient data"):
         fit_rate([4, 16], [0.1, 0.01], predicted_slope=-1.0)
-    with pytest.raises(ConfigError, match="insufficient data"):
+    with pytest.raises(InsufficientData, match="insufficient data"):
         fit_rate([4, 16, 64], [0.1, 0.0, None], predicted_slope=-1.0)
 
 
@@ -181,6 +182,11 @@ def test_sweep_rows_grid_shape_and_bounds():
         list(sweep_rows(nus=(), learners=("kt",), horizons=(4,), seeds=(0,)))
     with pytest.raises(ConfigError):
         list(sweep_rows(nus=(0.5,), learners=("sgd",), horizons=(4,), seeds=(0,)))
+    # the whole grid is checked before the first cell runs
+    with pytest.raises(ContractViolation):
+        next(sweep_rows(nus=(0.5, 2.0), learners=("kt",), horizons=(4,), seeds=(0,)))
+    with pytest.raises(ConfigError):
+        next(sweep_rows(nus=(0.5,), learners=("kt",), horizons=(4,), seeds=(0, -1)))
 
 
 def test_rows_to_csv_deterministic():
@@ -220,6 +226,7 @@ def test_suite_counts_nonfinite_value_as_failure(monkeypatch):
     res = SUITES["convexity"](100, seed=0)
     assert not res.passed
     assert res.failures == 10  # every quadratic segment, nothing else
+    assert math.isnan(res.worst_slack)
 
 
 def test_driver_suites_match_reference_report():
@@ -227,7 +234,9 @@ def test_driver_suites_match_reference_report():
         (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
          / "check_default.json").read_text())
     expected = {s["name"]: s for s in reference["suites"]}
-    for res in run_suites(["bounded_iterates", "reduction_chain"], 10_000, 0):
+    names = ["gradient_check", "convexity", "holder_sampling", "local_constant",
+             "bounded_iterates", "reduction_chain"]
+    for res in run_suites(names, 10_000, 0):
         assert res.as_dict() == expected[res.name]
 
 
@@ -293,6 +302,61 @@ def test_cli_config_errors_exit_2(tmp_path):
     cfg["learner"]["start"] = [1.0, 2.0]  # problem is 1-dimensional
     mismatch.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(mismatch), "--out", str(tmp_path / "o")]) == 2
+
+
+def _bad_run_config(**learner):
+    cfg = good_config()
+    cfg["learner"].update(learner)
+    return cfg
+
+
+@pytest.mark.parametrize("case", [
+    "step_scale", "start", "grad_bound_init", "wealth_init", "seed", "seed_float",
+    "out_is_file", "sweep_seed", "sweep_nu", "check_samples_0", "check_samples_neg",
+    "check_seed", "check_out", "ratefit_records_int", "ratefit_list", "ratefit_int",
+    "binary_config",
+])
+def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    configs = {
+        "step_scale": _bad_run_config(step_scale="abc"),
+        "start": _bad_run_config(start=["a", "b"]),
+        "grad_bound_init": _bad_run_config(kind="adagrad_da", grad_bound_init="x"),
+        "wealth_init": _bad_run_config(kind="kt", wealth_init="x"),
+        "seed": {**good_config(), "seed": -1},
+        "seed_float": {**good_config(), "seed": 1.5},
+    }
+    payloads = {"ratefit_records_int": {"records": 5}, "ratefit_list": [1, 2, 3],
+                "ratefit_int": 5}
+    if case in configs:
+        cfg.write_text(json.dumps(configs[case]))
+        argv = ["run", "--config", str(cfg), "--out", str(out)]
+    elif case == "out_is_file":
+        cfg.write_text(json.dumps(good_config()))
+        out.write_text("")
+        argv = ["run", "--config", str(cfg), "--out", str(out)]
+    elif case == "binary_config":
+        cfg.write_bytes(b"\xff\xfe\x00")
+        argv = ["run", "--config", str(cfg), "--out", str(out)]
+    elif case in payloads:
+        cfg.write_text(json.dumps(payloads[case]))
+        argv = ["ratefit", "--in", str(cfg)]
+    else:
+        argv = {
+            "sweep_seed": ["sweep", "--seeds", "-1"],
+            "sweep_nu": ["sweep", "--nu", "0.5", "2"],
+            "check_samples_0": ["check", "--samples", "0"],
+            "check_samples_neg": ["check", "--samples", "-5"],
+            "check_seed": ["check", "--seed", "-1"],
+            "check_out": ["check", "--suite", "means_ordering", "--samples", "10",
+                          "--out", str(tmp_path / "missing" / "x.json")],
+        }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    if case in configs or case == "binary_config":
+        assert not out.exists()
 
 
 def test_cli_ratefit_insufficient_data_exit_1(tmp_path):
