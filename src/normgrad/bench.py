@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .learners import LEARNER_KINDS, LearnerConfig
+from .learners import ANYTIME_KINDS, LEARNER_KINDS, LearnerConfig
 from .problems import (
     Huber,
     L2Norm,
@@ -67,6 +67,7 @@ __all__ = [
     "resolve_learner_config",
     "CellResult",
     "run_cell",
+    "run_cells",
     "bound_violations",
     "summary_record",
     "trajectory_rows",
@@ -169,7 +170,8 @@ def parse_experiment_config(record: dict) -> ExperimentConfig:
      "seed": int >= 0, "eps_zero": float}
 
     The learner record is resolved for every horizon here, so a malformed
-    learner field raises ConfigError before anything runs.
+    learner field raises ConfigError before anything runs. eps_zero must be
+    positive and finite, and so must the gradient norm at the start.
     """
     try:
         problem = problem_from_config(record["problem"])
@@ -183,10 +185,15 @@ def parse_experiment_config(record: dict) -> ExperimentConfig:
             raise ConfigError("horizons must be strictly increasing positives")
         if not isinstance(seed, int) or seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-        if not (eps_zero > 0.0):
-            raise ConfigError("eps_zero must be positive")
+        if not (0.0 < eps_zero < math.inf):
+            raise ConfigError(f"eps_zero must be positive and finite, got {eps_zero!r}")
         for horizon in horizons:
-            resolve_learner_config(problem, learner, horizon, seed)
+            config = resolve_learner_config(problem, learner, horizon, seed)
+        # checked once here, not per cell: the start is the same at every horizon
+        with np.errstate(over="ignore"):
+            grad_norm = l2_norm(problem.grad(config.start))
+        if not math.isfinite(grad_norm):
+            raise ConfigError("the gradient norm at the start is not finite")
     except (KeyError, TypeError, ValueError, ContractViolation, ConfigError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
     return ExperimentConfig(problem, learner, horizons, seed, eps_zero)
@@ -201,8 +208,8 @@ def resolve_learner_config(problem: Problem, record: dict, horizon: int,
     ogd_const always runs at horizon == T regardless of any horizon field.
     The adagrad_da gradient bound defaults to the gradient norm at the
     start (its largest realized value on the shipped descent problems),
-    floored at 1. A start whose dimension is not the problem's raises
-    ContractViolation.
+    floored at 1. A start whose dimension is not the problem's, or whose
+    distance from the minimizer is not finite, raises ContractViolation.
     """
     kind = record["kind"]
     if "start" in record and record["start"] is not None:
@@ -212,6 +219,10 @@ def resolve_learner_config(problem: Problem, record: dict, horizon: int,
     if start.shape != (problem.dimension,):
         raise ContractViolation(
             f"start has shape {start.shape}, problem wants ({problem.dimension},)")
+    with np.errstate(over="ignore"):  # the overflow is what this checks for
+        distance = l2_norm(start - problem.minimizer)
+    if not math.isfinite(distance):
+        raise ContractViolation("the start's distance from the minimizer is not finite")
     kwargs = {
         "kind": kind,
         "start": start,
@@ -240,15 +251,42 @@ class CellResult:
 
 
 def run_cell(problem: Problem, learner_record: dict, horizon: int, seed: int,
-             eps_zero: float = DEFAULT_EPS_ZERO) -> CellResult:
-    """Run one (problem, learner, horizon, seed) cell with its bound report."""
+             eps_zero: float = DEFAULT_EPS_ZERO, checkpoints=()) -> CellResult:
+    """Run one (problem, learner, horizon, seed) cell with its bound report.
+
+    The run also snapshots its averages at checkpoints (see run_cells)."""
     config = resolve_learner_config(problem, learner_record, horizon, seed)
     if config.kind == "adagrad_da":
-        run = run_adagrad_warmup(config, problem, horizon)
+        run = run_adagrad_warmup(config, problem, horizon, checkpoints)
     else:
-        run = run_normalized(config, problem, horizon, eps_zero)
+        run = run_normalized(config, problem, horizon, eps_zero, checkpoints)
     report = bound_report(run, problem, config)
     return CellResult(problem, config, horizon, seed, run, report, eps_zero)
+
+
+def run_cells(problem: Problem, learner_record: dict, horizons, seed: int,
+              eps_zero: float = DEFAULT_EPS_ZERO):
+    """Yield the cell of every horizon, in the order given (horizons may be
+    unsorted or repeated); each equals run_cell at that horizon.
+
+    An anytime learner (ANYTIME_KINDS) runs once, to the largest horizon,
+    at the first request, with a checkpoint at every other horizon. Each
+    shorter horizon's cell is rebuilt from that run when it is requested,
+    so the run stays alive until the generator is done. ogd_const, whose
+    step depends on the horizon, runs once per horizon."""
+    horizons = [int(h) for h in horizons]
+    if learner_record["kind"] not in ANYTIME_KINDS:
+        for horizon in horizons:
+            yield run_cell(problem, learner_record, horizon, seed, eps_zero)
+        return
+    full = run_cell(problem, learner_record, max(horizons), seed, eps_zero, horizons)
+    for horizon in horizons:
+        if horizon == full.horizon:
+            yield full
+            continue
+        run = full.run.prefix(horizon, problem)
+        report = bound_report(run, problem, full.config)
+        yield CellResult(problem, full.config, horizon, seed, run, report, eps_zero)
 
 
 def _leq(a: float, b: float, slack: float = 1e-9) -> bool:
@@ -348,10 +386,10 @@ def summary_record(result: CellResult) -> dict:
 def _visited_dist_sq(run: RunRecord, center: np.ndarray) -> list:
     """Squared distances from center of every point a run visited: the
     loss-fed iterates, plus the stop point of an early stop."""
-    points = list(run.iterates)
+    points = run.iterates
     if run.terminated_early:
-        points.append(run.average_point)
-    return [float(np.dot(x - center, x - center)) for x in points]
+        points = np.vstack([points, run.average_point])
+    return [float(np.dot(z, z)) for z in points - center]
 
 
 def rate_fit_from_records(records) -> RateFit:
@@ -388,12 +426,15 @@ def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=DEFAULT_SWEEP_LEARNERS,
     """Run the (nu x learner x horizon x seed) grid over the interpolation
     family and yield one row dict per cell, in deterministic grid order.
 
-    This is a generator: each cell runs when its row is requested. The
-    whole grid is checked at the first request, before any cell runs: an
-    empty axis, an unknown learner, a nu outside [0, 1], a horizon below 1
-    or a negative seed raises. A row holds the SWEEP_COLUMNS (the
-    summary_record fields plus nu, learner, T, seed and max_iterate_dist_sq)
-    and the CellResult under "_cell"."""
+    This is a generator: each cell runs when its row is requested, through
+    one run_cells generator per seed of a (nu, learner) block. An anytime
+    block therefore runs all its seeds, each to the largest horizon, at its
+    first row, and keeps those runs until the block is done; an ogd_const
+    block runs one cell per row. The whole grid is checked at the first
+    request, before any cell runs: an empty axis, an unknown learner, a nu
+    outside [0, 1], a horizon below 1 or a negative seed raises. A row holds
+    the SWEEP_COLUMNS (the summary_record fields plus nu, learner, T, seed
+    and max_iterate_dist_sq) and the CellResult under "_cell"."""
     if not nus or not learners or not horizons or not seeds:
         raise ConfigError("sweep grid must be nonempty in every axis")
     for kind in learners:
@@ -405,15 +446,17 @@ def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=DEFAULT_SWEEP_LEARNERS,
     for nu, problem in zip(nus, problems):
         for kind in learners:
             record = {"kind": kind, "start_distance": distance, "step_scale": step_scale}
-            for horizon in horizons:
-                for seed in seeds:
-                    cell = run_cell(problem, record, int(horizon), int(seed))
+            per_seed = [run_cells(problem, record, horizons, int(seed)) for seed in seeds]
+            for _ in horizons:
+                # one cell at a time: a zip would hold every seed's cell of a horizon
+                for cells in per_seed:
+                    cell = next(cells)
                     yield {
                         **summary_record(cell),
                         "nu": float(nu),
                         "learner": kind,
-                        "T": int(horizon),
-                        "seed": int(seed),
+                        "T": cell.horizon,
+                        "seed": cell.seed,
                         "max_iterate_dist_sq": max(
                             _visited_dist_sq(cell.run, problem.minimizer), default=0.0),
                         "_cell": cell,
@@ -431,10 +474,7 @@ def rate_experiment(nu: float, kind: str, horizons=DEFAULT_HORIZONS,
         "start_distance": distance,
         "step_scale": RATE_FIT_STEP_SCALES.get(kind, 1.0),
     }
-    summaries = []
-    for horizon in horizons:
-        cell = run_cell(problem, record, int(horizon), seed)
-        summaries.append(summary_record(cell))
+    summaries = [summary_record(cell) for cell in run_cells(problem, record, horizons, seed)]
     return summaries, rate_fit_from_records(summaries)
 
 
@@ -622,8 +662,7 @@ def suite_bounded_iterates(samples: int, seed: int) -> SuiteResult:
     tally = _Tally()
     for problem in canonical_problems(DEFAULT_DIMENSION):
         record = {"kind": "ogd_const", "step_scale": 1.0, "start_distance": DEFAULT_DISTANCE}
-        for horizon in _CHAIN_HORIZONS:
-            cell = run_cell(problem, record, horizon, seed)
+        for cell in run_cells(problem, record, _CHAIN_HORIZONS, seed):
             d_sq = l2_norm(cell.config.start - problem.minimizer) ** 2
             limit = d_sq + cell.config.step_scale ** 2 + 1e-9
             for dist_sq in _visited_dist_sq(cell.run, problem.minimizer):
@@ -642,8 +681,7 @@ def suite_reduction_chain(samples: int, seed: int) -> SuiteResult:
     for problem in canonical_problems(DEFAULT_DIMENSION):
         for record in _chain_learner_records():
             record = dict(record, start_distance=DEFAULT_DISTANCE)
-            for horizon in _CHAIN_HORIZONS:
-                cell = run_cell(problem, record, horizon, seed)
+            for cell in run_cells(problem, record, _CHAIN_HORIZONS, seed):
                 run, rep = cell.run, cell.report
                 tally.add(run.average_suboptimality - run.mean_suboptimality - 1e-9)
                 if run.steps_taken > 0:

@@ -33,7 +33,7 @@ from .bench import (
     parse_experiment_config,
     rate_fit_from_records,
     rows_to_csv,
-    run_cell,
+    run_cells,
     run_suites,
     summary_record,
     sweep_rows,
@@ -56,10 +56,10 @@ def cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     records = []
     violations = []
-    for horizon in exp.horizons:
-        cell = run_cell(exp.problem, exp.learner_record, horizon, exp.seed, exp.eps_zero)
+    for cell in run_cells(exp.problem, exp.learner_record, exp.horizons, exp.seed,
+                          exp.eps_zero):
         body = rows_to_csv(trajectory_rows(cell), TRAJECTORY_COLUMNS)
-        _write_text(os.path.join(args.out, f"trajectory_T{horizon}.csv"), body)
+        _write_text(os.path.join(args.out, f"trajectory_T{cell.horizon}.csv"), body)
         records.append(summary_record(cell))
         violations.extend(bound_violations(cell))
 

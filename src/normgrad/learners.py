@@ -11,6 +11,9 @@ da_sqrt         x_1 - (alpha / sqrt(t)) sum_{i<=t} q_i              -
 kt              x_1 - (sum q_i / (t+1)) (d0 - sum <q_i, x_i - x_1>)  wealth d0
 adagrad_da      x_1 - alpha sum g_i / sqrt(G^2 + sum ||g_i||^2)     bound G
 
+The last three are anytime: their steps never read T, so the run to T is
+the first T steps of any longer run (ANYTIME_KINDS).
+
 `regret_bound` returns the matching guarantee psi_T(D) on the cumulative
 linear loss against any comparator at distance D from the start.
 """
@@ -28,6 +31,7 @@ from .vectors import as_vector, l2_norm
 __all__ = [
     "UNIT_NORM_KINDS",
     "LEARNER_KINDS",
+    "ANYTIME_KINDS",
     "LearnerConfig",
     "make_learner",
     "regret_bound",
@@ -39,6 +43,7 @@ __all__ = [
 
 UNIT_NORM_KINDS = ("ogd_const", "da_sqrt", "kt")
 LEARNER_KINDS = UNIT_NORM_KINDS + ("adagrad_da",)
+ANYTIME_KINDS = ("da_sqrt", "kt", "adagrad_da")
 
 _UNIT_TOL = 1e-9
 

@@ -23,7 +23,7 @@ one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -61,7 +61,8 @@ class RunRecord:
     """Full trajectory of one driver run.
 
     iterates / grad_norms / suboptimalities cover exactly the loss-fed
-    steps; a step whose gradient norm fell to eps_zero is reported through
+    steps; iterates are the rows of one (steps_taken, d) float64 array. A
+    step whose gradient norm fell to eps_zero is reported through
     terminated_early / stop_index and its point becomes average_point. For
     normalized runs every recorded grad_norm exceeds eps_zero and
     average_point is the 1/||g_t||-weighted mean of the iterates; warm-up
@@ -71,10 +72,15 @@ class RunRecord:
     the same weighting applied to the per-step suboptimalities (weighted
     mean for normalized runs, uniform for warm-up); it upper-bounds
     average_suboptimality and is the statistic used for rate fitting.
+
+    checkpoints maps each shorter horizon the run was asked to report, and
+    reached, to (weighted mean point, weighted mean gap,
+    grad_bound_exceeded) after that many steps; `prefix` rebuilds the
+    record of that horizon from it.
     """
 
     horizon: int
-    iterates: list = field(default_factory=list)
+    iterates: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     grad_norms: list = field(default_factory=list)
     suboptimalities: list = field(default_factory=list)
     average_point: np.ndarray | None = None
@@ -84,6 +90,36 @@ class RunRecord:
     stop_index: int | None = None
     steps_taken: int = 0
     grad_bound_exceeded: bool = False
+    checkpoints: dict = field(default_factory=dict)
+
+    def prefix(self, horizon: int, problem: Problem) -> RunRecord:
+        """The record of the horizon-step run of the same learner.
+
+        Valid only for an anytime learner, whose steps never read the
+        horizon, so that the shorter run is the first steps of this one. A
+        horizon at or after this run's early stop gets the stopped record;
+        a shorter one must be a checkpoint, and its record is the first
+        `horizon` steps with the averages snapshotted there. Either way the
+        result equals, bit for bit, the record of running to `horizon`.
+        """
+        if horizon == self.horizon or (
+                self.stop_index is not None and self.stop_index <= horizon):
+            return replace(self, horizon=horizon)
+        if horizon not in self.checkpoints:
+            raise ContractViolation(
+                f"no checkpoint at horizon {horizon} in a run to {self.horizon}")
+        point, mean_gap, exceeded = self.checkpoints[horizon]
+        return RunRecord(
+            horizon=horizon,
+            iterates=self.iterates[:horizon],
+            grad_norms=self.grad_norms[:horizon],
+            suboptimalities=self.suboptimalities[:horizon],
+            average_point=point,
+            average_suboptimality=problem.gap(point),
+            mean_suboptimality=mean_gap,
+            steps_taken=horizon,
+            grad_bound_exceeded=exceeded,
+        )
 
 
 def _checked_grad(problem: Problem, x: np.ndarray, step: int) -> np.ndarray:
@@ -93,30 +129,45 @@ def _checked_grad(problem: Problem, x: np.ndarray, step: int) -> np.ndarray:
     return g
 
 
-def _check_run_args(config: LearnerConfig, problem: Problem, horizon: int) -> None:
+def _check_run_args(config: LearnerConfig, problem: Problem, horizon: int,
+                    checkpoints: Sequence[int]) -> list:
+    """Validate the run arguments; return the horizons to report, ascending."""
     if horizon < 1:
         raise ContractViolation(f"horizon must be >= 1, got {horizon}")
+    if any(not (1 <= c <= horizon) for c in checkpoints):
+        raise ContractViolation(
+            f"checkpoints must lie in [1, {horizon}], got {list(checkpoints)}")
     if config.start.size != problem.dimension:
         raise ContractViolation(
             f"start has dimension {config.start.size}, problem wants {problem.dimension}")
+    return sorted({horizon, *checkpoints})
 
 
-def _drive(config: LearnerConfig, problem: Problem, horizon: int,
+def _drive(config: LearnerConfig, problem: Problem, horizons: Sequence[int],
            eps_zero: float = DEFAULT_EPS_ZERO) -> RunRecord:
     """The step loop behind both drivers.
 
-    Each round serves x_t and evaluates g_t = grad f(x_t). A unit-norm
-    learner stops returning x_t if ||g_t|| <= eps_zero, and otherwise is fed
-    g_t / ||g_t|| with averaging weight 1/||g_t||. adagrad_da is fed the raw
-    g_t with weight 1 and never stops early; a norm above its bound G only
-    sets grad_bound_exceeded.
+    Runs to the last of horizons (ascending). Each round serves x_t and
+    evaluates g_t = grad f(x_t). A unit-norm learner stops returning x_t if
+    ||g_t|| <= eps_zero, and otherwise is fed g_t / ||g_t|| with averaging
+    weight 1/||g_t||. adagrad_da is fed the raw g_t with weight 1 and never
+    stops early; a norm above its bound G only sets grad_bound_exceeded.
+    After each earlier horizon's step the averages are snapshotted into
+    record.checkpoints.
+
+    The iterates go into the rows of one array that doubles when full, so a
+    run that stops early never allocates for its horizon.
     """
     learner = make_learner(config)
     unit = learner.unit_norm_losses
+    horizon = horizons[-1]
+    snapshot_at = set(horizons[:-1])
     record = RunRecord(horizon=horizon)
-    acc = WeightedMeanAccumulator(problem.dimension)
+    d = problem.dimension
+    acc = WeightedMeanAccumulator(d)
     weighted_gap_sum = 0.0
     bound = config.grad_bound_init + 1e-9
+    iterates = np.empty((min(horizon, 16), d))
 
     for t in range(1, horizon + 1):
         x = learner.next_point()
@@ -128,7 +179,10 @@ def _drive(config: LearnerConfig, problem: Problem, horizon: int,
             record.average_point = x.copy()
             break
         gap = problem.gap(x)
-        record.iterates.append(x)
+        if t > len(iterates):
+            # no view of the buffer exists yet, so it may move
+            iterates.resize((min(2 * len(iterates), horizon), d), refcheck=False)
+        iterates[t - 1] = x
         record.grad_norms.append(gn)
         record.suboptimalities.append(gap)
         w = 1.0 / gn if unit else 1.0
@@ -139,8 +193,13 @@ def _drive(config: LearnerConfig, problem: Problem, horizon: int,
         else:
             record.grad_bound_exceeded |= gn > bound
             learner.observe(g, enforce_bound=False)
+        if t in snapshot_at:
+            record.checkpoints[t] = (acc.finalize(), weighted_gap_sum / acc.weight_sum,
+                                     record.grad_bound_exceeded)
 
-    record.steps_taken = len(record.iterates)
+    record.steps_taken = len(record.grad_norms)
+    iterates.resize((record.steps_taken, d), refcheck=False)
+    record.iterates = iterates
     if not record.terminated_early:
         record.average_point = acc.finalize()
     record.average_suboptimality = problem.gap(record.average_point)
@@ -152,13 +211,16 @@ def _drive(config: LearnerConfig, problem: Problem, horizon: int,
 
 
 def run_normalized(config: LearnerConfig, problem: Problem, horizon: int,
-                   eps_zero: float = DEFAULT_EPS_ZERO) -> RunRecord:
+                   eps_zero: float = DEFAULT_EPS_ZERO,
+                   checkpoints: Sequence[int] = ()) -> RunRecord:
     """Drive a unit-norm learner with normalized gradients for <= horizon steps.
 
     Each round serves x_t, evaluates g_t = grad f(x_t), stops returning x_t
     if ||g_t|| <= eps_zero, and otherwise records the step and feeds the
     learner q_t = g_t / ||g_t||. Without an early stop the returned point is
-    the 1/||g_t||-weighted average of the iterates.
+    the 1/||g_t||-weighted average of the iterates. The averages are also
+    snapshotted after each of checkpoints (horizons in [1, horizon]); see
+    RunRecord.prefix.
     """
     if config.kind not in UNIT_NORM_KINDS:
         raise ContractViolation(
@@ -166,24 +228,26 @@ def run_normalized(config: LearnerConfig, problem: Problem, horizon: int,
             f"got {config.kind!r}; use run_adagrad_warmup for raw gradients")
     if not (eps_zero > 0.0):
         raise ContractViolation(f"eps_zero must be positive, got {eps_zero}")
-    _check_run_args(config, problem, horizon)
-    return _drive(config, problem, horizon, eps_zero)
+    horizons = _check_run_args(config, problem, horizon, checkpoints)
+    return _drive(config, problem, horizons, eps_zero)
 
 
-def run_adagrad_warmup(config: LearnerConfig, problem: Problem, horizon: int) -> RunRecord:
+def run_adagrad_warmup(config: LearnerConfig, problem: Problem, horizon: int,
+                       checkpoints: Sequence[int] = ()) -> RunRecord:
     """Drive adagrad_da with raw gradients for exactly horizon steps.
 
     The same loop as run_normalized with weight 1: the average is uniform
     over the iterates. A realized gradient norm above the configured bound G
     does not abort the run; it only sets grad_bound_exceeded (the guarantee
-    is void in that case, which callers check via the flag).
+    is void in that case, which callers check via the flag). checkpoints
+    are as in run_normalized.
     """
     if config.kind != "adagrad_da":
         raise ContractViolation(
             f"run_adagrad_warmup drives adagrad_da, got {config.kind!r}; "
             f"use run_normalized for unit-norm learners")
-    _check_run_args(config, problem, horizon)
-    return _drive(config, problem, horizon)
+    horizons = _check_run_args(config, problem, horizon, checkpoints)
+    return _drive(config, problem, horizons)
 
 
 class MeanTriple(NamedTuple):

@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normgrad import ContractViolation, LearnerConfig, Quadratic, closed_form_rate
+from normgrad import ContractViolation, LearnerConfig, PowerNorm, Quadratic, closed_form_rate
 from normgrad.bench import (
     ConfigError,
     InsufficientData,
+    RATE_FIT_DISTANCE,
     SUITES,
     SWEEP_COLUMNS,
     TRAJECTORY_COLUMNS,
@@ -20,13 +21,16 @@ from normgrad.bench import (
     rate_fit_from_records,
     resolve_learner_config,
     rows_to_csv,
+    _visited_dist_sq,
     run_cell,
+    run_cells,
     run_suites,
     summary_record,
     sweep_rows,
     trajectory_rows,
 )
 from normgrad.cli import main
+from normgrad.learners import ANYTIME_KINDS
 
 
 # --- rate fitting ------------------------------------------------------------
@@ -167,6 +171,57 @@ def test_kt_closed_form_distance_ratio():
     assert b10 / b1 == pytest.approx((base10 / base1) ** 2, rel=1e-12)
     # and the d0/T terms barely matter: ratio ~ (10 sqrt(log10) / sqrt(log1))^2
     assert b10 / b1 == pytest.approx((10 * math.sqrt(log10 / log1)) ** 2, rel=0.03)
+
+
+def _cell_outputs(cell):
+    """Everything a cell reports: its summary, trajectory, bound report and
+    the largest squared distance it visited."""
+    dists = _visited_dist_sq(cell.run, cell.problem.minimizer)
+    return (summary_record(cell), trajectory_rows(cell), cell.report, max(dists, default=0.0))
+
+
+_RUN_CELLS_CASES = [
+    (kind, family, {"kind": kind, "start_distance": 1.5}, (32, 4, 64, 4, 1))
+    for kind in ANYTIME_KINDS for family in range(5)
+] + [
+    # dual averaging at distance 1 with alpha 1 lands on x* at step 2
+    ("da_sqrt", 0, {"kind": "da_sqrt", "start_distance": 1.0}, (4, 1, 2, 1)),
+    # ||g_1|| = G, then the overshooting step 2 exceeds G
+    ("adagrad_da", 0, {"kind": "adagrad_da", "start_distance": 1.0, "step_scale": 3.0,
+                       "grad_bound_init": 1.0}, (8, 1, 2, 8)),
+]
+
+
+@pytest.mark.parametrize("kind,family,record,horizons", _RUN_CELLS_CASES)
+def test_run_cells_equals_one_run_cell_per_horizon(kind, family, record, horizons):
+    problem = canonical_problems()[family]
+    shared = [_cell_outputs(c) for c in run_cells(problem, record, horizons, seed=3)]
+    alone = [_cell_outputs(run_cell(problem, record, h, seed=3)) for h in horizons]
+    assert [s["config"]["T"] for s, *_ in shared] == list(horizons)
+    assert shared == alone
+    if record.get("start_distance") == 1.0:
+        flag = "terminated_early" if kind == "da_sqrt" else "grad_bound_exceeded"
+        assert [s[flag] for s, *_ in shared[:2]] == [True, False]
+
+
+def test_sweep_runs_each_anytime_learner_once_per_seed(monkeypatch):
+    calls = []
+    grad = PowerNorm.grad
+
+    def counted(self, x):
+        calls.append(1)
+        return grad(self, x)
+
+    monkeypatch.setattr(PowerNorm, "grad", counted)
+    horizons, seeds = (8, 32, 16), (0, 1)
+    rows = list(sweep_rows(nus=(0.5,), horizons=horizons, seeds=seeds, dimension=3,
+                           distance=RATE_FIT_DISTANCE))
+    assert len(rows) == 4 * 3 * 2
+    assert all(row["steps_taken"] == row["T"] for row in rows)  # no early stop
+    # ogd_const runs every horizon; da_sqrt, kt and adagrad_da each run once
+    # per seed, to the longest horizon; adagrad_da's default bound G takes
+    # one more gradient, at the start
+    assert len(calls) == len(seeds) * (sum(horizons) + 3 * max(horizons) + 1)
 
 
 def test_sweep_rows_grid_shape_and_bounds():
@@ -314,7 +369,7 @@ def _bad_run_config(**learner):
     "step_scale", "start", "grad_bound_init", "wealth_init", "seed", "seed_float",
     "out_is_file", "sweep_seed", "sweep_nu", "check_samples_0", "check_samples_neg",
     "check_seed", "check_out", "ratefit_records_int", "ratefit_list", "ratefit_int",
-    "binary_config",
+    "binary_config", "start_overflow", "start_distance_overflow", "eps_zero_inf",
 ])
 def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
     out = tmp_path / "out"
@@ -326,6 +381,10 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
         "wealth_init": _bad_run_config(kind="kt", wealth_init="x"),
         "seed": {**good_config(), "seed": -1},
         "seed_float": {**good_config(), "seed": 1.5},
+        "start_overflow": _bad_run_config(start=[1e200]),
+        "start_distance_overflow": {**good_config(),
+                                    "learner": {"kind": "ogd_const", "start_distance": 1e308}},
+        "eps_zero_inf": {**good_config(), "eps_zero": 1e400},  # JSON reads 1e400 as inf too
     }
     payloads = {"ratefit_records_int": {"records": 5}, "ratefit_list": [1, 2, 3],
                 "ratefit_int": 5}

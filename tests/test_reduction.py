@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,30 @@ def test_run_normalized_start_at_minimizer():
     assert run.steps_taken == 0
     assert np.array_equal(run.average_point, np.zeros(3))
     assert run.average_suboptimality == 0.0
+
+
+def test_run_normalized_huge_horizon_stop_allocates_nothing():
+    cfg = LearnerConfig(kind="kt", start=np.zeros(3))
+    tracemalloc.start()
+    try:
+        run = run_normalized(cfg, Quadratic(3), 10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.stop_index == 1 and len(run.iterates) == 0
+    assert peak < 100_000
+
+
+def test_checkpoints_must_lie_within_the_run():
+    p = Quadratic(2)
+    cfg = LearnerConfig(kind="da_sqrt", start=np.array([3.0, 0.0]))
+    for bad in ([0], [5]):
+        with pytest.raises(ContractViolation):
+            run_normalized(cfg, p, 4, checkpoints=bad)
+    run = run_normalized(cfg, p, 8, checkpoints=[2])
+    assert sorted(run.checkpoints) == [2]
+    with pytest.raises(ContractViolation, match="no checkpoint"):
+        run.prefix(4, p)
 
 
 def test_run_normalized_weighted_average_matches_reference():
