@@ -52,6 +52,7 @@ from .reduction import (
     run_adagrad_warmup,
     run_normalized,
     start_at_distance,
+    summarize,
 )
 from .bench import (
     RATE_FIT_DISTANCE,

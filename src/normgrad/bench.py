@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ConfigError, ContractViolation, InsufficientData
 from .learners import ANYTIME_KINDS, LEARNER_KINDS, LearnerConfig
 from .problems import (
     Huber,
@@ -31,6 +31,7 @@ from .problems import (
     Quadratic,
     check_descent_inequality,
     check_grad_bound,
+    config_count,
     finite_diff_grad,
     local_holder_constant,
     problem_from_config,
@@ -46,6 +47,7 @@ from .reduction import (
     run_normalized,
     start_at_distance,
     step_local_constants,
+    summarize,
 )
 from .vectors import l2_norm
 
@@ -94,14 +96,6 @@ DEFAULT_SWEEP_LEARNERS = ("ogd_const", "da_sqrt", "kt", "adagrad_da")
 RATE_FIT_DISTANCE = 1.3541320163922068
 # Step scales giving well-conditioned fits at that distance.
 RATE_FIT_STEP_SCALES = {"ogd_const": 1.0, "da_sqrt": 1.25, "kt": 1.0, "adagrad_da": 1.0}
-
-
-class ConfigError(Exception):
-    """Malformed experiment configuration (CLI exit code 2)."""
-
-
-class InsufficientData(ConfigError):
-    """Too few usable horizons for a rate fit (CLI exit code 1)."""
 
 
 # ---------------------------------------------------------------------------
@@ -169,22 +163,24 @@ def parse_experiment_config(record: dict) -> ExperimentConfig:
      "start_distance": float, ...}, "horizons": [ints, strictly increasing],
      "seed": int >= 0, "eps_zero": float}
 
-    The learner record is resolved for every horizon here, so a malformed
-    learner field raises ConfigError before anything runs. eps_zero must be
-    positive and finite, and so must the gradient norm at the start.
+    Counts (horizons, seeds, the problem's dimension) must be integers; a
+    bool or a non-integral number raises ConfigError. The learner record is
+    resolved for every horizon here, so a malformed learner field raises
+    ConfigError before anything runs. eps_zero must be positive and finite,
+    and so must the gradient norm at the start.
     """
     try:
         problem = problem_from_config(record["problem"])
         learner = dict(record["learner"])
-        horizons = [int(t) for t in record["horizons"]]
-        seed = record.get("seed", 0)
+        horizons = [config_count(t, "horizon") for t in record["horizons"]]
+        seed = config_count(record.get("seed", 0), "seed")
         eps_zero = float(record.get("eps_zero", DEFAULT_EPS_ZERO))
         if not horizons:
             raise ConfigError("horizons must be nonempty")
         if any(b <= a for a, b in zip(horizons, horizons[1:])) or horizons[0] < 1:
             raise ConfigError("horizons must be strictly increasing positives")
-        if not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+        if seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {seed}")
         if not (0.0 < eps_zero < math.inf):
             raise ConfigError(f"eps_zero must be positive and finite, got {eps_zero!r}")
         for horizon in horizons:
@@ -251,15 +247,13 @@ class CellResult:
 
 
 def run_cell(problem: Problem, learner_record: dict, horizon: int, seed: int,
-             eps_zero: float = DEFAULT_EPS_ZERO, checkpoints=()) -> CellResult:
-    """Run one (problem, learner, horizon, seed) cell with its bound report.
-
-    The run also snapshots its averages at checkpoints (see run_cells)."""
+             eps_zero: float = DEFAULT_EPS_ZERO) -> CellResult:
+    """Run one (problem, learner, horizon, seed) cell with its bound report."""
     config = resolve_learner_config(problem, learner_record, horizon, seed)
     if config.kind == "adagrad_da":
-        run = run_adagrad_warmup(config, problem, horizon, checkpoints)
+        run = run_adagrad_warmup(config, problem, horizon)
     else:
-        run = run_normalized(config, problem, horizon, eps_zero, checkpoints)
+        run = run_normalized(config, problem, horizon, eps_zero)
     report = bound_report(run, problem, config)
     return CellResult(problem, config, horizon, seed, run, report, eps_zero)
 
@@ -270,21 +264,21 @@ def run_cells(problem: Problem, learner_record: dict, horizons, seed: int,
     unsorted or repeated); each equals run_cell at that horizon.
 
     An anytime learner (ANYTIME_KINDS) runs once, to the largest horizon,
-    at the first request, with a checkpoint at every other horizon. Each
-    shorter horizon's cell is rebuilt from that run when it is requested,
-    so the run stays alive until the generator is done. ogd_const, whose
-    step depends on the horizon, runs once per horizon."""
+    at the first request. Each shorter horizon's record is summarized from
+    the first T rows of that run when it is requested, so the run stays
+    alive until the generator is done. ogd_const, whose step depends on the
+    horizon, runs once per horizon."""
     horizons = [int(h) for h in horizons]
     if learner_record["kind"] not in ANYTIME_KINDS:
         for horizon in horizons:
             yield run_cell(problem, learner_record, horizon, seed, eps_zero)
         return
-    full = run_cell(problem, learner_record, max(horizons), seed, eps_zero, horizons)
+    full = run_cell(problem, learner_record, max(horizons), seed, eps_zero)
     for horizon in horizons:
         if horizon == full.horizon:
             yield full
             continue
-        run = full.run.prefix(horizon, problem)
+        run = summarize(full.run, horizon, problem, full.config)
         report = bound_report(run, problem, full.config)
         yield CellResult(problem, full.config, horizon, seed, run, report, eps_zero)
 

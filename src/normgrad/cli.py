@@ -6,8 +6,9 @@
     normgrad check [--suite NAME ...] [--samples N] [--seed S]
 
 Exit codes: 0 all checks pass, 1 a property or bound failed (or ratefit found
-too few usable horizons), 2 bad usage, configuration or file. `main` is the
-only place that maps an error to an exit code.
+too few usable horizons), 2 bad usage, configuration or file (including a
+problem too large to allocate). `main` is the only place that maps an error
+to an exit code.
 """
 
 from __future__ import annotations
@@ -45,8 +46,16 @@ __all__ = ["main"]
 
 
 def _write_text(path: str, body: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(body)
+    """Write body to path atomically: into a temp file in path's directory,
+    then os.replace. A failed write leaves path as it was and no temp file."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(body)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.remove(tmp)
 
 
 def cmd_run(args) -> int:
@@ -180,7 +189,7 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 1
     except (ConfigError, ContractViolation, OSError, json.JSONDecodeError,
-            UnicodeDecodeError) as exc:
+            UnicodeDecodeError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

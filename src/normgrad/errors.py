@@ -11,3 +11,11 @@ class NumericalFailure(RuntimeError):
 
 class DegeneratePointError(ValueError):
     """A pointwise quantity was requested where it is undefined (f(x) = f*)."""
+
+
+class ConfigError(Exception):
+    """Malformed experiment configuration (CLI exit code 2)."""
+
+
+class InsufficientData(ConfigError):
+    """Too few usable horizons for a rate fit (CLI exit code 1)."""

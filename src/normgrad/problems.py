@@ -22,12 +22,13 @@ Families and declared constants:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolation, DegeneratePointError
+from .errors import ConfigError, ContractViolation, DegeneratePointError
 from .vectors import as_vector, l2_norm
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "FAMILIES",
     "make_problem",
     "problem_from_config",
+    "config_count",
     "finite_diff_grad",
     "DescentCheck",
     "check_descent_inequality",
@@ -327,19 +329,29 @@ def problem_from_config(record: dict) -> Problem:
 
     Schema: {"family": str, "dimension": int, "minimizer": [floats] | "random"
     (optional, default origin), "parameters": {...} (optional), "seed": int
-    (used only when minimizer == "random")}.
+    (used only when minimizer == "random")}. A dimension or seed that is not
+    an integer raises ConfigError.
     """
     if "family" not in record or "dimension" not in record:
         raise ContractViolation("problem record requires 'family' and 'dimension'")
-    dimension = int(record["dimension"])
+    dimension = config_count(record["dimension"], "dimension")
     minimizer = record.get("minimizer")
     if isinstance(minimizer, str):
         if minimizer != "random":
             raise ContractViolation(f"minimizer must be a list or 'random', got {minimizer!r}")
-        rng = np.random.default_rng(int(record.get("seed", 0)))
+        rng = np.random.default_rng(config_count(record.get("seed", 0), "problem seed"))
         minimizer = rng.standard_normal(dimension)
     params = dict(record.get("parameters", {}))
     return make_problem(record["family"], dimension, minimizer, **params)
+
+
+def config_count(value, name: str) -> int:
+    """A count read from a config record: an integer, or a float with an
+    integral value. A bool or any other value raises ConfigError."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+            isinstance(value, float) and value.is_integer())):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def finite_diff_grad(p: Problem, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

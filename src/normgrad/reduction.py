@@ -23,7 +23,7 @@ one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ __all__ = [
     "RunRecord",
     "run_normalized",
     "run_adagrad_warmup",
+    "summarize",
     "MeanTriple",
     "hm_gm_am",
     "regret_to_gap_bound",
@@ -72,11 +73,8 @@ class RunRecord:
     the same weighting applied to the per-step suboptimalities (weighted
     mean for normalized runs, uniform for warm-up); it upper-bounds
     average_suboptimality and is the statistic used for rate fitting.
-
-    checkpoints maps each shorter horizon the run was asked to report, and
-    reached, to (weighted mean point, weighted mean gap,
-    grad_bound_exceeded) after that many steps; `prefix` rebuilds the
-    record of that horizon from it.
+    `summarize` computes these averages and grad_bound_exceeded from the
+    recorded rows.
     """
 
     horizon: int
@@ -90,164 +88,122 @@ class RunRecord:
     stop_index: int | None = None
     steps_taken: int = 0
     grad_bound_exceeded: bool = False
-    checkpoints: dict = field(default_factory=dict)
-
-    def prefix(self, horizon: int, problem: Problem) -> RunRecord:
-        """The record of the horizon-step run of the same learner.
-
-        Valid only for an anytime learner, whose steps never read the
-        horizon, so that the shorter run is the first steps of this one. A
-        horizon at or after this run's early stop gets the stopped record;
-        a shorter one must be a checkpoint, and its record is the first
-        `horizon` steps with the averages snapshotted there. Either way the
-        result equals, bit for bit, the record of running to `horizon`.
-        """
-        if horizon == self.horizon or (
-                self.stop_index is not None and self.stop_index <= horizon):
-            return replace(self, horizon=horizon)
-        if horizon not in self.checkpoints:
-            raise ContractViolation(
-                f"no checkpoint at horizon {horizon} in a run to {self.horizon}")
-        point, mean_gap, exceeded = self.checkpoints[horizon]
-        return RunRecord(
-            horizon=horizon,
-            iterates=self.iterates[:horizon],
-            grad_norms=self.grad_norms[:horizon],
-            suboptimalities=self.suboptimalities[:horizon],
-            average_point=point,
-            average_suboptimality=problem.gap(point),
-            mean_suboptimality=mean_gap,
-            steps_taken=horizon,
-            grad_bound_exceeded=exceeded,
-        )
 
 
-def _checked_grad(problem: Problem, x: np.ndarray, step: int) -> np.ndarray:
-    g = problem.grad(x)
-    if not np.all(np.isfinite(g)):
-        raise NumericalFailure(f"nonfinite gradient at step {step}")
-    return g
+def summarize(run: RunRecord, horizon: int, problem: Problem,
+              config: LearnerConfig) -> RunRecord:
+    """The record of the horizon-step run, with its averages computed from
+    the rows `run` recorded.
 
-
-def _check_run_args(config: LearnerConfig, problem: Problem, horizon: int,
-                    checkpoints: Sequence[int]) -> list:
-    """Validate the run arguments; return the horizons to report, ascending."""
-    if horizon < 1:
-        raise ContractViolation(f"horizon must be >= 1, got {horizon}")
-    if any(not (1 <= c <= horizon) for c in checkpoints):
+    The driver calls this on its own run; for an anytime learner, whose
+    steps never read the horizon, it also gives every shorter horizon's
+    record, bit for bit, from the first `horizon` rows. A horizon at or
+    after the run's early stop gets the stopped record, whose point is the
+    stop point. A horizon past the recorded steps of a run that did not
+    stop raises ContractViolation.
+    """
+    stopped = run.stop_index is not None and run.stop_index <= horizon
+    steps = run.steps_taken if stopped else horizon
+    if not stopped and not 1 <= horizon <= run.steps_taken:
         raise ContractViolation(
-            f"checkpoints must lie in [1, {horizon}], got {list(checkpoints)}")
-    if config.start.size != problem.dimension:
-        raise ContractViolation(
-            f"start has dimension {config.start.size}, problem wants {problem.dimension}")
-    return sorted({horizon, *checkpoints})
+            f"cannot summarize {horizon} steps of a run that recorded {run.steps_taken}")
+    grad_norms, gaps = run.grad_norms[:steps], run.suboptimalities[:steps]
+    unit = config.kind in UNIT_NORM_KINDS
+    point, mean_gap = run.average_point, None
+    if steps > 0:
+        weights = 1.0 / np.asarray(grad_norms) if unit else np.ones(steps)
+        if not stopped:
+            points = WeightedMeanAccumulator(problem.dimension)
+            points.push(run.iterates[:steps], weights)
+            point = points.finalize()
+        gap_sums = WeightedMeanAccumulator(1)
+        gap_sums.push(np.asarray(gaps)[:, None], weights)
+        mean_gap = float(gap_sums.finalize()[0])
+    gap = problem.gap(point)
+    exceeded = not unit and any(gn > config.grad_bound_init + 1e-9 for gn in grad_norms)
+    return RunRecord(horizon=horizon, iterates=run.iterates[:steps], grad_norms=grad_norms,
+                     suboptimalities=gaps, average_point=point, average_suboptimality=gap,
+                     mean_suboptimality=gap if mean_gap is None else mean_gap,
+                     terminated_early=stopped, stop_index=run.stop_index if stopped else None,
+                     steps_taken=steps, grad_bound_exceeded=exceeded)
 
 
-def _drive(config: LearnerConfig, problem: Problem, horizons: Sequence[int],
+def _drive(config: LearnerConfig, problem: Problem, horizon: int,
            eps_zero: float = DEFAULT_EPS_ZERO) -> RunRecord:
-    """The step loop behind both drivers.
+    """The step loop behind both drivers; it only records.
 
-    Runs to the last of horizons (ascending). Each round serves x_t and
-    evaluates g_t = grad f(x_t). A unit-norm learner stops returning x_t if
-    ||g_t|| <= eps_zero, and otherwise is fed g_t / ||g_t|| with averaging
-    weight 1/||g_t||. adagrad_da is fed the raw g_t with weight 1 and never
-    stops early; a norm above its bound G only sets grad_bound_exceeded.
-    After each earlier horizon's step the averages are snapshotted into
-    record.checkpoints.
+    Each round serves x_t and evaluates g_t = grad f(x_t). A unit-norm
+    learner stops returning x_t if ||g_t|| <= eps_zero; otherwise the round
+    records (x_t, ||g_t||, f(x_t) - f*) and feeds the learner g_t / ||g_t||
+    (unit-norm learners) or the raw g_t (adagrad_da, which never stops
+    early). The averages are computed after the loop by `summarize`.
 
     The iterates go into the rows of one array that doubles when full, so a
     run that stops early never allocates for its horizon.
     """
+    if horizon < 1:
+        raise ContractViolation(f"horizon must be >= 1, got {horizon}")
+    if config.start.size != problem.dimension:
+        raise ContractViolation(
+            f"start has dimension {config.start.size}, problem wants {problem.dimension}")
     learner = make_learner(config)
     unit = learner.unit_norm_losses
-    horizon = horizons[-1]
-    snapshot_at = set(horizons[:-1])
     record = RunRecord(horizon=horizon)
     d = problem.dimension
-    acc = WeightedMeanAccumulator(d)
-    weighted_gap_sum = 0.0
-    bound = config.grad_bound_init + 1e-9
     iterates = np.empty((min(horizon, 16), d))
 
     for t in range(1, horizon + 1):
         x = learner.next_point()
-        g = _checked_grad(problem, x, t)
+        g = problem.grad(x)
+        if not np.all(np.isfinite(g)):
+            raise NumericalFailure(f"nonfinite gradient at step {t}")
         gn = l2_norm(g)
         if unit and gn <= eps_zero:
-            record.terminated_early = True
             record.stop_index = t
             record.average_point = x.copy()
             break
-        gap = problem.gap(x)
         if t > len(iterates):
             # no view of the buffer exists yet, so it may move
             iterates.resize((min(2 * len(iterates), horizon), d), refcheck=False)
         iterates[t - 1] = x
         record.grad_norms.append(gn)
-        record.suboptimalities.append(gap)
-        w = 1.0 / gn if unit else 1.0
-        acc.push(x, w)
-        weighted_gap_sum += w * gap
+        record.suboptimalities.append(problem.gap(x))
         if unit:
             learner.observe(g / gn)
         else:
-            record.grad_bound_exceeded |= gn > bound
             learner.observe(g, enforce_bound=False)
-        if t in snapshot_at:
-            record.checkpoints[t] = (acc.finalize(), weighted_gap_sum / acc.weight_sum,
-                                     record.grad_bound_exceeded)
 
     record.steps_taken = len(record.grad_norms)
     iterates.resize((record.steps_taken, d), refcheck=False)
     record.iterates = iterates
-    if not record.terminated_early:
-        record.average_point = acc.finalize()
-    record.average_suboptimality = problem.gap(record.average_point)
-    if record.steps_taken > 0:
-        record.mean_suboptimality = weighted_gap_sum / acc.weight_sum
-    else:
-        record.mean_suboptimality = record.average_suboptimality
-    return record
+    return summarize(record, horizon, problem, config)
 
 
 def run_normalized(config: LearnerConfig, problem: Problem, horizon: int,
-                   eps_zero: float = DEFAULT_EPS_ZERO,
-                   checkpoints: Sequence[int] = ()) -> RunRecord:
-    """Drive a unit-norm learner with normalized gradients for <= horizon steps.
-
-    Each round serves x_t, evaluates g_t = grad f(x_t), stops returning x_t
-    if ||g_t|| <= eps_zero, and otherwise records the step and feeds the
-    learner q_t = g_t / ||g_t||. Without an early stop the returned point is
-    the 1/||g_t||-weighted average of the iterates. The averages are also
-    snapshotted after each of checkpoints (horizons in [1, horizon]); see
-    RunRecord.prefix.
-    """
+                   eps_zero: float = DEFAULT_EPS_ZERO) -> RunRecord:
+    """Drive a unit-norm learner with normalized gradients g_t / ||g_t|| for
+    <= horizon steps, stopping at a step with ||g_t|| <= eps_zero. Without
+    an early stop the returned point is the 1/||g_t||-weighted average of
+    the iterates."""
     if config.kind not in UNIT_NORM_KINDS:
         raise ContractViolation(
             f"run_normalized drives unit-norm learners {UNIT_NORM_KINDS}, "
             f"got {config.kind!r}; use run_adagrad_warmup for raw gradients")
     if not (eps_zero > 0.0):
         raise ContractViolation(f"eps_zero must be positive, got {eps_zero}")
-    horizons = _check_run_args(config, problem, horizon, checkpoints)
-    return _drive(config, problem, horizons, eps_zero)
+    return _drive(config, problem, horizon, eps_zero)
 
 
-def run_adagrad_warmup(config: LearnerConfig, problem: Problem, horizon: int,
-                       checkpoints: Sequence[int] = ()) -> RunRecord:
-    """Drive adagrad_da with raw gradients for exactly horizon steps.
-
-    The same loop as run_normalized with weight 1: the average is uniform
-    over the iterates. A realized gradient norm above the configured bound G
-    does not abort the run; it only sets grad_bound_exceeded (the guarantee
-    is void in that case, which callers check via the flag). checkpoints
-    are as in run_normalized.
-    """
+def run_adagrad_warmup(config: LearnerConfig, problem: Problem, horizon: int) -> RunRecord:
+    """Drive adagrad_da with raw gradients for exactly horizon steps; the
+    average is uniform over the iterates. A realized gradient norm above the
+    configured bound G does not abort the run; it only sets
+    grad_bound_exceeded (the guarantee is void then, as callers check)."""
     if config.kind != "adagrad_da":
         raise ContractViolation(
             f"run_adagrad_warmup drives adagrad_da, got {config.kind!r}; "
             f"use run_normalized for unit-norm learners")
-    horizons = _check_run_args(config, problem, horizon, checkpoints)
-    return _drive(config, problem, horizons)
+    return _drive(config, problem, horizon)
 
 
 class MeanTriple(NamedTuple):

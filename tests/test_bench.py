@@ -359,6 +359,11 @@ def test_cli_config_errors_exit_2(tmp_path):
     assert main(["run", "--config", str(mismatch), "--out", str(tmp_path / "o")]) == 2
 
 
+def _bad_problem_config(**problem):
+    return {"problem": {"family": "quadratic", "dimension": 2, **problem},
+            "learner": {"kind": "ogd_const", "start_distance": 1.0}, "horizons": [4]}
+
+
 def _bad_run_config(**learner):
     cfg = good_config()
     cfg["learner"].update(learner)
@@ -370,6 +375,8 @@ def _bad_run_config(**learner):
     "out_is_file", "sweep_seed", "sweep_nu", "check_samples_0", "check_samples_neg",
     "check_seed", "check_out", "ratefit_records_int", "ratefit_list", "ratefit_int",
     "binary_config", "start_overflow", "start_distance_overflow", "eps_zero_inf",
+    "horizons_float", "horizons_bool", "seed_bool", "dimension_float", "problem_seed_bool",
+    "problem_seed_float", "dimension_huge", "sweep_dimension_huge",
 ])
 def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
     out = tmp_path / "out"
@@ -385,6 +392,14 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
         "start_distance_overflow": {**good_config(),
                                     "learner": {"kind": "ogd_const", "start_distance": 1e308}},
         "eps_zero_inf": {**good_config(), "eps_zero": 1e400},  # JSON reads 1e400 as inf too
+        "horizons_float": {**good_config(), "horizons": [4.9, 8.2]},
+        "horizons_bool": {**good_config(), "horizons": [True, 4]},
+        "seed_bool": {**good_config(), "seed": True},
+        "dimension_float": _bad_problem_config(dimension=2.7),
+        "problem_seed_bool": _bad_problem_config(minimizer="random", seed=True),
+        "problem_seed_float": _bad_problem_config(minimizer="random", seed=0.5),
+        # numpy refuses 8 PB at once, without allocating anything
+        "dimension_huge": _bad_problem_config(dimension=10**15),
     }
     payloads = {"ratefit_records_int": {"records": 5}, "ratefit_list": [1, 2, 3],
                 "ratefit_int": 5}
@@ -410,12 +425,34 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
             "check_seed": ["check", "--seed", "-1"],
             "check_out": ["check", "--suite", "means_ordering", "--samples", "10",
                           "--out", str(tmp_path / "missing" / "x.json")],
+            "sweep_dimension_huge": ["sweep", "--dimension", str(10**15), "--out", str(out)],
         }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
-    if case in configs or case == "binary_config":
+    if case in configs or case in ("binary_config", "sweep_dimension_huge"):
         assert not out.exists()
+
+
+def test_cli_failed_write_keeps_existing_out(tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    out.write_text("old report")
+    argv = ["check", "--suite", "means_ordering", "--samples", "10", "--out", str(out)]
+
+    def no_space(src, dst):
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", no_space)
+        assert main(argv) == 2
+    assert out.read_text() == "old report"
+    assert os.listdir(tmp_path) == ["report.json"]  # no temp file left behind
+    # an --out that is a directory fails at the rename, and cleans up too
+    out_dir = tmp_path / "a_dir"
+    out_dir.mkdir()
+    assert main(argv[:-1] + [str(out_dir)]) == 2
+    assert sorted(os.listdir(tmp_path)) == ["a_dir", "report.json"]
+    assert main(argv) == 0 and out.read_text() != "old report"
 
 
 def test_cli_ratefit_insufficient_data_exit_1(tmp_path):

@@ -18,10 +18,11 @@ from normgrad import (
     run_adagrad_warmup,
     run_normalized,
     start_at_distance,
+    summarize,
 )
 from normgrad.bench import canonical_problems
 from normgrad.problems import HolderSpec
-from normgrad.vectors import l2_norm
+from normgrad.vectors import _CHUNK_ELEMENTS, l2_norm
 
 
 def ogd_cfg(start, horizon, alpha=1.0):
@@ -75,16 +76,39 @@ def test_run_normalized_huge_horizon_stop_allocates_nothing():
     assert peak < 100_000
 
 
-def test_checkpoints_must_lie_within_the_run():
+def test_summarize_past_recorded_steps_raises():
     p = Quadratic(2)
     cfg = LearnerConfig(kind="da_sqrt", start=np.array([3.0, 0.0]))
-    for bad in ([0], [5]):
-        with pytest.raises(ContractViolation):
-            run_normalized(cfg, p, 4, checkpoints=bad)
-    run = run_normalized(cfg, p, 8, checkpoints=[2])
-    assert sorted(run.checkpoints) == [2]
-    with pytest.raises(ContractViolation, match="no checkpoint"):
-        run.prefix(4, p)
+    run = run_normalized(cfg, p, 8)
+    assert not run.terminated_early and run.steps_taken == 8
+    for bad in (0, 9):
+        with pytest.raises(ContractViolation, match="cannot summarize"):
+            summarize(run, bad, p, cfg)
+    assert summarize(run, 2, p, cfg).steps_taken == 2
+    # a run that stopped early gives its stopped record at any later horizon
+    stopped = run_normalized(LearnerConfig(kind="da_sqrt", start=np.zeros(2)), p, 8)
+    assert summarize(stopped, 100, p, cfg).terminated_early
+
+
+@pytest.mark.parametrize("kind", ["da_sqrt", "adagrad_da"])
+def test_long_run_averages_equal_a_left_to_right_loop(kind):
+    p = PowerNorm(0.5, 3)
+    cfg = LearnerConfig(kind=kind, start=start_at_distance(p, 2.0, seed=4))
+    steps = 5000
+    assert steps > _CHUNK_ELEMENTS // 3  # the averages span several chunks
+    if kind == "adagrad_da":
+        run = run_adagrad_warmup(cfg, p, steps)
+    else:
+        run = run_normalized(cfg, p, steps)
+    assert run.steps_taken == steps
+    point_sum, gap_sum, weight_sum = np.zeros(3), 0.0, 0.0
+    for x, gn, gap in zip(run.iterates, run.grad_norms, run.suboptimalities):
+        w = 1.0 / gn if kind == "da_sqrt" else 1.0
+        point_sum += w * x
+        gap_sum += w * gap
+        weight_sum += w
+    assert (run.average_point == point_sum / weight_sum).all()
+    assert run.mean_suboptimality == gap_sum / weight_sum
 
 
 def test_run_normalized_weighted_average_matches_reference():
