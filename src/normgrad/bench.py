@@ -46,7 +46,6 @@ from .reduction import (
     run_adagrad_warmup,
     run_normalized,
     start_at_distance,
-    step_local_constants,
     summarize,
 )
 from .vectors import l2_norm
@@ -278,7 +277,7 @@ def run_cells(problem: Problem, learner_record: dict, horizons, seed: int,
         if horizon == full.horizon:
             yield full
             continue
-        run = summarize(full.run, horizon, problem, full.config)
+        run = summarize(full.run, horizon, problem)
         report = bound_report(run, problem, full.config)
         yield CellResult(problem, full.config, horizon, seed, run, report, eps_zero)
 
@@ -338,20 +337,14 @@ def rows_to_csv(rows, columns) -> str:
 def trajectory_rows(result: CellResult) -> list:
     """One row per loss-fed step: t, f_gap, grad_norm, weight, local_L.
 
-    weight is 1/||g_t|| for normalized runs and 1.0 (uniform) for warm-up
-    runs; local_L is empty at steps sitting exactly at the optimum."""
+    The run's own columns: weight is 1/||g_t|| for normalized runs and 1.0
+    (uniform) for warm-up runs; local_L is empty at steps sitting exactly
+    at the optimum."""
     run = result.run
-    unit = result.config.kind != "adagrad_da"
-    local = step_local_constants(run, result.problem.spec)
     return [
-        {
-            "t": i + 1,
-            "f_gap": gap,
-            "grad_norm": gn,
-            "weight": (1.0 / gn) if unit else 1.0,
-            "local_L": "" if c is None else c,
-        }
-        for i, (gn, gap, c) in enumerate(zip(run.grad_norms, run.suboptimalities, local))
+        {"t": t, "f_gap": gap, "grad_norm": gn, "weight": w, "local_L": "" if c is None else c}
+        for t, (gn, gap, w, c) in enumerate(
+            zip(run.grad_norms, run.suboptimalities, run.weights, run.local_constants), 1)
     ]
 
 
@@ -383,7 +376,9 @@ def _visited_dist_sq(run: RunRecord, center: np.ndarray) -> list:
     points = run.iterates
     if run.terminated_early:
         points = np.vstack([points, run.average_point])
-    return [float(np.dot(z, z)) for z in points - center]
+    z = points - center
+    # vecdot equals a per-row np.dot bit for bit; einsum and (z*z).sum do not
+    return np.vecdot(z, z).tolist()
 
 
 def rate_fit_from_records(records) -> RateFit:

@@ -7,8 +7,8 @@
 
 Exit codes: 0 all checks pass, 1 a property or bound failed (or ratefit found
 too few usable horizons), 2 bad usage, configuration or file (including a
-problem too large to allocate). `main` is the only place that maps an error
-to an exit code.
+problem too large to allocate, or a run whose gradient norm is not finite).
+`main` is the only place that maps an error to an exit code.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .bench import (
     sweep_rows,
     trajectory_rows,
 )
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericalFailure
 
 __all__ = ["main"]
 
@@ -188,8 +188,8 @@ def main(argv=None) -> int:
     except InsufficientData as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (ConfigError, ContractViolation, OSError, json.JSONDecodeError,
-            UnicodeDecodeError, MemoryError) as exc:
+    except (ConfigError, ContractViolation, NumericalFailure, OSError,
+            json.JSONDecodeError, UnicodeDecodeError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -55,7 +55,7 @@ class LearnerConfig:
     step_scale is the learning-rate scale alpha (ogd_const, da_sqrt,
     adagrad_da), horizon is required by ogd_const only, wealth_init is the
     KT initial wealth d0, and grad_bound_init is the adagrad_da gradient
-    bound G.
+    bound G. The three scales must be positive and finite.
     """
 
     kind: str
@@ -70,12 +70,10 @@ class LearnerConfig:
             raise ContractViolation(
                 f"unknown learner kind {self.kind!r}; expected one of {LEARNER_KINDS}")
         self.start = as_vector(self.start, name="start")
-        if not (self.step_scale > 0.0):
-            raise ContractViolation(f"step_scale must be positive, got {self.step_scale}")
-        if not (self.wealth_init > 0.0):
-            raise ContractViolation(f"wealth_init must be positive, got {self.wealth_init}")
-        if not (self.grad_bound_init > 0.0):
-            raise ContractViolation(f"grad_bound_init must be positive, got {self.grad_bound_init}")
+        for name in ("step_scale", "wealth_init", "grad_bound_init"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ContractViolation(f"{name} must be positive and finite, got {value}")
         if self.kind == "ogd_const":
             if self.horizon is None or self.horizon < 1:
                 raise ContractViolation("ogd_const requires a positive horizon")

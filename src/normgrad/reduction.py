@@ -23,7 +23,7 @@ one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -50,7 +50,6 @@ __all__ = [
     "closed_form_rate",
     "BoundReport",
     "bound_report",
-    "step_local_constants",
     "start_at_distance",
 ]
 
@@ -59,59 +58,68 @@ DEFAULT_EPS_ZERO = 1e-12
 
 @dataclass
 class RunRecord:
-    """Full trajectory of one driver run.
+    """Full trajectory of one driver run: per-step columns, then averages.
 
-    iterates / grad_norms / suboptimalities cover exactly the loss-fed
-    steps; iterates are the rows of one (steps_taken, d) float64 array. A
-    step whose gradient norm fell to eps_zero is reported through
-    terminated_early / stop_index and its point becomes average_point. For
-    normalized runs every recorded grad_norm exceeds eps_zero and
-    average_point is the 1/||g_t||-weighted mean of the iterates; warm-up
-    runs record whatever norms occur and average uniformly.
+    The columns cover exactly the loss-fed steps. iterates are the rows of
+    one (steps_taken, d) float64 array; the others are lists of Python
+    floats. weights are 1/||g_t|| for a unit-norm learner and 1.0 for
+    adagrad_da; local_constants come from local_constant_from_parts, None
+    at a nu > 0 step whose gap is 0. The driver derives both once per run.
+    stop_index is the step whose gradient norm fell to eps_zero (its point
+    becomes average_point), exceeded_index the first step whose raw
+    gradient norm exceeded G + 1e-9; steps_taken, terminated_early and
+    grad_bound_exceeded are read from them and from the columns.
 
     average_suboptimality is f(average_point) - f*. mean_suboptimality is
-    the same weighting applied to the per-step suboptimalities (weighted
-    mean for normalized runs, uniform for warm-up); it upper-bounds
-    average_suboptimality and is the statistic used for rate fitting.
-    `summarize` computes these averages and grad_bound_exceeded from the
-    recorded rows.
+    the same weighting applied to the per-step suboptimalities; it
+    upper-bounds average_suboptimality and is the statistic used for rate
+    fitting. `summarize` computes the averages.
     """
 
     horizon: int
-    iterates: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    grad_norms: list = field(default_factory=list)
-    suboptimalities: list = field(default_factory=list)
+    iterates: np.ndarray
+    grad_norms: list
+    suboptimalities: list
+    weights: list
+    local_constants: list
+    stop_index: int | None = None
+    exceeded_index: int | None = None
     average_point: np.ndarray | None = None
     average_suboptimality: float = 0.0
     mean_suboptimality: float = 0.0
-    terminated_early: bool = False
-    stop_index: int | None = None
-    steps_taken: int = 0
-    grad_bound_exceeded: bool = False
+
+    @property
+    def steps_taken(self) -> int:
+        return len(self.grad_norms)
+
+    @property
+    def terminated_early(self) -> bool:
+        return self.stop_index is not None
+
+    @property
+    def grad_bound_exceeded(self) -> bool:
+        return self.exceeded_index is not None
 
 
-def summarize(run: RunRecord, horizon: int, problem: Problem,
-              config: LearnerConfig) -> RunRecord:
+def summarize(run: RunRecord, horizon: int, problem: Problem) -> RunRecord:
     """The record of the horizon-step run, with its averages computed from
-    the rows `run` recorded.
+    the columns `run` recorded.
 
     The driver calls this on its own run; for an anytime learner, whose
     steps never read the horizon, it also gives every shorter horizon's
-    record, bit for bit, from the first `horizon` rows. A horizon at or
-    after the run's early stop gets the stopped record, whose point is the
-    stop point. A horizon past the recorded steps of a run that did not
-    stop raises ContractViolation.
+    record, bit for bit, from the first `horizon` rows of each column. A
+    horizon at or after the run's early stop gets the stopped record, whose
+    point is the stop point. A horizon past the recorded steps of a run
+    that did not stop raises ContractViolation.
     """
     stopped = run.stop_index is not None and run.stop_index <= horizon
     steps = run.steps_taken if stopped else horizon
     if not stopped and not 1 <= horizon <= run.steps_taken:
         raise ContractViolation(
             f"cannot summarize {horizon} steps of a run that recorded {run.steps_taken}")
-    grad_norms, gaps = run.grad_norms[:steps], run.suboptimalities[:steps]
-    unit = config.kind in UNIT_NORM_KINDS
+    weights, gaps = run.weights[:steps], run.suboptimalities[:steps]
     point, mean_gap = run.average_point, None
     if steps > 0:
-        weights = 1.0 / np.asarray(grad_norms) if unit else np.ones(steps)
         if not stopped:
             points = WeightedMeanAccumulator(problem.dimension)
             points.push(run.iterates[:steps], weights)
@@ -120,23 +128,29 @@ def summarize(run: RunRecord, horizon: int, problem: Problem,
         gap_sums.push(np.asarray(gaps)[:, None], weights)
         mean_gap = float(gap_sums.finalize()[0])
     gap = problem.gap(point)
-    exceeded = not unit and any(gn > config.grad_bound_init + 1e-9 for gn in grad_norms)
-    return RunRecord(horizon=horizon, iterates=run.iterates[:steps], grad_norms=grad_norms,
-                     suboptimalities=gaps, average_point=point, average_suboptimality=gap,
-                     mean_suboptimality=gap if mean_gap is None else mean_gap,
-                     terminated_early=stopped, stop_index=run.stop_index if stopped else None,
-                     steps_taken=steps, grad_bound_exceeded=exceeded)
+    exceeded = run.exceeded_index is not None and run.exceeded_index <= steps
+    return RunRecord(horizon=horizon, iterates=run.iterates[:steps],
+                     grad_norms=run.grad_norms[:steps], suboptimalities=gaps,
+                     weights=weights, local_constants=run.local_constants[:steps],
+                     stop_index=run.stop_index if stopped else None,
+                     exceeded_index=run.exceeded_index if exceeded else None,
+                     average_point=point, average_suboptimality=gap,
+                     mean_suboptimality=gap if mean_gap is None else mean_gap)
 
 
 def _drive(config: LearnerConfig, problem: Problem, horizon: int,
            eps_zero: float = DEFAULT_EPS_ZERO) -> RunRecord:
-    """The step loop behind both drivers; it only records.
+    """The step loop behind both drivers: it records each step, then
+    derives the per-step columns once.
 
-    Each round serves x_t and evaluates g_t = grad f(x_t). A unit-norm
-    learner stops returning x_t if ||g_t|| <= eps_zero; otherwise the round
-    records (x_t, ||g_t||, f(x_t) - f*) and feeds the learner g_t / ||g_t||
-    (unit-norm learners) or the raw g_t (adagrad_da, which never stops
-    early). The averages are computed after the loop by `summarize`.
+    Each round serves x_t and evaluates g_t = grad f(x_t). A gradient norm
+    that is not finite (a NaN or inf coordinate, or an overflow) raises
+    NumericalFailure naming the step. A unit-norm learner stops returning
+    x_t if ||g_t|| <= eps_zero; otherwise the round records (x_t, ||g_t||,
+    f(x_t) - f*) and feeds the learner g_t / ||g_t|| (unit-norm learners)
+    or the raw g_t (adagrad_da, which never stops early). After the loop,
+    learner.unit_norm_losses alone decides the weights. `summarize`
+    computes the averages.
 
     The iterates go into the rows of one array that doubles when full, so a
     run that stops early never allocates for its horizon.
@@ -148,35 +162,42 @@ def _drive(config: LearnerConfig, problem: Problem, horizon: int,
             f"start has dimension {config.start.size}, problem wants {problem.dimension}")
     learner = make_learner(config)
     unit = learner.unit_norm_losses
-    record = RunRecord(horizon=horizon)
     d = problem.dimension
     iterates = np.empty((min(horizon, 16), d))
+    grad_norms, gaps = [], []
+    stop_index, stop_point = None, None
 
     for t in range(1, horizon + 1):
         x = learner.next_point()
         g = problem.grad(x)
-        if not np.all(np.isfinite(g)):
-            raise NumericalFailure(f"nonfinite gradient at step {t}")
         gn = l2_norm(g)
+        if not math.isfinite(gn):
+            raise NumericalFailure(f"the gradient norm at step {t} is not finite")
         if unit and gn <= eps_zero:
-            record.stop_index = t
-            record.average_point = x.copy()
+            stop_index, stop_point = t, x.copy()
             break
         if t > len(iterates):
             # no view of the buffer exists yet, so it may move
             iterates.resize((min(2 * len(iterates), horizon), d), refcheck=False)
         iterates[t - 1] = x
-        record.grad_norms.append(gn)
-        record.suboptimalities.append(problem.gap(x))
+        grad_norms.append(gn)
+        gaps.append(problem.gap(x))
         if unit:
             learner.observe(g / gn)
         else:
             learner.observe(g, enforce_bound=False)
 
-    record.steps_taken = len(record.grad_norms)
-    iterates.resize((record.steps_taken, d), refcheck=False)
-    record.iterates = iterates
-    return summarize(record, horizon, problem, config)
+    n = len(grad_norms)
+    iterates.resize((n, d), refcheck=False)
+    spec, bound = problem.spec, config.grad_bound_init + 1e-9
+    weights = [1.0 / gn for gn in grad_norms] if unit else [1.0] * n
+    local = [local_constant_from_parts(spec, gn, gap) if spec.nu == 0.0 or gap > 0.0 else None
+             for gn, gap in zip(grad_norms, gaps)]
+    exceeded = None if unit else next(
+        (t for t, gn in enumerate(grad_norms, 1) if gn > bound), None)
+    record = RunRecord(horizon, iterates, grad_norms, gaps, weights, local, stop_index,
+                       exceeded, stop_point)
+    return summarize(record, horizon, problem)
 
 
 def run_normalized(config: LearnerConfig, problem: Problem, horizon: int,
@@ -232,12 +253,14 @@ def hm_gm_am(values: Sequence[float]) -> MeanTriple:
 
 
 def regret_to_gap_bound(psi_at_xstar: float, steps: int, spec: HolderSpec,
-                        local_ls: Sequence[float], use_geometric_mean: bool = True) -> float:
-    """Compose a regret bound with local constants into a gap bound:
+                        local_ls: Sequence[float]) -> tuple[float, float]:
+    """Compose a regret bound with local constants into the two gap bounds
+    (gm, am):
 
-    alpha^nu * (psi/steps)^(1+nu) * M, with M the geometric or arithmetic
-    mean of local_ls. At nu = 0 the alpha factor is 1 and the expression
-    reduces to (psi/steps) * M.
+    alpha^nu * (psi/steps)^(1+nu) * M, with M the geometric (gm) or the
+    arithmetic (am) mean of local_ls; both means come from one hm_gm_am.
+    At nu = 0 the alpha factor is 1 and the expression reduces to
+    (psi/steps) * M.
     """
     if not (psi_at_xstar >= 0.0):
         raise ContractViolation(f"psi_at_xstar must be >= 0, got {psi_at_xstar}")
@@ -247,9 +270,8 @@ def regret_to_gap_bound(psi_at_xstar: float, steps: int, spec: HolderSpec,
         raise ContractViolation(
             f"got {len(local_ls)} local constants for {steps} steps")
     means = hm_gm_am(local_ls)
-    m = means.gm if use_geometric_mean else means.am
-    nu = spec.nu
-    return spec.alpha_pow_nu * (psi_at_xstar / steps) ** (1.0 + nu) * m
+    scale = spec.alpha_pow_nu * (psi_at_xstar / steps) ** (1.0 + spec.nu)
+    return scale * means.gm, scale * means.am
 
 
 def _rate_constant(problem: Problem) -> float:
@@ -327,19 +349,6 @@ class BoundReport:
     bound_am: float
     bound_closed_form: float
     measured: float
-    local_constants: list
-
-
-def step_local_constants(run: RunRecord, spec: HolderSpec) -> list:
-    """Local constant of every loss-fed step: the gradient norm at nu = 0,
-    otherwise local_constant_from_parts, or None at a step sitting exactly
-    at the optimum (where the constant is undefined)."""
-    if spec.nu == 0.0:
-        return list(run.grad_norms)
-    return [
-        local_constant_from_parts(spec, gn, gap) if gap > 0.0 else None
-        for gn, gap in zip(run.grad_norms, run.suboptimalities)
-    ]
 
 
 def bound_report(run: RunRecord, problem: Problem, config: LearnerConfig) -> BoundReport:
@@ -347,31 +356,28 @@ def bound_report(run: RunRecord, problem: Problem, config: LearnerConfig) -> Bou
 
     The composed bounds use the number of loss-fed steps; the ogd_const
     regret guarantee is always evaluated at its configured horizon (valid
-    for any prefix). Local constants are recomputed from the recorded
-    gradient norms and suboptimalities, skipping steps at the optimum.
+    for any prefix). The local constants are the run's own column, without
+    the steps at the optimum; adagrad_da's bound is its regret over the
+    steps, psi/steps, for both means.
     """
     d = l2_norm(config.start - problem.minimizer)
     measured = run.average_suboptimality
     closed = closed_form_rate(config.kind, problem, config, run.horizon)
-    if run.steps_taken == 0:
-        return BoundReport(0.0, 0.0, 0.0, closed, measured, [])
-
     steps = run.steps_taken
-    local = [c for c in step_local_constants(run, problem.spec) if c is not None]
+    if steps == 0:
+        return BoundReport(0.0, 0.0, 0.0, closed, measured)
+
     if config.kind == "adagrad_da":
         grad_sq = sum(g * g for g in run.grad_norms)
         psi = regret_bound(config, d, steps, grad_sq_sum=grad_sq)
         gap_bound = psi / steps
-        return BoundReport(psi, gap_bound, gap_bound, closed, measured, local)
+        return BoundReport(psi, gap_bound, gap_bound, closed, measured)
 
     psi_horizon = config.horizon if config.kind == "ogd_const" else steps
     psi = regret_bound(config, d, psi_horizon)
-    if local:
-        gm = regret_to_gap_bound(psi, steps, problem.spec, local, use_geometric_mean=True)
-        am = regret_to_gap_bound(psi, steps, problem.spec, local, use_geometric_mean=False)
-    else:
-        gm = am = 0.0
-    return BoundReport(psi, gm, am, closed, measured, local)
+    local = [c for c in run.local_constants if c is not None]
+    gm, am = regret_to_gap_bound(psi, steps, problem.spec, local) if local else (0.0, 0.0)
+    return BoundReport(psi, gm, am, closed, measured)
 
 
 def start_at_distance(problem: Problem, distance: float, seed: int) -> np.ndarray:

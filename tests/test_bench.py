@@ -6,7 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normgrad import ContractViolation, LearnerConfig, PowerNorm, Quadratic, closed_form_rate
+from normgrad import (
+    ContractViolation,
+    LearnerConfig,
+    LogSumExp,
+    PowerNorm,
+    Quadratic,
+    closed_form_rate,
+    local_constant_from_parts,
+)
 from normgrad.bench import (
     ConfigError,
     InsufficientData,
@@ -30,7 +38,7 @@ from normgrad.bench import (
     trajectory_rows,
 )
 from normgrad.cli import main
-from normgrad.learners import ANYTIME_KINDS
+from normgrad.learners import ANYTIME_KINDS, LEARNER_KINDS
 
 
 # --- rate fitting ------------------------------------------------------------
@@ -173,6 +181,37 @@ def test_kt_closed_form_distance_ratio():
     assert b10 / b1 == pytest.approx((10 * math.sqrt(log10 / log1)) ** 2, rel=0.03)
 
 
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+@pytest.mark.parametrize("problem,distance", [
+    # the gap cancels to 0 at step 1 while ||g_1|| is about 1e-9
+    (LogSumExp(10), 1e-8),
+    (PowerNorm(0.0, 10), RATE_FIT_DISTANCE),
+    (PowerNorm(0.5, 10), RATE_FIT_DISTANCE),
+], ids=["lse_at_1e-8", "power_norm_0", "power_norm_0.5"])
+def test_run_columns_weights_and_local_constants(kind, problem, distance):
+    cell = run_cell(problem, {"kind": kind, "start_distance": distance}, 16, seed=0)
+    run = cell.run
+    assert run.steps_taken == 16
+    if kind == "adagrad_da":
+        assert run.weights == [1.0] * 16
+    else:
+        assert run.weights == [1.0 / gn for gn in run.grad_norms]
+    at_optimum = [problem.spec.nu > 0.0 and gap == 0.0 for gap in run.suboptimalities]
+    if distance == 1e-8:
+        assert at_optimum[0] and run.grad_norms[0] > 1e-12
+    assert [c is None for c in run.local_constants] == at_optimum
+    assert all(c == local_constant_from_parts(problem.spec, gn, gap)
+               for c, gn, gap in zip(run.local_constants, run.grad_norms,
+                                     run.suboptimalities) if c is not None)
+    rows = trajectory_rows(cell)
+    assert [row["local_L"] == "" for row in rows] == at_optimum
+    assert [row["weight"] for row in rows] == run.weights
+    # one vecdot over the rows equals one dot product per visited point
+    center = problem.minimizer
+    assert _visited_dist_sq(run, center) == [
+        float(np.dot(x - center, x - center)) for x in run.iterates]
+
+
 def _cell_outputs(cell):
     """Everything a cell reports: its summary, trajectory, bound report and
     the largest squared distance it visited."""
@@ -189,6 +228,10 @@ _RUN_CELLS_CASES = [
     # ||g_1|| = G, then the overshooting step 2 exceeds G
     ("adagrad_da", 0, {"kind": "adagrad_da", "start_distance": 1.0, "step_scale": 3.0,
                        "grad_bound_init": 1.0}, (8, 1, 2, 8)),
+] + [
+    # log_sum_exp's gap is 0 at step 1, so that step has no local constant
+    (kind, 4, {"kind": kind, "start_distance": 1e-8}, (16, 1, 4, 16))
+    for kind in ANYTIME_KINDS
 ]
 
 
@@ -376,7 +419,8 @@ def _bad_run_config(**learner):
     "check_seed", "check_out", "ratefit_records_int", "ratefit_list", "ratefit_int",
     "binary_config", "start_overflow", "start_distance_overflow", "eps_zero_inf",
     "horizons_float", "horizons_bool", "seed_bool", "dimension_float", "problem_seed_bool",
-    "problem_seed_float", "dimension_huge", "sweep_dimension_huge",
+    "problem_seed_float", "dimension_huge", "sweep_dimension_huge", "step_scale_inf",
+    "wealth_init_inf", "grad_bound_init_inf", "sweep_step_scale_inf",
 ])
 def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
     out = tmp_path / "out"
@@ -400,6 +444,9 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
         "problem_seed_float": _bad_problem_config(minimizer="random", seed=0.5),
         # numpy refuses 8 PB at once, without allocating anything
         "dimension_huge": _bad_problem_config(dimension=10**15),
+        "step_scale_inf": _bad_run_config(step_scale=1e400),
+        "wealth_init_inf": _bad_run_config(kind="kt", wealth_init=1e400),
+        "grad_bound_init_inf": _bad_run_config(kind="adagrad_da", grad_bound_init=1e400),
     }
     payloads = {"ratefit_records_int": {"records": 5}, "ratefit_list": [1, 2, 3],
                 "ratefit_int": 5}
@@ -426,12 +473,25 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
             "check_out": ["check", "--suite", "means_ordering", "--samples", "10",
                           "--out", str(tmp_path / "missing" / "x.json")],
             "sweep_dimension_huge": ["sweep", "--dimension", str(10**15), "--out", str(out)],
+            "sweep_step_scale_inf": ["sweep", "--step-scale", "inf", "--out", str(out)],
         }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
-    if case in configs or case in ("binary_config", "sweep_dimension_huge"):
+    if case in configs or case in ("binary_config", "sweep_dimension_huge",
+                                   "sweep_step_scale_inf"):
         assert not out.exists()
+
+
+def test_cli_nonfinite_gradient_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(PowerNorm, "grad", lambda self, x: np.full(x.shape, np.nan))
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--nu", "0.5", "--learner", "kt", "--horizons", "4", "--seeds", "0",
+            "--dimension", "3", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "step 1" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_failed_write_keeps_existing_out(tmp_path, monkeypatch):

@@ -83,11 +83,11 @@ def test_summarize_past_recorded_steps_raises():
     assert not run.terminated_early and run.steps_taken == 8
     for bad in (0, 9):
         with pytest.raises(ContractViolation, match="cannot summarize"):
-            summarize(run, bad, p, cfg)
-    assert summarize(run, 2, p, cfg).steps_taken == 2
+            summarize(run, bad, p)
+    assert summarize(run, 2, p).steps_taken == 2
     # a run that stopped early gives its stopped record at any later horizon
     stopped = run_normalized(LearnerConfig(kind="da_sqrt", start=np.zeros(2)), p, 8)
-    assert summarize(stopped, 100, p, cfg).terminated_early
+    assert summarize(stopped, 100, p).terminated_early
 
 
 @pytest.mark.parametrize("kind", ["da_sqrt", "adagrad_da"])
@@ -155,6 +155,16 @@ def test_nonfinite_gradient_reports_step():
     p._calls = 0
     with pytest.raises(NumericalFailure, match="step 2"):
         run_normalized(ogd_cfg([2.0], 8), p, 8)
+
+
+def test_gradient_norm_overflow_reports_step():
+    # step 2 sits about 1e308 from x*: every coordinate of g is finite, but
+    # its squared norm overflows
+    p = PowerNorm(1.0, 3)
+    cfg = LearnerConfig(kind="da_sqrt", start=start_at_distance(p, 1.0, seed=0),
+                        step_scale=1e308)
+    with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match="step 2"):
+        run_normalized(cfg, p, 4)
 
 
 # --- warm-up driver ----------------------------------------------------------
@@ -242,15 +252,15 @@ def test_hm_gm_am_ordering_random():
 def test_regret_to_gap_bound_examples():
     spec = HolderSpec(nu=1.0, l_nu=1.0, holder_alpha=2.0)
     # alpha^nu (psi/T)^2 * gm = 2 * 0.01 * 1
-    v = regret_to_gap_bound(10.0, 100, spec, [1.0])
-    assert v == pytest.approx(0.02, rel=1e-15)
+    v_gm, v_am = regret_to_gap_bound(10.0, 100, spec, [1.0])
+    assert v_gm == pytest.approx(0.02, rel=1e-15)
+    assert v_am == pytest.approx(0.02, rel=1e-15)
 
     spec0 = HolderSpec(nu=0.0, l_nu=2.0, holder_alpha=1.0)
-    v0 = regret_to_gap_bound(10.0, 100, spec0, [0.5, 2.0], use_geometric_mean=False)
+    _, v0 = regret_to_gap_bound(10.0, 100, spec0, [0.5, 2.0])
     assert v0 == pytest.approx(0.1 * 1.25, rel=1e-15)
 
-    gm_v = regret_to_gap_bound(10.0, 100, spec, [1.0, 4.0], use_geometric_mean=True)
-    am_v = regret_to_gap_bound(10.0, 100, spec, [1.0, 4.0], use_geometric_mean=False)
+    gm_v, am_v = regret_to_gap_bound(10.0, 100, spec, [1.0, 4.0])
     assert gm_v / am_v == pytest.approx(0.8, rel=1e-12)
 
 
@@ -335,7 +345,10 @@ def test_bound_report_early_stopped_run():
     assert rep.measured == 0.0
     assert rep.bound_gm <= rep.bound_am
     assert rep.bound_gm >= 0.0 and rep.bound_closed_form >= 0.0
-    assert rep.local_constants == pytest.approx([1.0, 1.0])
+    assert run.local_constants == pytest.approx([1.0, 1.0])
+    # the report composes the run's own column
+    assert (rep.bound_gm, rep.bound_am) == regret_to_gap_bound(
+        rep.psi_at_xstar, run.steps_taken, p.spec, run.local_constants)
 
 
 def test_bound_report_zero_steps():
@@ -354,7 +367,9 @@ def test_bound_report_uses_gradient_norms_at_nu_zero():
     cfg = LearnerConfig(kind="da_sqrt", start=start_at_distance(p, 1.5, seed=3))
     run = run_normalized(cfg, p, 64)
     rep = bound_report(run, p, cfg)
-    assert rep.local_constants == run.grad_norms
+    assert run.local_constants == run.grad_norms
+    assert (rep.bound_gm, rep.bound_am) == regret_to_gap_bound(
+        rep.psi_at_xstar, run.steps_taken, p.spec, run.local_constants)
     assert rep.measured <= rep.bound_gm * (1 + 1e-9) + 1e-9
     assert rep.bound_gm <= rep.bound_am * (1 + 1e-9)
 
