@@ -16,11 +16,11 @@ phase generic at every default horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, InsufficientData
+from .errors import ConfigError, ContractViolation, InsufficientData, NumericalFailure
 from .learners import ANYTIME_KINDS, LEARNER_KINDS, LearnerConfig
 from .problems import (
     Huber,
@@ -48,7 +48,7 @@ from .reduction import (
     start_at_distance,
     summarize,
 )
-from .vectors import l2_norm
+from .vectors import chunk_rows, l2_norm
 
 __all__ = [
     "ConfigError",
@@ -244,6 +244,29 @@ class CellResult:
     report: BoundReport
     eps_zero: float
 
+    @property
+    def label(self) -> str:
+        return (f"learner={self.config.kind} problem={self.problem!r} "
+                f"T={self.horizon} seed={self.seed}")
+
+
+def _cell(problem: Problem, config: LearnerConfig, horizon: int, seed: int,
+          run: RunRecord, eps_zero: float) -> CellResult:
+    """The cell of a run, with its bound report. A measured gap, psi or
+    bound that is not finite, or that overflows while it is computed,
+    raises NumericalFailure naming the cell: it says nothing about the
+    bound chain."""
+    cell = CellResult(problem, config, horizon, seed, run, None, eps_zero)
+    try:
+        cell.report = bound_report(run, problem, config)
+        finite = all(math.isfinite(v) for v in astuple(cell.report))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise NumericalFailure(
+            f"the measured gap, psi or a bound is not finite [{cell.label}]")
+    return cell
+
 
 def run_cell(problem: Problem, learner_record: dict, horizon: int, seed: int,
              eps_zero: float = DEFAULT_EPS_ZERO) -> CellResult:
@@ -253,8 +276,7 @@ def run_cell(problem: Problem, learner_record: dict, horizon: int, seed: int,
         run = run_adagrad_warmup(config, problem, horizon)
     else:
         run = run_normalized(config, problem, horizon, eps_zero)
-    report = bound_report(run, problem, config)
-    return CellResult(problem, config, horizon, seed, run, report, eps_zero)
+    return _cell(problem, config, horizon, seed, run, eps_zero)
 
 
 def run_cells(problem: Problem, learner_record: dict, horizons, seed: int,
@@ -277,9 +299,8 @@ def run_cells(problem: Problem, learner_record: dict, horizons, seed: int,
         if horizon == full.horizon:
             yield full
             continue
-        run = summarize(full.run, horizon, problem)
-        report = bound_report(run, problem, full.config)
-        yield CellResult(problem, full.config, horizon, seed, run, report, eps_zero)
+        yield _cell(problem, full.config, horizon, seed, summarize(full.run, horizon, problem),
+                    eps_zero)
 
 
 def _leq(a: float, b: float, slack: float = 1e-9) -> bool:
@@ -293,8 +314,7 @@ def bound_violations(result: CellResult, slack: float = 1e-9) -> list:
     each with the given relative slack."""
     r = result.report
     out = []
-    label = (f"learner={result.config.kind} problem={result.problem!r} "
-             f"T={result.horizon} seed={result.seed}")
+    label = result.label
     if not _leq(r.measured, r.bound_closed_form, slack):
         out.append(f"measured {r.measured!r} > closed-form bound "
                    f"{r.bound_closed_form!r} [{label}]")
@@ -499,6 +519,8 @@ _SAMPLE_RADIUS = 10.0
 
 
 def _sample_point(problem: Problem, rng, min_smooth_dist: float = 0.0) -> np.ndarray:
+    """One point uniform in the sampling box, redrawn while it lies within
+    min_smooth_dist of the family's nonsmooth set."""
     while True:
         x = rng.uniform(-_SAMPLE_RADIUS, _SAMPLE_RADIUS, problem.dimension)
         if min_smooth_dist <= 0.0 or problem.distance_to_nonsmooth(x) > min_smooth_dist:
@@ -522,21 +544,39 @@ class _Tally:
         if not (value <= 0.0):
             self.failures += 1
 
+    def extend(self, values: np.ndarray) -> None:
+        """Add each value of an array, in order."""
+        for value in values.tolist():
+            self.add(value)
+
     def result(self, name: str) -> SuiteResult:
         return SuiteResult(name, self.total, self.failures, self.worst, self.failures == 0)
 
 
+def _chunks(samples: int, width: int):
+    """Sizes of the chunks that cover `samples` rows of `width` elements."""
+    rows = chunk_rows(width)
+    for lo in range(0, samples, rows):
+        yield min(rows, samples - lo)
+
+
+# The sampling suites below draw and check their points in chunks. A
+# (m, k, d) uniform draw holds the values of m rounds of k draws of d
+# coordinates, so every point equals the one the per-point loop
+# (_sample_point) draws, and the block oracles give its values bit for bit.
+
+
 def suite_descent(samples: int, seed: int, l_scale: float = 1.0,
                   name: str = "descent") -> SuiteResult:
-    """Descent inequality on random pairs, per family."""
+    """Descent inequality on random pairs, per family, checked in chunks of
+    (x, y) pairs drawn as one (m, 2, d) block."""
     tally = _Tally()
     for problem in canonical_problems():
         rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            x = _sample_point(problem, rng)
-            y = _sample_point(problem, rng)
-            check = check_descent_inequality(problem, x, y, l_scale=l_scale)
-            tally.add(check.residual - check.slack)
+        for m in _chunks(samples, 2 * problem.dimension):
+            pairs = rng.uniform(-_SAMPLE_RADIUS, _SAMPLE_RADIUS, (m, 2, problem.dimension))
+            check = check_descent_inequality(problem, pairs[:, 0], pairs[:, 1], l_scale=l_scale)
+            tally.extend(check.residual - check.slack)
     return tally.result(name)
 
 
@@ -550,47 +590,57 @@ def suite_descent_negative_control(samples: int, seed: int) -> SuiteResult:
 
 
 def suite_grad_bound(samples: int, seed: int) -> SuiteResult:
-    """Gradient-norm bound on random points, families with nu > 0."""
+    """Gradient-norm bound on random points, families with nu > 0, checked
+    in chunks."""
     tally = _Tally()
     for problem in canonical_problems():
         if problem.spec.nu <= 0.0:
             continue
         rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            x = _sample_point(problem, rng)
+        for m in _chunks(samples, problem.dimension):
+            x = rng.uniform(-_SAMPLE_RADIUS, _SAMPLE_RADIUS, (m, problem.dimension))
             check = check_grad_bound(problem, x)
-            tally.add(check.residual - 1e-9 * (1.0 + abs(check.rhs)))
+            tally.extend(check.residual - 1e-9 * (1.0 + abs(check.rhs)))
     return tally.result("grad_bound")
 
 
 def suite_gradient_check(samples: int, seed: int) -> SuiteResult:
     """Analytic gradients against central differences (1e-5 relative),
-    sampling away from nonsmooth sets."""
+    sampling away from nonsmooth sets.
+
+    Each point is drawn by _sample_point, whose rejection step decides how
+    many draws a point takes; the gradients and the 2d central-difference
+    evaluations of a chunk of points go in blocks."""
     tally = _Tally()
     for problem in canonical_problems():
         rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            x = _sample_point(problem, rng, min_smooth_dist=1e-3)
+        for m in _chunks(samples, 2 * problem.dimension ** 2):
+            x = np.array([_sample_point(problem, rng, min_smooth_dist=1e-3) for _ in range(m)])
             a = problem.grad(x)
             fd = finite_diff_grad(problem, x, h=1e-6)
-            tally.add(l2_norm(a - fd) / (1e-12 + l2_norm(a)) - 1e-5)
+            tally.extend(l2_norm(a - fd) / (1e-12 + l2_norm(a)) - 1e-5)
     return tally.result("gradient_check")
 
 
 def suite_convexity(samples: int, seed: int) -> SuiteResult:
     """f(lam x + (1-lam) y) <= lam f(x) + (1-lam) f(y) + 1e-9 on random
-    segments (a tenth of the configured samples per family)."""
+    segments (a tenth of the configured samples per family), in chunks.
+
+    A segment takes 2d + 1 uniform draws (x, y, then lam); one (m, 2d + 1)
+    draw of rng.random, scaled as -R + 2R u for the points, gives the same
+    values as the uniform draws."""
     n = max(1, samples // 10)
     tally = _Tally()
     for problem in canonical_problems():
+        d = problem.dimension
         rng = np.random.default_rng(seed)
-        for _ in range(n):
-            x = _sample_point(problem, rng)
-            y = _sample_point(problem, rng)
-            lam = rng.uniform()
+        for m in _chunks(n, 2 * d + 1):
+            u = rng.random((m, 2 * d + 1))
+            points = -_SAMPLE_RADIUS + 2.0 * _SAMPLE_RADIUS * u[:, :2 * d]
+            x, y, lam = points[:, :d], points[:, d:], u[:, 2 * d:]
             mid = problem.eval(lam * x + (1.0 - lam) * y)
-            chord = lam * problem.eval(x) + (1.0 - lam) * problem.eval(y)
-            tally.add(mid - chord - 1e-9)
+            chord = lam[:, 0] * problem.eval(x) + (1.0 - lam[:, 0]) * problem.eval(y)
+            tally.extend(mid - chord - 1e-9)
     return tally.result("convexity")
 
 
@@ -607,17 +657,17 @@ def suite_holder_sampling(samples: int, seed: int) -> SuiteResult:
 
 
 def suite_local_constant(samples: int, seed: int) -> SuiteResult:
-    """Pointwise local constants never above the global one (nu > 0)."""
+    """Pointwise local constants never above the global one (nu > 0),
+    checked in chunks; points at the optimum (gap <= 0) are skipped."""
     tally = _Tally()
     for problem in canonical_problems():
         if problem.spec.nu <= 0.0:
             continue
         rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            x = _sample_point(problem, rng)
-            if problem.gap(x) <= 0.0:
-                continue
-            tally.add(local_holder_constant(problem, x) - problem.spec.l_nu - 1e-9)
+        for m in _chunks(samples, problem.dimension):
+            x = rng.uniform(-_SAMPLE_RADIUS, _SAMPLE_RADIUS, (m, problem.dimension))
+            x = x[~(problem.gap(x) <= 0.0)]
+            tally.extend(local_holder_constant(problem, x) - problem.spec.l_nu - 1e-9)
     return tally.result("local_constant")
 
 

@@ -6,6 +6,14 @@ inequality constant holder_alpha). The module also provides executable
 checkers for the descent inequality, the gradient-norm bound, the sampled
 smoothness ratio, and pointwise local smoothness constants.
 
+Every oracle and checker takes one point of shape (d,) or a block of n
+points of shape (n, d), with one implementation for both. A point gives a
+Python float (or a (d,) gradient); a block gives an (n,) array (or an
+(n, d) block of gradients) whose rows equal the one-point calls bit for
+bit. Only elementwise + - * /, np.sqrt, np.exp, row sums and np.vecdot
+act on blocks; powers and logarithms go through `vectors.power` and
+`vectors.log`.
+
 Families and declared constants:
 
 * quadratic:    f(x) = 0.5 * ||x - x*||^2          nu = 1,  L = 1
@@ -29,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, DegeneratePointError
-from .vectors import as_vector, l2_norm
+from .vectors import as_vector, chunk_rows, l2_norm, log, power
 
 __all__ = [
     "HolderSpec",
@@ -91,12 +99,46 @@ class HolderSpec:
         return self.holder_alpha ** self.nu
 
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Dot product over the last axis: a float for vectors, an (n,) array
+    for blocks (np.vecdot rows equal np.dot)."""
+    return float(np.dot(a, b)) if a.ndim == 1 else np.vecdot(a, b)
+
+
+def _where(cond, a, b):
+    """a where cond holds, else b: row by row for a block (cond an array),
+    a plain choice for one point."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _rows(v):
+    """A per-row value shaped to scale the rows of a block: an (n,) array
+    as an (n, 1) column; a one-point float or numpy scalar as it is."""
+    return v[:, None] if isinstance(v, np.ndarray) else v
+
+
+def _radial(z: np.ndarray, r, exponent: float) -> np.ndarray:
+    """r ** exponent * z, row by row for a block, and a zero row where
+    r == 0: the subgradient chosen at x* (r is also 0 when the norm
+    underflows). 0 ** exponent is never computed there."""
+    if not isinstance(r, np.ndarray):
+        return r ** exponent * z if r != 0.0 else np.zeros_like(z)
+    out = np.zeros_like(z)
+    live = r != 0.0
+    out[live] = power(r[live], exponent)[:, None] * z[live]
+    return out
+
+
 class Problem:
     """Base class: a convex function with analytic gradient and known optimum.
 
     Subclasses set `family`, `spec`, `optimum`, optionally `grad_norm_bound`
     (a global bound on ||grad f||, required for rate formulas at nu = 0),
     and implement `eval` / `grad`. Problems are immutable after construction.
+    `eval`, `grad` and `gap` take a point (d,) or a block (n, d); see the
+    module docstring.
     """
 
     family: str = "abstract"
@@ -118,20 +160,25 @@ class Problem:
         self.params: dict = {}
 
     def _center(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != self.minimizer.shape:
+        if x.shape != self.minimizer.shape and (x.ndim != 2 or x.shape[1] != self.dimension):
             raise ContractViolation(
-                f"{self.family}: point has shape {x.shape}, expected {self.minimizer.shape}")
+                f"{self.family}: point has shape {x.shape}, expected "
+                f"{self.minimizer.shape} or (n, {self.dimension})")
         return x - self.minimizer
 
     def eval(self, x: np.ndarray) -> float:
+        """f(x): a float for a point, an (n,) array for a block."""
         raise NotImplementedError
 
     def grad(self, x: np.ndarray) -> np.ndarray:
+        """The gradient (the chosen subgradient at a kink), shaped like x."""
         raise NotImplementedError
 
     def gap(self, x: np.ndarray) -> float:
-        """f(x) - f*, clamped at 0 against rounding dust near the optimum."""
-        return max(self.eval(x) - self.optimum, 0.0)
+        """f(x) - f*, clamped at 0 against rounding dust near the optimum
+        (as max(value, 0.0) does: a NaN stays NaN)."""
+        value = self.eval(x) - self.optimum
+        return _where(value < 0.0, 0.0, value)
 
     def distance_to_nonsmooth(self, x: np.ndarray) -> float:
         """Distance to the nearest point where higher derivatives blow up."""
@@ -161,7 +208,7 @@ class Quadratic(Problem):
 
     def eval(self, x):
         z = self._center(x)
-        return 0.5 * float(np.dot(z, z))
+        return 0.5 * _dot(z, z)
 
     def grad(self, x):
         return self._center(x)
@@ -188,17 +235,13 @@ class PowerNorm(Problem):
 
     def eval(self, x):
         z = self._center(x)
-        r = l2_norm(z)
-        return r ** (1.0 + self.nu) / (1.0 + self.nu)
+        return power(l2_norm(z), 1.0 + self.nu) / (1.0 + self.nu)
 
     def grad(self, x):
         z = self._center(x)
         if self.nu == 1.0:
             return z
-        r = l2_norm(z)
-        if r == 0.0:
-            return np.zeros_like(z)
-        return r ** (self.nu - 1.0) * z
+        return _radial(z, l2_norm(z), self.nu - 1.0)
 
     def distance_to_nonsmooth(self, x):
         if self.nu == 1.0:
@@ -221,10 +264,9 @@ class L2Norm(Problem):
 
     def grad(self, x):
         z = self._center(x)
-        r = l2_norm(z)
-        if r == 0.0:
-            return np.zeros_like(z)
-        return z / r
+        r = _rows(l2_norm(z))
+        # z / r, without the 0 / 0 at x*
+        return np.divide(z, r, out=np.zeros_like(z), where=r != 0.0)
 
     def distance_to_nonsmooth(self, x):
         return l2_norm(self._center(x))
@@ -252,18 +294,13 @@ class Huber(Problem):
         self.params = {"delta": self.delta}
 
     def eval(self, x):
-        z = self._center(x)
-        r = l2_norm(z)
-        if r <= self.delta:
-            return r * r / (2.0 * self.delta)
-        return r - self.delta / 2.0
+        r = l2_norm(self._center(x))
+        return _where(r <= self.delta, r * r / (2.0 * self.delta), r - self.delta / 2.0)
 
     def grad(self, x):
         z = self._center(x)
         r = l2_norm(z)
-        if r <= self.delta:
-            return z / self.delta
-        return z / r
+        return z / _rows(_where(r <= self.delta, self.delta, r))
 
     def distance_to_nonsmooth(self, x):
         # gradient is continuous everywhere; second derivative jumps on the sphere
@@ -282,20 +319,22 @@ class LogSumExp(Problem):
     def __init__(self, dimension: int, minimizer=None):
         super().__init__(dimension, minimizer)
         self.spec = HolderSpec.from_nu(1.0, 1.0)
-        self.optimum = float(np.log(2.0 * self.dimension))
+        self.optimum = math.log(2.0 * self.dimension)
 
     def eval(self, x):
+        """m + log(sum exp(+-z - m)) with m = max |z_i|, per row."""
         z = self._center(x)
-        m = float(np.max(np.abs(z))) if z.size else 0.0
-        s = float(np.sum(np.exp(z - m)) + np.sum(np.exp(-z - m)))
-        return m + math.log(s)
+        m = np.abs(z).max(axis=-1)
+        s = np.exp(z - _rows(m)).sum(axis=-1) + np.exp(-z - _rows(m)).sum(axis=-1)
+        value = m + log(s)
+        return value if value.ndim else float(value)
 
     def grad(self, x):
         z = self._center(x)
-        m = float(np.max(np.abs(z))) if z.size else 0.0
+        m = _rows(np.abs(z).max(axis=-1))
         ep = np.exp(z - m)
         en = np.exp(-z - m)
-        return (ep - en) / float(np.sum(ep) + np.sum(en))
+        return (ep - en) / _rows(ep.sum(axis=-1) + en.sum(axis=-1))
 
 
 FAMILIES = {
@@ -355,19 +394,21 @@ def config_count(value, name: str) -> int:
 
 
 def finite_diff_grad(p: Problem, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient, (f(x + h e_i) - f(x - h e_i)) / (2h).
+    """Central-difference gradient, (f(x + h e_i) - f(x - h e_i)) / (2h),
+    of a point (d,) or of each row of a block (n, d).
 
-    The caller is responsible for keeping x at distance > 10h from the
+    One eval call takes the 2d points x +- h e_i of every row as one block;
+    adding the 0.0 entries of h e_i leaves the other coordinates as they
+    are. The caller is responsible for keeping x at distance > 10h from the
     family's nonsmooth set (see Problem.distance_to_nonsmooth).
     """
     if not (h > 0.0):
         raise ContractViolation(f"h must be positive, got {h}")
-    g = np.zeros_like(x, dtype=np.float64)
-    for i in range(x.size):
-        e = np.zeros_like(g)
-        e[i] = h
-        g[i] = (p.eval(x + e) - p.eval(x - e)) / (2.0 * h)
-    return g
+    d = x.shape[-1]
+    e = h * np.eye(d)
+    points = np.stack([x[..., None, :] + e, x[..., None, :] - e], axis=-3)
+    values = p.eval(points.reshape(-1, d)).reshape(points.shape[:-1])
+    return (values[..., 0, :] - values[..., 1, :]) / (2.0 * h)
 
 
 class DescentCheck(NamedTuple):
@@ -378,7 +419,8 @@ class DescentCheck(NamedTuple):
 
 def check_descent_inequality(p: Problem, x: np.ndarray, y: np.ndarray,
                              l_scale: float = 1.0) -> DescentCheck:
-    """Check f(y) <= f(x) + <grad f(x), y - x> + L/(1+nu) ||x - y||^(1+nu).
+    """Check f(y) <= f(x) + <grad f(x), y - x> + L/(1+nu) ||x - y||^(1+nu)
+    for a pair of points, or row by row for blocks x and y of equal shape.
 
     Returns the residual (left side minus right side); the check passes when
     the residual is at most 1e-9 * (1 + |f(y)|). `l_scale` rescales the
@@ -391,7 +433,7 @@ def check_descent_inequality(p: Problem, x: np.ndarray, y: np.ndarray,
     fx = p.eval(x)
     g = p.grad(x)
     d = y - x
-    rhs = fx + float(np.dot(g, d)) + l_eff / (1.0 + nu) * l2_norm(d) ** (1.0 + nu)
+    rhs = fx + _dot(g, d) + l_eff / (1.0 + nu) * power(l2_norm(d), 1.0 + nu)
     residual = fy - rhs
     slack = 1e-9 * (1.0 + abs(fy))
     return DescentCheck(residual <= slack, residual, slack)
@@ -405,7 +447,8 @@ class GradBoundCheck(NamedTuple):
 
 
 def check_grad_bound(p: Problem, x: np.ndarray) -> GradBoundCheck:
-    """Check ||grad f(x)||^(1 + 1/nu) <= (1 + 1/nu) l_nu^(1/nu) (f(x) - f*).
+    """Check ||grad f(x)||^(1 + 1/nu) <= (1 + 1/nu) l_nu^(1/nu) (f(x) - f*)
+    at a point, or row by row for a block.
 
     Defined for nu > 0 only; the inequality passes with relative slack 1e-9.
     """
@@ -413,55 +456,79 @@ def check_grad_bound(p: Problem, x: np.ndarray) -> GradBoundCheck:
     if nu <= 0.0:
         raise ContractViolation("check_grad_bound requires nu > 0")
     gn = l2_norm(p.grad(x))
-    lhs = gn ** (1.0 + 1.0 / nu)
+    lhs = power(gn, 1.0 + 1.0 / nu)
     rhs = (1.0 + 1.0 / nu) * p.spec.l_nu ** (1.0 / nu) * p.gap(x)
     residual = lhs - rhs
     return GradBoundCheck(residual <= 1e-9 * (1.0 + abs(rhs)), lhs, rhs, residual)
 
 
+def _distinct_pairs(rng, n: int, dimension: int, radius: float):
+    """Yield (x, y, ||x - y||) blocks of n pairs of points, coordinatewise
+    uniform in [-radius, radius], as n rounds of "draw x, then draw y until
+    y != x" would draw them from rng.
+
+    The vectors are drawn in chunks: one (k, d) draw equals k draws of d.
+    A pair with x == y drops its y, so the next vector of the stream
+    becomes the new y, as a redraw would make it."""
+    stream = np.empty((0, dimension))
+    while n > 0:
+        m = min(n, chunk_rows(2 * dimension))
+        if len(stream) < 2 * m:
+            fresh = rng.uniform(-radius, radius, (2 * m - len(stream), dimension))
+            stream = np.concatenate([stream, fresh])
+        x, y = stream[0:2 * m:2], stream[1:2 * m:2]
+        dist = l2_norm(x - y)
+        repeats = np.flatnonzero(dist == 0.0)
+        if repeats.size:
+            m = int(repeats[0])
+        yield x[:m], y[:m], dist[:m]
+        n -= m
+        stream = stream[2 * m:]
+        if repeats.size:
+            stream = np.delete(stream, 1, axis=0)
+
+
 def sample_holder_constant(p: Problem, n: int, seed: int, radius: float = 10.0) -> float:
     """Empirical max over n random pairs of ||g(x) - g(y)|| / ||x - y||^nu.
 
-    Points are sampled coordinatewise uniform in [-radius, radius]. For a
-    correctly declared constant the result never exceeds l_nu + 1e-9.
+    Points are sampled coordinatewise uniform in [-radius, radius], a pair
+    with x == y redrawing y, and checked in blocks (see _distinct_pairs).
+    A NaN ratio is skipped. For a correctly declared constant the result
+    never exceeds l_nu + 1e-9.
     """
     if n < 1:
         raise ContractViolation(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     nu = p.spec.nu
     worst = 0.0
-    for _ in range(n):
-        x = rng.uniform(-radius, radius, p.dimension)
-        y = rng.uniform(-radius, radius, p.dimension)
-        dist = l2_norm(x - y)
-        while dist == 0.0:
-            y = rng.uniform(-radius, radius, p.dimension)
-            dist = l2_norm(x - y)
-        ratio = l2_norm(p.grad(x) - p.grad(y)) / dist ** nu
-        if ratio > worst:
-            worst = ratio
+    for x, y, dist in _distinct_pairs(rng, n, p.dimension, radius):
+        for ratio in (l2_norm(p.grad(x) - p.grad(y)) / power(dist, nu)).tolist():
+            if ratio > worst:
+                worst = ratio
     return worst
 
 
 def local_constant_from_parts(spec: HolderSpec, grad_norm: float, gap: float) -> float:
     """Pointwise-minimal L with ||g|| <= alpha^(nu/(1+nu)) L^(1/(1+nu)) gap^(nu/(1+nu)).
 
-    Needs only the gradient norm and the suboptimality at the point:
-    L = ||g||^(1+nu) / (alpha^nu * gap^nu). At nu = 0 this is just ||g||;
-    for nu > 0 the gap must be strictly positive.
+    Needs only the gradient norm and the suboptimality at the point (two
+    floats, or two (n,) arrays for n points): L = ||g||^(1+nu) / (alpha^nu *
+    gap^nu). At nu = 0 this is just ||g||; for nu > 0 every gap must be
+    strictly positive.
     """
     nu = spec.nu
     if nu == 0.0:
         return grad_norm
-    if not (gap > 0.0):
+    if not np.all(gap > 0.0):
         raise DegeneratePointError(
             f"local constant undefined at a point with f(x) - f* = {gap}")
-    return grad_norm ** (1.0 + nu) / (spec.alpha_pow_nu * gap ** nu)
+    return power(grad_norm, 1.0 + nu) / (spec.alpha_pow_nu * power(gap, nu))
 
 
 def local_holder_constant(p: Problem, x: np.ndarray) -> float:
-    """Pointwise-minimal local smoothness constant L(x); requires nu > 0
-    and f(x) > f*. Never exceeds the declared global l_nu."""
+    """Pointwise-minimal local smoothness constant L(x) of a point, or of
+    each row of a block; requires nu > 0 and f(x) > f*. Never exceeds the
+    declared global l_nu."""
     if p.spec.nu <= 0.0:
         raise ContractViolation("local_holder_constant requires nu > 0")
     return local_constant_from_parts(p.spec, l2_norm(p.grad(x)), p.gap(x))

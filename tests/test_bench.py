@@ -421,6 +421,7 @@ def _bad_run_config(**learner):
     "horizons_float", "horizons_bool", "seed_bool", "dimension_float", "problem_seed_bool",
     "problem_seed_float", "dimension_huge", "sweep_dimension_huge", "step_scale_inf",
     "wealth_init_inf", "grad_bound_init_inf", "sweep_step_scale_inf",
+    "sweep_closed_form_overflow", "sweep_norm_overflow_nu0", "sweep_norm_overflow_nu05",
 ])
 def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
     out = tmp_path / "out"
@@ -450,6 +451,8 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
     }
     payloads = {"ratefit_records_int": {"records": 5}, "ratefit_list": [1, 2, 3],
                 "ratefit_int": 5}
+    overflow_sweep = ["sweep", "--learner", "da_sqrt", "--horizons", "4", "--seeds", "0",
+                      "--out", str(out)]
     if case in configs:
         cfg.write_text(json.dumps(configs[case]))
         argv = ["run", "--config", str(cfg), "--out", str(out)]
@@ -474,13 +477,28 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
                           "--out", str(tmp_path / "missing" / "x.json")],
             "sweep_dimension_huge": ["sweep", "--dimension", str(10**15), "--out", str(out)],
             "sweep_step_scale_inf": ["sweep", "--step-scale", "inf", "--out", str(out)],
+            # the closed form overflows; then, a norm overflows and the run stops early
+            "sweep_closed_form_overflow": overflow_sweep + ["--nu", "0.5", "--step-scale", "1e250"],
+            "sweep_norm_overflow_nu0": overflow_sweep + ["--nu", "0", "--step-scale", "1e200"],
+            "sweep_norm_overflow_nu05": overflow_sweep + ["--nu", "0.5", "--step-scale", "1e160"],
         }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+    overflows = ("sweep_closed_form_overflow", "sweep_norm_overflow_nu0",
+                 "sweep_norm_overflow_nu05")
     if case in configs or case in ("binary_config", "sweep_dimension_huge",
-                                   "sweep_step_scale_inf"):
+                                   "sweep_step_scale_inf") + overflows:
         assert not out.exists()
+    if case in overflows:  # one line naming the cell, not a bound violation
+        assert err.count("\n") == 1 and "not finite [learner=da_sqrt" in err
+
+
+def test_cli_gradient_overflow_gives_one_stderr_line(capsys):
+    argv = ["sweep", "--learner", "da_sqrt", "--nu", "1", "--horizons", "4", "--seeds", "0",
+            "--step-scale", "1e308"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: the gradient norm at step 2 is not finite\n"
 
 
 def test_cli_nonfinite_gradient_exit_2(tmp_path, capsys, monkeypatch):

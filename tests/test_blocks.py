@@ -1,0 +1,292 @@
+"""Block oracles: every row of an (n, d) call equals the one-point call on
+that row, bit for bit, and the chunked property suites equal their
+per-point loops, which this file keeps as the reference implementation."""
+
+import math
+
+import numpy as np
+import pytest
+
+from normgrad import problems
+from normgrad.bench import SUITES, SuiteResult, _sample_point, _Tally, canonical_problems
+from normgrad.problems import (
+    PowerNorm,
+    check_descent_inequality,
+    check_grad_bound,
+    finite_diff_grad,
+    local_constant_from_parts,
+    local_holder_constant,
+    sample_holder_constant,
+)
+from normgrad.vectors import chunk_rows, l2_norm, log, power
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal float64 bit patterns (so -0.0 != 0.0)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def block_points(problem, seed: int = 0) -> np.ndarray:
+    """Random points plus the hard rows: x* itself, ||z|| from 1e-100 to
+    1e100 (and one whose squares underflow), both sides of the huber radius,
+    and log-sum-exp rows with ||z||_inf < 1e-8."""
+    d = problem.dimension
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(d)
+    u /= l2_norm(u)
+    rows = [np.zeros(d)]
+    rows += [s * u for s in (1e-100, 1e-50, 1e-8, 1e-3, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12,
+                             2.0, 1e3, 1e50, 1e100)]
+    rows += [1e-170 * u, np.full(d, 3e-9), -np.full(d, 1e-10)]
+    rows += list(rng.uniform(-10.0, 10.0, (24, d)))
+    return problem.minimizer + np.array(rows)
+
+
+FAMILY_CASES = [pytest.param(d, i, id=f"{p.family}-d{d}")
+                for d in (3, 10) for i, p in enumerate(canonical_problems(d))]
+
+
+def test_vector_helpers_rows_equal_one_point_calls():
+    rng = np.random.default_rng(7)
+    for d in (1, 3, 10, 256):
+        z = rng.standard_normal((50, d)) * np.exp(rng.uniform(-30.0, 30.0, (50, 1)))
+        norms = l2_norm(z)
+        assert all(type(l2_norm(row)) is float and same_bits(n, l2_norm(row))
+                   for n, row in zip(norms, z))
+    values = np.exp(rng.uniform(-30.0, 30.0, 200))
+    for exponent in (0.0, 0.5, 1.5, -0.5, 3.0):
+        block = power(values.reshape(20, 10), exponent)
+        assert block.shape == (20, 10)
+        assert all(same_bits(b, v ** exponent) for b, v in zip(block.ravel(), values.tolist()))
+    assert all(same_bits(b, math.log(v)) for b, v in zip(log(values), values.tolist()))
+    assert type(power(2.0, 0.5)) is float and type(log(2.0)) is float
+
+
+@pytest.mark.parametrize("d,index", FAMILY_CASES)
+def test_oracle_rows_equal_one_point_calls(d, index):
+    problem = canonical_problems(d)[index]
+    x = block_points(problem)
+    for method in (problem.eval, problem.gap):
+        block = method(x)
+        assert block.shape == (len(x),)
+        for value, row in zip(block, x):
+            one = method(row)
+            assert type(one) is float and same_bits(value, one), (method.__name__, row)
+    grads = problem.grad(x)
+    assert grads.shape == x.shape
+    assert all(same_bits(g, problem.grad(row)) for g, row in zip(grads, x))
+    fd = finite_diff_grad(problem, x, h=1e-6)
+    assert fd.shape == x.shape
+    assert all(same_bits(g, finite_diff_grad(problem, row, h=1e-6)) for g, row in zip(fd, x))
+
+
+@pytest.mark.parametrize("d,index", FAMILY_CASES)
+def test_checker_rows_equal_one_point_calls(d, index):
+    problem = canonical_problems(d)[index]
+    x = block_points(problem)
+    y = block_points(problem, seed=1)[::-1]
+    for l_scale in (1.0, 0.5):
+        block = check_descent_inequality(problem, x, y, l_scale=l_scale)
+        for i in range(len(x)):
+            one = check_descent_inequality(problem, x[i], y[i], l_scale=l_scale)
+            assert all(same_bits(b[i], o) for b, o in zip(block, one))
+            assert block.passed[i] == one.passed
+    if problem.spec.nu == 0.0:
+        norms = l2_norm(problem.grad(x))
+        assert same_bits(local_constant_from_parts(problem.spec, norms, problem.gap(x)), norms)
+        return
+    block = check_grad_bound(problem, x)
+    for i, row in enumerate(x):
+        one = check_grad_bound(problem, row)
+        assert all(same_bits(b[i], o) for b, o in zip(block, one))
+        assert block.passed[i] == one.passed
+    off = x[problem.gap(x) > 0.0]
+    assert len(off) > len(x) // 2
+    norms, gaps = l2_norm(problem.grad(off)), problem.gap(off)
+    parts = local_constant_from_parts(problem.spec, norms, gaps)
+    local = local_holder_constant(problem, off)
+    for i, row in enumerate(off):
+        assert same_bits(parts[i], local_constant_from_parts(problem.spec, norms[i].item(),
+                                                             gaps[i].item()))
+        assert same_bits(local[i], local_holder_constant(problem, row))
+
+
+def test_block_of_shape_other_than_n_by_d_is_rejected():
+    p = canonical_problems(3)[0]
+    for bad in (np.zeros((4, 2)), np.zeros((2, 2, 3)), np.zeros(())):
+        with pytest.raises(problems.ContractViolation):
+            p.eval(bad)
+
+
+# --- the per-point loops the chunked suites replaced ----------------------------
+
+
+def loop_finite_diff_grad(p, x, h):
+    g = np.zeros_like(x, dtype=np.float64)
+    for i in range(x.size):
+        e = np.zeros_like(g)
+        e[i] = h
+        g[i] = (p.eval(x + e) - p.eval(x - e)) / (2.0 * h)
+    return g
+
+
+def loop_sample_holder_constant(p, n, rng, radius=10.0):
+    nu = p.spec.nu
+    worst = 0.0
+    for _ in range(n):
+        x = rng.uniform(-radius, radius, p.dimension)
+        y = rng.uniform(-radius, radius, p.dimension)
+        dist = l2_norm(x - y)
+        while dist == 0.0:
+            y = rng.uniform(-radius, radius, p.dimension)
+            dist = l2_norm(x - y)
+        ratio = l2_norm(p.grad(x) - p.grad(y)) / dist ** nu
+        if ratio > worst:
+            worst = ratio
+    return worst
+
+
+def loop_descent(samples, seed, l_scale=1.0, name="descent"):
+    tally = _Tally()
+    for problem in canonical_problems():
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            x = _sample_point(problem, rng)
+            y = _sample_point(problem, rng)
+            check = check_descent_inequality(problem, x, y, l_scale=l_scale)
+            tally.add(check.residual - check.slack)
+    return tally.result(name)
+
+
+def loop_descent_negative_control(samples, seed):
+    inner = loop_descent(samples, seed, l_scale=0.5, name="descent_negative_control")
+    return SuiteResult(inner.name, inner.samples, inner.failures, inner.worst_slack,
+                       inner.failures > 0, note="passes iff halved constants are caught")
+
+
+def loop_grad_bound(samples, seed):
+    tally = _Tally()
+    for problem in canonical_problems():
+        if problem.spec.nu <= 0.0:
+            continue
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            x = _sample_point(problem, rng)
+            check = check_grad_bound(problem, x)
+            tally.add(check.residual - 1e-9 * (1.0 + abs(check.rhs)))
+    return tally.result("grad_bound")
+
+
+def loop_gradient_check(samples, seed):
+    tally = _Tally()
+    for problem in canonical_problems():
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            x = _sample_point(problem, rng, min_smooth_dist=1e-3)
+            a = problem.grad(x)
+            fd = loop_finite_diff_grad(problem, x, h=1e-6)
+            tally.add(l2_norm(a - fd) / (1e-12 + l2_norm(a)) - 1e-5)
+    return tally.result("gradient_check")
+
+
+def loop_convexity(samples, seed):
+    n = max(1, samples // 10)
+    tally = _Tally()
+    for problem in canonical_problems():
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            x = _sample_point(problem, rng)
+            y = _sample_point(problem, rng)
+            lam = rng.uniform()
+            mid = problem.eval(lam * x + (1.0 - lam) * y)
+            chord = lam * problem.eval(x) + (1.0 - lam) * problem.eval(y)
+            tally.add(mid - chord - 1e-9)
+    return tally.result("convexity")
+
+
+def loop_holder_sampling(samples, seed):
+    n = max(1, samples // 10)
+    tally = _Tally()
+    for problem in canonical_problems():
+        for offset in range(10):
+            value = loop_sample_holder_constant(problem, n, np.random.default_rng(seed + offset))
+            tally.add(value - problem.spec.l_nu - 1e-9)
+    return tally.result("holder_sampling")
+
+
+def loop_local_constant(samples, seed):
+    tally = _Tally()
+    for problem in canonical_problems():
+        if problem.spec.nu <= 0.0:
+            continue
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            x = _sample_point(problem, rng)
+            if problem.gap(x) <= 0.0:
+                continue
+            tally.add(local_holder_constant(problem, x) - problem.spec.l_nu - 1e-9)
+    return tally.result("local_constant")
+
+
+# samples that make one more row than a chunk of each suite's blocks (d = 3)
+LOOPS = {
+    "descent": (loop_descent, chunk_rows(6) + 1),
+    "descent_negative_control": (loop_descent_negative_control, chunk_rows(6) + 1),
+    "grad_bound": (loop_grad_bound, chunk_rows(3) + 1),
+    "gradient_check": (loop_gradient_check, chunk_rows(18) + 1),
+    "convexity": (loop_convexity, 10 * (chunk_rows(7) + 1)),
+    "holder_sampling": (loop_holder_sampling, 10 * (chunk_rows(6) + 1)),
+    "local_constant": (loop_local_constant, chunk_rows(3) + 1),
+}
+
+
+@pytest.mark.parametrize("size", ["1", "7", "chunk+1"])
+@pytest.mark.parametrize("name", sorted(LOOPS))
+def test_chunked_suite_equals_its_per_point_loop(name, size):
+    loop, past_chunk = LOOPS[name]
+    samples = {"1": 1, "7": 7, "chunk+1": past_chunk}[size]
+    for seed in range(5):
+        assert SUITES[name](samples, seed).as_dict() == loop(samples, seed).as_dict()
+
+
+class StreamRng:
+    """Serves the values of a fixed stream in order, whatever shape is asked."""
+
+    def __init__(self, values):
+        self.values = values
+        self.used = 0
+
+    def uniform(self, low, high, size):
+        n = int(np.prod(size))
+        out = self.values[self.used:self.used + n]
+        self.used += n
+        assert len(out) == n, "stream exhausted"
+        return out.reshape(size)
+
+
+@pytest.mark.parametrize("repeat_at", [0, 3, chunk_rows(6) - 1, chunk_rows(6)])
+def test_sample_holder_constant_redraws_y_like_the_loop(repeat_at, monkeypatch):
+    """A pair with x == y redraws y from the stream: here pair repeat_at
+    repeats x, so the next vector becomes its y and every later pair
+    shifts by one vector."""
+    d, n = 3, chunk_rows(6) + 4
+    vectors = np.random.default_rng(5).uniform(-10.0, 10.0, (2 * n + 8, d))
+    vectors[2 * repeat_at + 1] = vectors[2 * repeat_at]
+    stream = vectors.ravel()
+    seen = {}
+
+    class Recording(PowerNorm):
+        def grad(self, x):
+            seen.setdefault(self.tag, []).extend(np.atleast_2d(x).tolist())
+            return super().grad(x)
+
+    loop_problem, block_problem = Recording(0.5, d), Recording(0.5, d)
+    loop_problem.tag, block_problem.tag = "loop", "block"
+    loop_rng = StreamRng(stream)
+    expected = loop_sample_holder_constant(loop_problem, n, loop_rng)
+    monkeypatch.setattr(problems.np.random, "default_rng", lambda seed: StreamRng(stream))
+    assert sample_holder_constant(block_problem, n, seed=0) == expected
+    assert sorted(seen["block"]) == sorted(seen["loop"])
+    assert len(seen["loop"]) == 2 * n
+    assert loop_rng.used == (2 * n + 1) * d  # one redraw
