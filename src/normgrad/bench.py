@@ -41,6 +41,7 @@ from .reduction import (
     DEFAULT_EPS_ZERO,
     BoundReport,
     RunRecord,
+    _overflow_unwarned,
     bound_report,
     hm_gm_am,
     run_adagrad_warmup,
@@ -48,7 +49,7 @@ from .reduction import (
     start_at_distance,
     summarize,
 )
-from .vectors import chunk_rows, l2_norm
+from .vectors import chunk_rows, l2_norm, left_sum
 
 __all__ = [
     "ConfigError",
@@ -120,7 +121,7 @@ class RateFit:
 def fit_rate(horizons, gaps, predicted_slope: float) -> RateFit:
     """Fit log(gap) against log(T). Horizons with nonpositive gap (early
     stops at the optimum) are excluded; fewer than 3 usable points raise
-    InsufficientData."""
+    InsufficientData. Every sum is a left_sum."""
     pts = [(t, g) for t, g in zip(horizons, gaps) if g is not None and g > 0.0]
     excluded = len(list(horizons)) - len(pts)
     if len(pts) < 3:
@@ -130,14 +131,13 @@ def fit_rate(horizons, gaps, predicted_slope: float) -> RateFit:
     lx = [math.log(t) for t, _ in pts]
     ly = [math.log(g) for _, g in pts]
     n = len(pts)
-    mx = sum(lx) / n
-    my = sum(ly) / n
-    sxx = sum((x - mx) ** 2 for x in lx)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(lx, ly))
+    mx, my = left_sum(lx) / n, left_sum(ly) / n
+    sxx = left_sum((x - mx) ** 2 for x in lx)
+    sxy = left_sum((x - mx) * (y - my) for x, y in zip(lx, ly))
     slope = sxy / sxx
     intercept = my - slope * mx
-    ss_res = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(lx, ly))
-    ss_tot = sum((y - my) ** 2 for y in ly)
+    ss_res = left_sum((y - (intercept + slope * x)) ** 2 for x, y in zip(lx, ly))
+    ss_tot = left_sum((y - my) ** 2 for y in ly)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else (1.0 if ss_res == 0.0 else 0.0)
     return RateFit(slope, intercept, r2, predicted_slope, n, excluded)
 
@@ -185,7 +185,7 @@ def parse_experiment_config(record: dict) -> ExperimentConfig:
         for horizon in horizons:
             config = resolve_learner_config(problem, learner, horizon, seed)
         # checked once here, not per cell: the start is the same at every horizon
-        with np.errstate(over="ignore"):
+        with _overflow_unwarned():
             grad_norm = l2_norm(problem.grad(config.start))
         if not math.isfinite(grad_norm):
             raise ConfigError("the gradient norm at the start is not finite")
@@ -214,7 +214,7 @@ def resolve_learner_config(problem: Problem, record: dict, horizon: int,
     if start.shape != (problem.dimension,):
         raise ContractViolation(
             f"start has shape {start.shape}, problem wants ({problem.dimension},)")
-    with np.errstate(over="ignore"):  # the overflow is what this checks for
+    with _overflow_unwarned():  # the overflow is what this checks for
         distance = l2_norm(start - problem.minimizer)
     if not math.isfinite(distance):
         raise ContractViolation("the start's distance from the minimizer is not finite")
@@ -357,15 +357,14 @@ def rows_to_csv(rows, columns) -> str:
 def trajectory_rows(result: CellResult) -> list:
     """One row per loss-fed step: t, f_gap, grad_norm, weight, local_L.
 
-    The run's own columns: weight is 1/||g_t|| for normalized runs and 1.0
-    (uniform) for warm-up runs; local_L is empty at steps sitting exactly
-    at the optimum."""
+    The run's own columns as Python floats, whose reprs rows_to_csv writes:
+    weight is 1/||g_t|| for normalized runs and 1.0 (uniform) for warm-up
+    runs; local_L is empty at steps sitting exactly at the optimum (NaN)."""
     run = result.run
-    return [
-        {"t": t, "f_gap": gap, "grad_norm": gn, "weight": w, "local_L": "" if c is None else c}
-        for t, (gn, gap, w, c) in enumerate(
-            zip(run.grad_norms, run.suboptimalities, run.weights, run.local_constants), 1)
-    ]
+    columns = (run.grad_norms, run.suboptimalities, run.weights, run.local_constants)
+    return [{"t": t, "f_gap": gap, "grad_norm": gn, "weight": w,
+             "local_L": "" if math.isnan(c) else c}
+            for t, (gn, gap, w, c) in enumerate(zip(*(col.tolist() for col in columns)), 1)]
 
 
 def summary_record(result: CellResult) -> dict:
@@ -724,7 +723,7 @@ def suite_reduction_chain(samples: int, seed: int) -> SuiteResult:
                 run, rep = cell.run, cell.report
                 tally.add(run.average_suboptimality - run.mean_suboptimality - 1e-9)
                 if run.steps_taken > 0:
-                    gap_w = sum(g / n for g, n in zip(run.suboptimalities, run.grad_norms))
+                    gap_w = left_sum((run.suboptimalities / run.grad_norms).tolist())
                     tally.add(gap_w - rep.psi_at_xstar - 1e-6)
                     tally.add(rep.measured - rep.bound_gm - 1e-9 * (1.0 + rep.bound_gm))
                     tally.add(rep.bound_gm - rep.bound_am - 1e-9 * (1.0 + rep.bound_am))

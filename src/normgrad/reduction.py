@@ -38,7 +38,7 @@ from .learners import (
     regret_bound,
 )
 from .problems import HolderSpec, Problem, local_constant_from_parts
-from .vectors import WeightedMeanAccumulator, l2_norm
+from .vectors import WeightedMeanAccumulator, l2_norm, left_sum
 
 __all__ = [
     "DEFAULT_EPS_ZERO",
@@ -62,15 +62,14 @@ DEFAULT_EPS_ZERO = 1e-12
 class RunRecord:
     """Full trajectory of one driver run: per-step columns, then averages.
 
-    The columns cover exactly the loss-fed steps. iterates are the rows of
-    one (steps_taken, d) float64 array; the others are lists of Python
-    floats. weights are 1/||g_t|| for a unit-norm learner and 1.0 for
-    adagrad_da; local_constants come from local_constant_from_parts, None
-    at a nu > 0 step whose gap is 0. The driver derives both once per run.
-    stop_index is the step whose gradient norm fell to eps_zero (its point
-    becomes average_point), exceeded_index the first step whose raw
-    gradient norm exceeded G + 1e-9; steps_taken, terminated_early and
-    grad_bound_exceeded are read from them and from the columns.
+    The columns cover exactly the loss-fed steps. Each is a float64 array
+    with one row per step: iterates is (steps_taken, d), the others 1-D.
+    weights are 1/||g_t|| for a unit-norm learner and 1.0 for adagrad_da;
+    local_constants come from local_constant_from_parts, NaN at a nu > 0
+    step whose gap is 0. stop_index is the step whose gradient norm fell to
+    eps_zero (its point becomes average_point), exceeded_index the first
+    step whose raw gradient norm exceeded G + 1e-9; steps_taken,
+    terminated_early and grad_bound_exceeded derive from them and the columns.
 
     average_suboptimality is f(average_point) - f*. mean_suboptimality is
     the same weighting applied to the per-step suboptimalities; it
@@ -80,10 +79,10 @@ class RunRecord:
 
     horizon: int
     iterates: np.ndarray
-    grad_norms: list
-    suboptimalities: list
-    weights: list
-    local_constants: list
+    grad_norms: np.ndarray
+    suboptimalities: np.ndarray
+    weights: np.ndarray
+    local_constants: np.ndarray
     stop_index: int | None = None
     exceeded_index: int | None = None
     average_point: np.ndarray | None = None
@@ -120,10 +119,10 @@ def summarize(run: RunRecord, horizon: int, problem: Problem) -> RunRecord:
 
     The driver calls this on its own run; for an anytime learner, whose
     steps never read the horizon, it also gives every shorter horizon's
-    record, bit for bit, from the first `horizon` rows of each column. A
-    horizon at or after the run's early stop gets the stopped record, whose
-    point is the stop point. A horizon past the recorded steps of a run
-    that did not stop raises ContractViolation.
+    record, bit for bit, from views of the first `horizon` rows of each
+    column, which copy nothing. A horizon at or after the run's early stop
+    gets the stopped record, whose point is the stop point. A horizon past
+    the recorded steps of a run that did not stop raises ContractViolation.
     """
     stopped = run.stop_index is not None and run.stop_index <= horizon
     steps = run.steps_taken if stopped else horizon
@@ -140,17 +139,14 @@ def summarize(run: RunRecord, horizon: int, problem: Problem) -> RunRecord:
                 points.push(run.iterates[:steps], weights)
                 point = points.finalize()
             gap_sums = WeightedMeanAccumulator(1)
-            gap_sums.push(np.asarray(gaps)[:, None], weights)
+            gap_sums.push(gaps[:, None], weights)
             mean_gap = float(gap_sums.finalize()[0])
         gap = problem.gap(point)
     exceeded = run.exceeded_index is not None and run.exceeded_index <= steps
-    return RunRecord(horizon=horizon, iterates=run.iterates[:steps],
-                     grad_norms=run.grad_norms[:steps], suboptimalities=gaps,
-                     weights=weights, local_constants=run.local_constants[:steps],
-                     stop_index=run.stop_index if stopped else None,
-                     exceeded_index=run.exceeded_index if exceeded else None,
-                     average_point=point, average_suboptimality=gap,
-                     mean_suboptimality=gap if mean_gap is None else mean_gap)
+    return RunRecord(horizon, run.iterates[:steps], run.grad_norms[:steps], gaps, weights,
+                     run.local_constants[:steps], run.stop_index if stopped else None,
+                     run.exceeded_index if exceeded else None, point, gap,
+                     gap if mean_gap is None else mean_gap)
 
 
 def _drive(config: LearnerConfig, problem: Problem, horizon: int,
@@ -165,10 +161,10 @@ def _drive(config: LearnerConfig, problem: Problem, horizon: int,
     A unit-norm learner stops returning x_t if ||g_t|| <= eps_zero;
     otherwise the round records (x_t, ||g_t||, f(x_t) - f*) and feeds the
     learner g_t / ||g_t|| (unit-norm learners) or the raw g_t (adagrad_da,
-    which never stops early). After the loop, learner.unit_norm_losses
-    alone decides the weights, and one block call of
-    local_constant_from_parts gives the local constants. `summarize`
-    computes the averages.
+    which never stops early). After the loop the recorded lists become
+    arrays once; learner.unit_norm_losses alone decides the weights, one
+    block call of local_constant_from_parts gives the local constants
+    (NaN where none exists), and `summarize` computes the averages.
 
     The iterates go into the rows of one array that doubles when full, so a
     run that stops early never allocates for its horizon.
@@ -206,20 +202,16 @@ def _drive(config: LearnerConfig, problem: Problem, horizon: int,
             else:
                 learner.observe(g, enforce_bound=False)
 
-        n = len(grad_norms)
-        iterates.resize((n, d), refcheck=False)
-        spec, bound = problem.spec, config.grad_bound_init + 1e-9
-        weights = [1.0 / gn for gn in grad_norms] if unit else [1.0] * n
-        gn_column, gap_column = np.array(grad_norms), np.array(gaps)
-        live = (gap_column > 0.0) | (spec.nu == 0.0)
-        values = iter(local_constant_from_parts(
-            spec, gn_column[live], gap_column[live]).tolist())
-        local = [next(values) if ok else None for ok in live.tolist()]
-    exceeded = None if unit else next(
-        (t for t, gn in enumerate(grad_norms, 1) if gn > bound), None)
-    record = RunRecord(horizon, iterates, grad_norms, gaps, weights, local, stop_index,
-                       exceeded, stop_point)
-    return summarize(record, horizon, problem)
+        grad_norms, gaps = np.array(grad_norms), np.array(gaps)
+        iterates.resize((len(grad_norms), d), refcheck=False)
+        weights = 1.0 / grad_norms if unit else np.ones_like(grad_norms)
+        live = (gaps > 0.0) | (problem.spec.nu == 0.0)
+        local = np.full_like(gaps, np.nan)
+        local[live] = local_constant_from_parts(problem.spec, grad_norms[live], gaps[live])
+    over = np.flatnonzero(grad_norms > config.grad_bound_init + 1e-9)
+    exceeded = int(over[0]) + 1 if over.size and not unit else None
+    return summarize(RunRecord(horizon, iterates, grad_norms, gaps, weights, local, stop_index,
+                               exceeded, stop_point), horizon, problem)
 
 
 def run_normalized(config: LearnerConfig, problem: Problem, horizon: int,
@@ -259,19 +251,18 @@ def hm_gm_am(values: Sequence[float]) -> MeanTriple:
     """Harmonic, geometric, and arithmetic means of positive numbers.
 
     The geometric mean is computed through the mean of logarithms; the
-    returned triple satisfies hm <= gm <= am up to relative 1e-12.
+    returned triple satisfies hm <= gm <= am up to relative 1e-12. The
+    sums are left_sums of Python floats: numpy costs more at 1 to 64 values.
     """
-    vals = [float(v) for v in values]
+    vals = np.asarray(values, dtype=np.float64).tolist()
     if not vals:
         raise ContractViolation("hm_gm_am requires a nonempty sequence")
     for v in vals:
-        if not (v > 0.0) or not math.isfinite(v):
+        if not 0.0 < v < math.inf:
             raise ContractViolation(f"hm_gm_am requires positive finite values, got {v}")
     n = len(vals)
-    hm = n / sum(1.0 / v for v in vals)
-    gm = math.exp(sum(math.log(v) for v in vals) / n)
-    am = sum(vals) / n
-    return MeanTriple(hm, gm, am)
+    return MeanTriple(n / left_sum([1.0 / v for v in vals]),
+                      math.exp(left_sum(map(math.log, vals)) / n), left_sum(vals) / n)
 
 
 def regret_to_gap_bound(psi_at_xstar: float, steps: int, spec: HolderSpec,
@@ -379,8 +370,8 @@ def bound_report(run: RunRecord, problem: Problem, config: LearnerConfig) -> Bou
     The composed bounds use the number of loss-fed steps; the ogd_const
     regret guarantee is always evaluated at its configured horizon (valid
     for any prefix). The local constants are the run's own column, without
-    the steps at the optimum; adagrad_da's bound is its regret over the
-    steps, psi/steps, for both means.
+    the steps at the optimum (NaN); adagrad_da's bound is its regret over
+    the steps, psi/steps, for both means.
     """
     d = l2_norm(config.start - problem.minimizer)
     measured = run.average_suboptimality
@@ -390,15 +381,15 @@ def bound_report(run: RunRecord, problem: Problem, config: LearnerConfig) -> Bou
         return BoundReport(0.0, 0.0, 0.0, closed, measured)
 
     if config.kind == "adagrad_da":
-        grad_sq = sum(g * g for g in run.grad_norms)
+        grad_sq = left_sum((run.grad_norms * run.grad_norms).tolist())
         psi = regret_bound(config, d, steps, grad_sq_sum=grad_sq)
         gap_bound = psi / steps
         return BoundReport(psi, gap_bound, gap_bound, closed, measured)
 
     psi_horizon = config.horizon if config.kind == "ogd_const" else steps
     psi = regret_bound(config, d, psi_horizon)
-    local = [c for c in run.local_constants if c is not None]
-    gm, am = regret_to_gap_bound(psi, steps, problem.spec, local) if local else (0.0, 0.0)
+    local = run.local_constants[~np.isnan(run.local_constants)]
+    gm, am = regret_to_gap_bound(psi, steps, problem.spec, local) if local.size else (0.0, 0.0)
     return BoundReport(psi, gm, am, closed, measured)
 
 

@@ -4,8 +4,8 @@ Vectors are plain 1-D float64 numpy arrays; a block of n vectors is an
 (n, d) array. `l2_norm`, `power` and `log` take either, and each row of a block
 call equals the call on that row, bit for bit. The accumulator takes blocks
 of rows of its own dimension and raises :class:`ContractViolation` otherwise.
-Accumulation is plain left-to-right summation, row after row, in the order
-a streaming sum would use. Runs reach 2^17 steps (the benchmark's long
+Both `left_sum` and the accumulator add left to right, in the order a
+streaming sum would use. Runs reach 2^17 steps (the benchmark's long
 run); there the worst-case rounding error of a sum is (n - 1) * 2^-53 ~
 1.5e-11 relative to the summed magnitudes, well under the 1e-9 relative
 slack of the bound checks, so compensated summation is not used.
@@ -25,6 +25,7 @@ __all__ = [
     "power",
     "log",
     "chunk_rows",
+    "left_sum",
     "WeightedMeanAccumulator",
 ]
 
@@ -82,6 +83,15 @@ _CHUNK_ELEMENTS = 1 << 13
 def chunk_rows(width: int) -> int:
     """Rows per chunk of a block whose rows hold `width` elements each."""
     return max(1, _CHUNK_ELEMENTS // width)
+
+
+def left_sum(values) -> float:
+    """Floats added left to right from 0.0, as CPython 3.11's sum() adds them:
+    from CPython 3.12 on sum() is compensated, and np.sum sums pairwise."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class WeightedMeanAccumulator:

@@ -6,14 +6,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import normgrad.bench
+import normgrad.reduction
+import normgrad.vectors
 from normgrad import (
     ContractViolation,
     LearnerConfig,
     LogSumExp,
     PowerNorm,
     Quadratic,
+    bound_report,
     closed_form_rate,
+    hm_gm_am,
     local_constant_from_parts,
+    regret_bound,
+    run_adagrad_warmup,
 )
 from normgrad.bench import (
     ConfigError,
@@ -59,6 +66,59 @@ def test_fit_rate_excludes_nonpositive_and_requires_three():
         fit_rate([4, 16], [0.1, 0.01], predicted_slope=-1.0)
     with pytest.raises(InsufficientData, match="insufficient data"):
         fit_rate([4, 16, 64], [0.1, 0.0, None], predicted_slope=-1.0)
+
+
+def _loop_sum(values):
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
+
+
+def _compensated_sum(values, start=0):
+    return math.fsum(values) + start
+
+
+def _fit_by(total, horizons, gaps):
+    """fit_rate's slope, intercept and r^2 with every sum taken by `total`."""
+    lx, ly, n = [math.log(t) for t in horizons], [math.log(g) for g in gaps], len(gaps)
+    mx, my = total(lx) / n, total(ly) / n
+    slope = total((x - mx) * (y - my) for x, y in zip(lx, ly)) / total((x - mx) ** 2 for x in lx)
+    intercept = my - slope * mx
+    ss_res = total((y - (intercept + slope * x)) ** 2 for x, y in zip(lx, ly))
+    return slope, intercept, 1.0 - ss_res / total((y - my) ** 2 for y in ly)
+
+
+def test_reported_sums_add_left_to_right_on_any_python(monkeypatch):
+    # CPython 3.12 made the builtin sum() of floats compensated; a reported
+    # sum must keep the bits of a plain left-to-right loop on every version
+    for module in (normgrad.bench, normgrad.reduction, normgrad.vectors):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+
+    values = [1.0, 1e-16, 1e-16, 1e-16]
+    assert _loop_sum(values) != _compensated_sum(values)
+    n = len(values)
+    assert hm_gm_am(values) == (n / _loop_sum(1.0 / v for v in values),
+                                math.exp(_loop_sum(math.log(v) for v in values) / n),
+                                _loop_sum(values) / n)
+    assert hm_gm_am(values).am != _compensated_sum(values) / n
+
+    # adagrad_da's psi reads the sum of squared gradient norms
+    problem = Quadratic(10)
+    config = resolve_learner_config(problem, {"kind": "adagrad_da", "start_distance": 1.5}, 32, 0)
+    run = run_adagrad_warmup(config, problem, 32)
+    squares = [g * g for g in run.grad_norms.tolist()]
+    distance = normgrad.vectors.l2_norm(config.start - problem.minimizer)
+    psi = regret_bound(config, distance, 32, grad_sq_sum=_loop_sum(squares))
+    assert psi != regret_bound(config, distance, 32, grad_sq_sum=_compensated_sum(squares))
+    assert bound_report(run, problem, config).psi_at_xstar == psi
+
+    horizons = [2 ** k for k in range(4, 11)]
+    gaps = np.exp(np.random.default_rng(1).uniform(-10.0, 0.0, len(horizons))).tolist()
+    expected = _fit_by(_loop_sum, horizons, gaps)
+    assert expected != _fit_by(_compensated_sum, horizons, gaps)
+    fit = fit_rate(horizons, gaps, predicted_slope=-0.75)
+    assert (fit.slope, fit.intercept, fit.r_squared) == expected
 
 
 def test_rate_fit_from_records_reads_mean_gap_and_nu():
@@ -192,20 +252,27 @@ def test_run_columns_weights_and_local_constants(kind, problem, distance):
     cell = run_cell(problem, {"kind": kind, "start_distance": distance}, 16, seed=0)
     run = cell.run
     assert run.steps_taken == 16
+    columns = (run.grad_norms, run.suboptimalities, run.weights, run.local_constants)
+    for column in columns:
+        assert isinstance(column, np.ndarray) and column.dtype == np.float64
+        assert column.shape == (run.steps_taken,)
     if kind == "adagrad_da":
-        assert run.weights == [1.0] * 16
+        assert run.weights.tolist() == [1.0] * 16
     else:
-        assert run.weights == [1.0 / gn for gn in run.grad_norms]
-    at_optimum = [problem.spec.nu > 0.0 and gap == 0.0 for gap in run.suboptimalities]
+        assert run.weights.tolist() == [1.0 / gn for gn in run.grad_norms.tolist()]
+    at_optimum = [problem.spec.nu > 0.0 and gap == 0.0 for gap in run.suboptimalities.tolist()]
     if distance == 1e-8:
         assert at_optimum[0] and run.grad_norms[0] > 1e-12
-    assert [c is None for c in run.local_constants] == at_optimum
+    assert np.isnan(run.local_constants).tolist() == at_optimum
     assert all(c == local_constant_from_parts(problem.spec, gn, gap)
-               for c, gn, gap in zip(run.local_constants, run.grad_norms,
-                                     run.suboptimalities) if c is not None)
+               for c, gn, gap in zip(run.local_constants.tolist(), run.grad_norms.tolist(),
+                                     run.suboptimalities.tolist()) if not math.isnan(c))
     rows = trajectory_rows(cell)
     assert [row["local_L"] == "" for row in rows] == at_optimum
-    assert [row["weight"] for row in rows] == run.weights
+    assert [row["weight"] for row in rows] == run.weights.tolist()
+    # rows_to_csv writes a float's repr, which for a numpy scalar names its type
+    assert all(type(value) in (float, int) or value == ""
+               for row in rows for value in row.values())
     # one vecdot over the rows equals one dot product per visited point
     center = problem.minimizer
     assert _visited_dist_sq(run, center) == [
@@ -238,13 +305,23 @@ _RUN_CELLS_CASES = [
 @pytest.mark.parametrize("kind,family,record,horizons", _RUN_CELLS_CASES)
 def test_run_cells_equals_one_run_cell_per_horizon(kind, family, record, horizons):
     problem = canonical_problems()[family]
-    shared = [_cell_outputs(c) for c in run_cells(problem, record, horizons, seed=3)]
+    cells = list(run_cells(problem, record, horizons, seed=3))
+    shared = [_cell_outputs(c) for c in cells]
     alone = [_cell_outputs(run_cell(problem, record, h, seed=3)) for h in horizons]
     assert [s["config"]["T"] for s, *_ in shared] == list(horizons)
     assert shared == alone
     if record.get("start_distance") == 1.0:
         flag = "terminated_early" if kind == "da_sqrt" else "grad_bound_exceeded"
         assert [s[flag] for s, *_ in shared[:2]] == [True, False]
+    # every horizon's columns are views of the longest run's, equal to its prefix
+    full = next(c.run for c in cells if c.horizon == max(horizons))
+    for cell in cells:
+        run = cell.run
+        assert run.steps_taken >= 1
+        for name in ("iterates", "grad_norms", "suboptimalities", "weights", "local_constants"):
+            column, whole = getattr(run, name), getattr(full, name)
+            assert np.shares_memory(column, whole)
+            assert np.array_equal(column, whole[:run.steps_taken], equal_nan=True)
 
 
 def test_sweep_runs_each_anytime_learner_once_per_seed(monkeypatch):

@@ -37,8 +37,8 @@ def test_run_normalized_ogd_quadratic_trace():
     p = Quadratic(1)
     run = run_normalized(ogd_cfg([1.0], 4), p, 4)
     assert [x[0] for x in run.iterates] == [1.0, 0.5]
-    assert run.grad_norms == [1.0, 0.5]
-    assert run.suboptimalities == [0.5, 0.125]
+    assert run.grad_norms.tolist() == [1.0, 0.5]
+    assert run.suboptimalities.tolist() == [0.5, 0.125]
     assert run.terminated_early and run.stop_index == 3
     assert run.steps_taken == 2
     assert run.average_point[0] == 0.0
@@ -367,9 +367,9 @@ def test_bound_report_uses_gradient_norms_at_nu_zero():
     cfg = LearnerConfig(kind="da_sqrt", start=start_at_distance(p, 1.5, seed=3))
     run = run_normalized(cfg, p, 64)
     rep = bound_report(run, p, cfg)
-    assert run.local_constants == run.grad_norms
+    assert run.local_constants.tolist() == run.grad_norms.tolist()
     assert (rep.bound_gm, rep.bound_am) == regret_to_gap_bound(
-        rep.psi_at_xstar, run.steps_taken, p.spec, run.local_constants)
+        rep.psi_at_xstar, run.steps_taken, p.spec, run.local_constants.tolist())
     assert rep.measured <= rep.bound_gm * (1 + 1e-9) + 1e-9
     assert rep.bound_gm <= rep.bound_am * (1 + 1e-9)
 
