@@ -346,25 +346,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def rows_to_csv(rows, columns) -> str:
-    """Render dict rows into a deterministic CSV body (no timestamps)."""
-    lines = [",".join(columns)]
+def rows_to_csv(rows, columns):
+    """Yield the lines of a deterministic CSV body (no timestamps), each
+    ending in a newline: the header, then one line per dict row."""
+    yield ",".join(columns) + "\n"
     for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+        yield ",".join(_fmt(row[c]) for c in columns) + "\n"
 
 
-def trajectory_rows(result: CellResult) -> list:
-    """One row per loss-fed step: t, f_gap, grad_norm, weight, local_L.
+def trajectory_rows(result: CellResult):
+    """Yield one row per loss-fed step: t, f_gap, grad_norm, weight, local_L.
 
     The run's own columns as Python floats, whose reprs rows_to_csv writes:
     weight is 1/||g_t|| for normalized runs and 1.0 (uniform) for warm-up
     runs; local_L is empty at steps sitting exactly at the optimum (NaN)."""
     run = result.run
     columns = (run.grad_norms, run.suboptimalities, run.weights, run.local_constants)
-    return [{"t": t, "f_gap": gap, "grad_norm": gn, "weight": w,
-             "local_L": "" if math.isnan(c) else c}
-            for t, (gn, gap, w, c) in enumerate(zip(*(col.tolist() for col in columns)), 1)]
+    for t, (gn, gap, w, c) in enumerate(zip(*(col.tolist() for col in columns)), 1):
+        yield {"t": t, "f_gap": gap, "grad_norm": gn, "weight": w,
+               "local_L": "" if math.isnan(c) else c}
 
 
 def summary_record(result: CellResult) -> dict:
@@ -723,7 +723,7 @@ def suite_reduction_chain(samples: int, seed: int) -> SuiteResult:
                 run, rep = cell.run, cell.report
                 tally.add(run.average_suboptimality - run.mean_suboptimality - 1e-9)
                 if run.steps_taken > 0:
-                    gap_w = left_sum((run.suboptimalities / run.grad_norms).tolist())
+                    gap_w = left_sum(run.suboptimalities / run.grad_norms)
                     tally.add(gap_w - rep.psi_at_xstar - 1e-6)
                     tally.add(rep.measured - rep.bound_gm - 1e-9 * (1.0 + rep.bound_gm))
                     tally.add(rep.bound_gm - rep.bound_am - 1e-9 * (1.0 + rep.bound_am))

@@ -45,13 +45,15 @@ from .errors import ContractViolation, NumericalFailure
 __all__ = ["main"]
 
 
-def _write_text(path: str, body: str) -> None:
-    """Write body to path atomically: into a temp file in path's directory,
-    then os.replace. A failed write leaves path as it was and no temp file."""
+def _write_text(path: str, chunks) -> None:
+    """Write the strings of chunks to path atomically: into a temp file in
+    path's directory as they come, then os.replace. A failed write, or an
+    error raised while chunks are produced, leaves path as it was and no
+    temp file."""
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(body)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the write or the rename failed
@@ -67,8 +69,8 @@ def cmd_run(args) -> int:
     violations = []
     for cell in run_cells(exp.problem, exp.learner_record, exp.horizons, exp.seed,
                           exp.eps_zero):
-        body = rows_to_csv(trajectory_rows(cell), TRAJECTORY_COLUMNS)
-        _write_text(os.path.join(args.out, f"trajectory_T{cell.horizon}.csv"), body)
+        _write_text(os.path.join(args.out, f"trajectory_T{cell.horizon}.csv"),
+                    rows_to_csv(trajectory_rows(cell), TRAJECTORY_COLUMNS))
         records.append(summary_record(cell))
         violations.extend(bound_violations(cell))
 
@@ -78,7 +80,7 @@ def cmd_run(args) -> int:
         rate_fit = None
     summary = {"records": records, "rate_fit": rate_fit}
     _write_text(os.path.join(args.out, "summary.json"),
-                json.dumps(summary, indent=2) + "\n")
+                (json.dumps(summary, indent=2) + "\n",))
 
     for v in violations:
         print(f"bound violation: {v}", file=sys.stderr)
@@ -96,12 +98,12 @@ def cmd_sweep(args) -> int:
         violations.extend(bound_violations(row.pop("_cell")))
         rows.append(row)
 
-    body = rows_to_csv(rows, SWEEP_COLUMNS)
+    lines = rows_to_csv(rows, SWEEP_COLUMNS)
     if args.out:
-        _write_text(args.out, body)
+        _write_text(args.out, lines)
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
-        sys.stdout.write(body)
+        sys.stdout.writelines(lines)
     for v in violations:
         print(f"bound violation: {v}", file=sys.stderr)
     return 1 if violations else 0
@@ -133,7 +135,7 @@ def cmd_check(args) -> int:
     }
     body = json.dumps(report, indent=2) + "\n"
     if args.out:
-        _write_text(args.out, body)
+        _write_text(args.out, (body,))
     else:
         sys.stdout.write(body)
     for r in results:

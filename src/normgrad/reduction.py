@@ -38,7 +38,7 @@ from .learners import (
     regret_bound,
 )
 from .problems import HolderSpec, Problem, local_constant_from_parts
-from .vectors import WeightedMeanAccumulator, l2_norm, left_sum
+from .vectors import WeightedMeanAccumulator, chunk_rows, l2_norm, left_sum
 
 __all__ = [
     "DEFAULT_EPS_ZERO",
@@ -64,6 +64,8 @@ class RunRecord:
 
     The columns cover exactly the loss-fed steps. Each is a float64 array
     with one row per step: iterates is (steps_taken, d), the others 1-D.
+    The step loop records only the iterates and gradient norms;
+    suboptimalities (f(x_t) - f*) are computed from the iterates after it.
     weights are 1/||g_t|| for a unit-norm learner and 1.0 for adagrad_da;
     local_constants come from local_constant_from_parts, NaN at a nu > 0
     step whose gap is 0. stop_index is the step whose gradient norm fell to
@@ -151,19 +153,20 @@ def summarize(run: RunRecord, horizon: int, problem: Problem) -> RunRecord:
 
 def _drive(config: LearnerConfig, problem: Problem, horizon: int,
            eps_zero: float = DEFAULT_EPS_ZERO) -> RunRecord:
-    """The step loop behind both drivers: it records each step, then
-    derives the per-step columns once.
+    """The step loop behind both drivers: it records each step's iterate
+    and gradient norm, then derives the other per-step columns once.
 
-    Each round serves x_t and evaluates g_t = grad f(x_t). A gradient norm
-    that is not finite (a NaN or inf coordinate, or an overflow) raises
-    NumericalFailure naming the step; numpy's overflow warnings are off,
-    as that check and the caller's check of the bounds report an overflow.
-    A unit-norm learner stops returning x_t if ||g_t|| <= eps_zero;
-    otherwise the round records (x_t, ||g_t||, f(x_t) - f*) and feeds the
-    learner g_t / ||g_t|| (unit-norm learners) or the raw g_t (adagrad_da,
-    which never stops early). After the loop the recorded lists become
-    arrays once; learner.unit_norm_losses alone decides the weights, one
-    block call of local_constant_from_parts gives the local constants
+    Each round serves x_t and makes its one oracle call, g_t = grad f(x_t).
+    A gradient norm that is not finite (a NaN or inf coordinate, or an
+    overflow) raises NumericalFailure naming the step; numpy's overflow
+    warnings are off, as that check and the caller's check of the bounds
+    report an overflow. A unit-norm learner stops returning x_t if
+    ||g_t|| <= eps_zero; otherwise the round records (x_t, ||g_t||) and feeds
+    the learner g_t / ||g_t|| (unit-norm learners) or the raw g_t
+    (adagrad_da, which never stops early). After the loop problem.gap takes
+    the recorded iterates in blocks of chunk_rows(d) rows (each row equal to
+    its one-point call); learner.unit_norm_losses alone decides the weights,
+    one block call of local_constant_from_parts gives the local constants
     (NaN where none exists), and `summarize` computes the averages.
 
     The iterates go into the rows of one array that doubles when full, so a
@@ -178,7 +181,7 @@ def _drive(config: LearnerConfig, problem: Problem, horizon: int,
     unit = learner.unit_norm_losses
     d = problem.dimension
     iterates = np.empty((min(horizon, 16), d))
-    grad_norms, gaps = [], []
+    grad_norms = []
     stop_index, stop_point = None, None
 
     with _overflow_unwarned():
@@ -196,14 +199,16 @@ def _drive(config: LearnerConfig, problem: Problem, horizon: int,
                 iterates.resize((min(2 * len(iterates), horizon), d), refcheck=False)
             iterates[t - 1] = x
             grad_norms.append(gn)
-            gaps.append(problem.gap(x))
             if unit:
                 learner.observe(g / gn)
             else:
                 learner.observe(g, enforce_bound=False)
 
-        grad_norms, gaps = np.array(grad_norms), np.array(gaps)
+        grad_norms = np.array(grad_norms)
         iterates.resize((len(grad_norms), d), refcheck=False)
+        gaps, chunk = np.empty_like(grad_norms), chunk_rows(d)
+        for lo in range(0, len(gaps), chunk):
+            gaps[lo:lo + chunk] = problem.gap(iterates[lo:lo + chunk])
         weights = 1.0 / grad_norms if unit else np.ones_like(grad_norms)
         live = (gaps > 0.0) | (problem.spec.nu == 0.0)
         local = np.full_like(gaps, np.nan)
@@ -381,7 +386,7 @@ def bound_report(run: RunRecord, problem: Problem, config: LearnerConfig) -> Bou
         return BoundReport(0.0, 0.0, 0.0, closed, measured)
 
     if config.kind == "adagrad_da":
-        grad_sq = left_sum((run.grad_norms * run.grad_norms).tolist())
+        grad_sq = left_sum(run.grad_norms * run.grad_norms)
         psi = regret_bound(config, d, steps, grad_sq_sum=grad_sq)
         gap_bound = psi / steps
         return BoundReport(psi, gap_bound, gap_bound, closed, measured)

@@ -87,7 +87,11 @@ def chunk_rows(width: int) -> int:
 
 def left_sum(values) -> float:
     """Floats added left to right from 0.0, as CPython 3.11's sum() adds them:
-    from CPython 3.12 on sum() is compensated, and np.sum sums pairwise."""
+    from CPython 3.12 on sum() is compensated, and np.sum sums pairwise. A
+    float64 array goes through np.add.accumulate, which adds in the same
+    order without making a Python float per value."""
+    if isinstance(values, np.ndarray):
+        return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
     total = 0.0
     for value in values:
         total += value

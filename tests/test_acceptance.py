@@ -49,7 +49,7 @@ def default_sweep():
 
 
 def test_default_sweep_matches_reference_csv(default_sweep):
-    body = rows_to_csv(default_sweep, SWEEP_COLUMNS)
+    body = "".join(rows_to_csv(default_sweep, SWEEP_COLUMNS))
     reference = (REFERENCE_DIR / "sweep_default.csv").read_bytes()
     assert body.encode("utf-8") == reference
 

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import normgrad.bench
+import normgrad.cli
 import normgrad.reduction
 import normgrad.vectors
 from normgrad import (
     ContractViolation,
     LearnerConfig,
     LogSumExp,
+    NumericalFailure,
     PowerNorm,
     Quadratic,
     bound_report,
@@ -202,7 +204,7 @@ def test_resolve_learner_config_start_handling():
 def test_run_cell_trajectory_and_summary():
     p = Quadratic(1)
     cell = run_cell(p, {"kind": "ogd_const", "start": [1.0]}, 4, seed=0)
-    rows = trajectory_rows(cell)
+    rows = list(trajectory_rows(cell))
     assert len(rows) == 2  # two loss-fed steps before the exact hit
     assert rows[0] == {"t": 1, "f_gap": 0.5, "grad_norm": 1.0, "weight": 1.0, "local_L": 1.0}
     assert rows[1]["t"] == 2 and rows[1]["grad_norm"] == 0.5 and rows[1]["weight"] == 2.0
@@ -267,7 +269,7 @@ def test_run_columns_weights_and_local_constants(kind, problem, distance):
     assert all(c == local_constant_from_parts(problem.spec, gn, gap)
                for c, gn, gap in zip(run.local_constants.tolist(), run.grad_norms.tolist(),
                                      run.suboptimalities.tolist()) if not math.isnan(c))
-    rows = trajectory_rows(cell)
+    rows = list(trajectory_rows(cell))
     assert [row["local_L"] == "" for row in rows] == at_optimum
     assert [row["weight"] for row in rows] == run.weights.tolist()
     # rows_to_csv writes a float's repr, which for a numpy scalar names its type
@@ -283,7 +285,8 @@ def _cell_outputs(cell):
     """Everything a cell reports: its summary, trajectory, bound report and
     the largest squared distance it visited."""
     dists = _visited_dist_sq(cell.run, cell.problem.minimizer)
-    return (summary_record(cell), trajectory_rows(cell), cell.report, max(dists, default=0.0))
+    return (summary_record(cell), list(trajectory_rows(cell)), cell.report,
+            max(dists, default=0.0))
 
 
 _RUN_CELLS_CASES = [
@@ -369,12 +372,12 @@ def test_rows_to_csv_deterministic():
                            dimension=3))
     for row in rows:
         row.pop("_cell")
-    body1 = rows_to_csv(rows, SWEEP_COLUMNS)
+    body1 = "".join(rows_to_csv(rows, SWEEP_COLUMNS))
     rows2 = list(sweep_rows(nus=(0.5,), learners=("kt",), horizons=(16, 32), seeds=(0, 1),
                             dimension=3))
     for row in rows2:
         row.pop("_cell")
-    body2 = rows_to_csv(rows2, SWEEP_COLUMNS)
+    body2 = "".join(rows_to_csv(rows2, SWEEP_COLUMNS))
     assert body1 == body2
     assert body1.splitlines()[0] == ",".join(SWEEP_COLUMNS)
 
@@ -608,6 +611,34 @@ def test_cli_failed_write_keeps_existing_out(tmp_path, monkeypatch):
     assert main(argv[:-1] + [str(out_dir)]) == 2
     assert sorted(os.listdir(tmp_path)) == ["a_dir", "report.json"]
     assert main(argv) == 0 and out.read_text() != "old report"
+
+
+@pytest.mark.parametrize("error", [NumericalFailure("row 2 failed"), RuntimeError("row 2 failed")],
+                         ids=["mapped", "unmapped"])
+def test_cli_failed_trajectory_row_keeps_existing_file(error, tmp_path, capsys, monkeypatch):
+    # a trajectory streams into its temp file, so a row that fails after the
+    # first line is written must still leave the old outputs and no temp file
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(good_config()))
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(before) == ["summary.json", "trajectory_T4.csv"]
+
+    def first_row_then_fail(cell):
+        yield next(trajectory_rows(cell))
+        raise error
+
+    monkeypatch.setattr(normgrad.cli, "trajectory_rows", first_row_then_fail)
+    if isinstance(error, NumericalFailure):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: row 2 failed\n"
+    else:
+        with pytest.raises(RuntimeError, match="row 2 failed"):
+            main(argv)
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_cli_ratefit_insufficient_data_exit_1(tmp_path):

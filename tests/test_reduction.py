@@ -20,9 +20,10 @@ from normgrad import (
     start_at_distance,
     summarize,
 )
-from normgrad.bench import canonical_problems
+from normgrad.bench import canonical_problems, resolve_learner_config
+from normgrad.learners import LEARNER_KINDS
 from normgrad.problems import HolderSpec
-from normgrad.vectors import _CHUNK_ELEMENTS, l2_norm
+from normgrad.vectors import _CHUNK_ELEMENTS, chunk_rows, l2_norm
 
 
 def ogd_cfg(start, horizon, alpha=1.0):
@@ -109,6 +110,71 @@ def test_long_run_averages_equal_a_left_to_right_loop(kind):
         weight_sum += w
     assert (run.average_point == point_sum / weight_sum).all()
     assert run.mean_suboptimality == gap_sum / weight_sum
+
+
+def _counting(problem):
+    """A copy of problem whose class records the argument shape of every
+    grad and gap call."""
+    base = type(problem)
+
+    class Counting(base):
+        def grad(self, x):
+            self.calls.append(("grad", x.shape))
+            return base.grad(self, x)
+
+        def gap(self, x):
+            self.calls.append(("gap", x.shape))
+            return base.gap(self, x)
+
+    counted = object.__new__(Counting)
+    counted.__dict__.update(problem.__dict__, calls=[])
+    return counted
+
+
+def _drive_counted(problem, kind, horizon, distance):
+    counted = _counting(problem)
+    cfg = resolve_learner_config(problem, {"kind": kind, "start_distance": distance}, horizon, 0)
+    drive = run_adagrad_warmup if kind == "adagrad_da" else run_normalized
+    return drive(cfg, counted, horizon), counted.calls
+
+
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+@pytest.mark.parametrize("dimension", [3, 10])
+@pytest.mark.parametrize("family", range(5))
+def test_gap_column_equals_one_point_gaps(family, dimension, kind):
+    # the loop calls grad once per round; the gaps come after it, from the
+    # recorded iterates in blocks of chunk_rows(d) rows, and equal the
+    # one-point gaps bit for bit. The run is one row longer than a chunk.
+    problem = canonical_problems(dimension)[family]
+    chunk = chunk_rows(dimension)
+    run, calls = _drive_counted(problem, kind, chunk + 1, 1.3)
+    assert run.steps_taken == chunk + 1 and not run.terminated_early
+    one_point = np.array([problem.gap(x) for x in run.iterates])
+    assert run.suboptimalities.tobytes() == one_point.tobytes()
+    assert [c for c in calls if c[0] == "grad"] == [("grad", (dimension,))] * (chunk + 1)
+    # the loop's gaps take two blocks; summarize adds the averaged point's gap
+    assert [c for c in calls if c[0] == "gap"] == [
+        ("gap", (chunk, dimension)), ("gap", (1, dimension)), ("gap", (dimension,))]
+
+
+@pytest.mark.parametrize("problem,kind,distance,stop", [
+    # dual averaging at distance 1 with alpha 1 lands on x* at step 2
+    (Quadratic(3), "da_sqrt", 1.0, 2),
+    # and at distance 1.5 on step 17
+    (Huber(10), "da_sqrt", 1.5, 17),
+    # the start is x*: the run stops before any loss is fed
+    (Quadratic(10), "kt", 0.0, 1),
+], ids=["stop_at_step_2", "stop_at_step_17", "stop_at_step_1"])
+def test_gap_column_of_an_early_stop(problem, kind, distance, stop):
+    run, calls = _drive_counted(problem, kind, 64, distance)
+    assert run.stop_index == stop and run.steps_taken == stop - 1
+    one_point = np.array([problem.gap(x) for x in run.iterates])
+    assert run.suboptimalities.tobytes() == one_point.tobytes()
+    d = problem.dimension
+    assert [c for c in calls if c[0] == "grad"] == [("grad", (d,))] * stop
+    blocks = [("gap", (stop - 1, d))] if stop > 1 else []
+    # the averaged point is the stop point, whose gap summarize takes once
+    assert [c for c in calls if c[0] == "gap"] == blocks + [("gap", (d,))]
 
 
 def test_run_normalized_weighted_average_matches_reference():

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from normgrad import ContractViolation, WeightedMeanAccumulator, as_vector, l2_norm
-from normgrad.vectors import _CHUNK_ELEMENTS
+from normgrad.vectors import _CHUNK_ELEMENTS, left_sum
 
 
 def test_l2_norm_examples():
@@ -18,6 +20,29 @@ def test_as_vector_rejects_nonfinite_and_bad_shape():
         as_vector([[1.0, 2.0]])
     with pytest.raises(ContractViolation):
         as_vector([])
+
+
+def _loop_sum(values):
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
+
+
+def test_left_sum_of_an_array_adds_left_to_right():
+    # an array is added by np.add.accumulate: a Python float with the bits of
+    # a loop from 0.0, where a compensated or a pairwise sum differs
+    values = np.array([1.0, 1e-16, 1e-16, 1e-16])
+    assert math.fsum(values.tolist()) != _loop_sum(values.tolist())
+    total = left_sum(values)
+    assert type(total) is float and total == _loop_sum(values.tolist())
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(20_000) * np.exp(rng.uniform(-20.0, 20.0, 20_000))
+    expected = _loop_sum(values.tolist())
+    assert float(np.sum(values)) != expected and math.fsum(values.tolist()) != expected
+    assert left_sum(values) == expected == left_sum(values.tolist())
+    for edge in ([], [-0.0], [-0.0, -0.0], [math.inf, 1.0]):
+        assert repr(left_sum(np.array(edge))) == repr(_loop_sum(edge))
 
 
 def test_weighted_mean_hand_example():
