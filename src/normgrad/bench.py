@@ -43,6 +43,7 @@ from .reduction import (
     RunRecord,
     _overflow_unwarned,
     bound_report,
+    check_eps_zero,
     hm_gm_am,
     run_adagrad_warmup,
     run_normalized,
@@ -165,23 +166,21 @@ def parse_experiment_config(record: dict) -> ExperimentConfig:
     Counts (horizons, seeds, the problem's dimension) must be integers; a
     bool or a non-integral number raises ConfigError. The learner record is
     resolved for every horizon here, so a malformed learner field raises
-    ConfigError before anything runs. eps_zero must be positive and finite,
-    and so must the gradient norm at the start.
+    ConfigError before anything runs. eps_zero must pass check_eps_zero,
+    and the gradient norm at the start must be finite.
     """
     try:
         problem = problem_from_config(record["problem"])
         learner = dict(record["learner"])
         horizons = [config_count(t, "horizon") for t in record["horizons"]]
         seed = config_count(record.get("seed", 0), "seed")
-        eps_zero = float(record.get("eps_zero", DEFAULT_EPS_ZERO))
+        eps_zero = check_eps_zero(float(record.get("eps_zero", DEFAULT_EPS_ZERO)))
         if not horizons:
             raise ConfigError("horizons must be nonempty")
         if any(b <= a for a, b in zip(horizons, horizons[1:])) or horizons[0] < 1:
             raise ConfigError("horizons must be strictly increasing positives")
         if seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {seed}")
-        if not (0.0 < eps_zero < math.inf):
-            raise ConfigError(f"eps_zero must be positive and finite, got {eps_zero!r}")
         for horizon in horizons:
             config = resolve_learner_config(problem, learner, horizon, seed)
         # checked once here, not per cell: the start is the same at every horizon

@@ -23,6 +23,7 @@ one.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -42,6 +43,8 @@ from .vectors import WeightedMeanAccumulator, chunk_rows, l2_norm, left_sum
 
 __all__ = [
     "DEFAULT_EPS_ZERO",
+    "EPS_ZERO_FLOOR",
+    "check_eps_zero",
     "RunRecord",
     "run_normalized",
     "run_adagrad_warmup",
@@ -56,6 +59,25 @@ __all__ = [
 ]
 
 DEFAULT_EPS_ZERO = 1e-12
+EPS_ZERO_FLOOR = math.sqrt(sys.float_info.min)  # about 1.49e-154
+
+
+def check_eps_zero(eps_zero: float) -> float:
+    """Return eps_zero if it is finite and at least EPS_ZERO_FLOOR, else
+    raise ContractViolation. Every eps_zero from outside passes here.
+
+    This is where the unit-loss contract of the learners is kept: a loss is
+    fed only when ||g|| > eps_zero >= sqrt(smallest normal float), so the
+    squared norm is a normal float and no coordinate's rounding swamps it.
+    g / ||g|| then has norm 1 within about d * 2^-53 (at most 2.3e-14 found
+    for d = 1 to 10^5), which is why the learners do not re-check it. Below
+    the floor the squared norm can go subnormal: a start at distance 1e-160
+    of a d = 10 quadratic gives a loss of norm 1.00025.
+    """
+    if not (EPS_ZERO_FLOOR <= eps_zero < math.inf):
+        raise ContractViolation(
+            f"eps_zero must be finite and at least {EPS_ZERO_FLOOR!r}, got {eps_zero!r}")
+    return eps_zero
 
 
 @dataclass
@@ -162,10 +184,11 @@ def _drive(config: LearnerConfig, problem: Problem, horizon: int,
     warnings are off, as that check and the caller's check of the bounds
     report an overflow. A unit-norm learner stops returning x_t if
     ||g_t|| <= eps_zero; otherwise the round records (x_t, ||g_t||) and feeds
-    the learner g_t / ||g_t|| (unit-norm learners) or the raw g_t
-    (adagrad_da, which never stops early). After the loop problem.gap takes
-    the recorded iterates in blocks of chunk_rows(d) rows (each row equal to
-    its one-point call); learner.unit_norm_losses alone decides the weights,
+    the learner g_t / ||g_t|| (unit-norm learners, norm 1 by check_eps_zero)
+    or the raw g_t (adagrad_da, which never stops early; a norm above G only
+    sets exceeded_index). After the loop problem.gap takes the recorded
+    iterates in blocks of chunk_rows(d) rows (each row equal to its
+    one-point call); learner.unit_norm_losses alone decides the weights,
     one block call of local_constant_from_parts gives the local constants
     (NaN where none exists), and `summarize` computes the averages.
 
@@ -199,10 +222,7 @@ def _drive(config: LearnerConfig, problem: Problem, horizon: int,
                 iterates.resize((min(2 * len(iterates), horizon), d), refcheck=False)
             iterates[t - 1] = x
             grad_norms.append(gn)
-            if unit:
-                learner.observe(g / gn)
-            else:
-                learner.observe(g, enforce_bound=False)
+            learner.observe(g / gn if unit else g)
 
         grad_norms = np.array(grad_norms)
         iterates.resize((len(grad_norms), d), refcheck=False)
@@ -229,9 +249,7 @@ def run_normalized(config: LearnerConfig, problem: Problem, horizon: int,
         raise ContractViolation(
             f"run_normalized drives unit-norm learners {UNIT_NORM_KINDS}, "
             f"got {config.kind!r}; use run_adagrad_warmup for raw gradients")
-    if not (eps_zero > 0.0):
-        raise ContractViolation(f"eps_zero must be positive, got {eps_zero}")
-    return _drive(config, problem, horizon, eps_zero)
+    return _drive(config, problem, horizon, check_eps_zero(eps_zero))
 
 
 def run_adagrad_warmup(config: LearnerConfig, problem: Problem, horizon: int) -> RunRecord:
@@ -304,9 +322,8 @@ def _rate_constant(problem: Problem) -> float:
     return problem.grad_norm_bound
 
 
-def closed_form_rate(kind: str, problem: Problem, config: LearnerConfig,
-                     horizon: int) -> float:
-    """Deterministic worst-case bound on f(xbar_T) - f* for one learner kind.
+def closed_form_rate(problem: Problem, config: LearnerConfig, horizon: int) -> float:
+    """Deterministic worst-case bound on f(xbar_T) - f* for config's learner.
 
     With D = ||x_1 - x*||, C = L (1 + 1/nu)^nu (limit 1 at nu = 0, with L
     the nu = 0 gradient bound in that case):
@@ -317,13 +334,9 @@ def closed_form_rate(kind: str, problem: Problem, config: LearnerConfig,
     adagrad_da  max(C * ((D^2/alpha + 2 alpha)/sqrt(T))^(1+nu),
                     (G/T) (D^2/alpha + 2 alpha))
     """
-    if kind != config.kind:
-        raise ContractViolation(
-            f"closed_form_rate called for kind {kind!r} with a {config.kind!r} config")
     if horizon < 1:
         raise ContractViolation(f"horizon must be >= 1, got {horizon}")
-    spec = problem.spec
-    nu = spec.nu
+    kind, nu = config.kind, problem.spec.nu
     d = l2_norm(config.start - problem.minimizer)
     alpha = config.step_scale
     l_rate = _rate_constant(problem)
@@ -380,7 +393,7 @@ def bound_report(run: RunRecord, problem: Problem, config: LearnerConfig) -> Bou
     """
     d = l2_norm(config.start - problem.minimizer)
     measured = run.average_suboptimality
-    closed = closed_form_rate(config.kind, problem, config, run.horizon)
+    closed = closed_form_rate(problem, config, run.horizon)
     steps = run.steps_taken
     if steps == 0:
         return BoundReport(0.0, 0.0, 0.0, closed, measured)

@@ -232,8 +232,8 @@ def test_kt_closed_form_distance_ratio():
     t = 1024
     kt1 = LearnerConfig(kind="kt", start=np.array([1.0, 0, 0, 0]))
     kt10 = LearnerConfig(kind="kt", start=np.array([10.0, 0, 0, 0]))
-    b1 = closed_form_rate("kt", p10, kt1, t)
-    b10 = closed_form_rate("kt", p10, kt10, t)
+    b1 = closed_form_rate(p10, kt1, t)
+    b10 = closed_form_rate(p10, kt10, t)
     log1 = math.log(24 * t * t * 1.0 + 1)
     log10 = math.log(24 * t * t * 100.0 + 1)
     base1 = math.sqrt(log1 / t) + 1.0 / t
@@ -502,6 +502,7 @@ def _bad_run_config(**learner):
     "problem_seed_float", "dimension_huge", "sweep_dimension_huge", "step_scale_inf",
     "wealth_init_inf", "grad_bound_init_inf", "sweep_step_scale_inf",
     "sweep_closed_form_overflow", "sweep_norm_overflow_nu0", "sweep_norm_overflow_nu05",
+    "eps_zero_below_floor",
 ])
 def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
     out = tmp_path / "out"
@@ -517,6 +518,8 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
         "start_distance_overflow": {**good_config(),
                                     "learner": {"kind": "ogd_const", "start_distance": 1e308}},
         "eps_zero_inf": {**good_config(), "eps_zero": 1e400},  # JSON reads 1e400 as inf too
+        # below sqrt(smallest normal float) a normalized gradient can miss norm 1
+        "eps_zero_below_floor": {**good_config(), "eps_zero": 1e-300},
         "horizons_float": {**good_config(), "horizons": [4.9, 8.2]},
         "horizons_bool": {**good_config(), "horizons": [True, 4]},
         "seed_bool": {**good_config(), "seed": True},

@@ -20,9 +20,11 @@ from normgrad import (
     start_at_distance,
     summarize,
 )
+from normgrad import learners
 from normgrad.bench import canonical_problems, resolve_learner_config
-from normgrad.learners import LEARNER_KINDS
+from normgrad.learners import LEARNER_KINDS, UNIT_NORM_KINDS
 from normgrad.problems import HolderSpec
+from normgrad.reduction import EPS_ZERO_FLOOR, _drive
 from normgrad.vectors import _CHUNK_ELEMENTS, chunk_rows, l2_norm
 
 
@@ -177,6 +179,39 @@ def test_gap_column_of_an_early_stop(problem, kind, distance, stop):
     assert [c for c in calls if c[0] == "gap"] == blocks + [("gap", (d,))]
 
 
+def test_unit_learners_are_fed_unit_losses(monkeypatch):
+    # the learners do not check ||q|| = 1: the driver's normalization and
+    # the eps_zero floor keep it. Each observe first records ||q||.
+    norms = []
+    for cls in (learners.OgdConstLearner, learners.DaSqrtLearner, learners.KTLearner):
+        def observe(self, q, _observe=cls.observe):
+            norms.append(float(np.linalg.norm(q)))
+            _observe(self, q)
+        monkeypatch.setattr(cls, "observe", observe)
+    for kind in UNIT_NORM_KINDS:
+        for dimension in (3, 10):
+            for problem in canonical_problems(dimension):
+                norms.clear()
+                run, _ = _drive_counted(problem, kind, 256, 1.3)
+                assert len(norms) == run.steps_taken > 0
+                assert max(abs(n - 1.0) for n in norms) <= 1e-9
+        # gradient norms just above the floor, with eps_zero at the floor
+        p = Quadratic(10)
+        scale = {"wealth_init" if kind == "kt" else "step_scale": 1e-3 * EPS_ZERO_FLOOR}
+        cfg = LearnerConfig(kind=kind, start=start_at_distance(p, 1.5 * EPS_ZERO_FLOOR, 0),
+                            horizon=64, **scale)
+        norms.clear()
+        run = run_normalized(cfg, p, 64, eps_zero=EPS_ZERO_FLOOR)
+        assert len(norms) == run.steps_taken > 0
+        assert max(abs(n - 1.0) for n in norms) <= 1e-9
+        assert min(run.grad_norms) < 2.0 * EPS_ZERO_FLOOR
+        # the floor is what keeps them: below it a loss misses norm 1
+        norms.clear()
+        _drive(LearnerConfig(kind=kind, start=start_at_distance(p, 1e-160, 0), horizon=4),
+               p, 4, eps_zero=1e-300)
+        assert abs(norms[0] - 1.0) > 1e-6
+
+
 def test_run_normalized_weighted_average_matches_reference():
     p = PowerNorm(0.5, 4)
     cfg = LearnerConfig(kind="da_sqrt", start=start_at_distance(p, 2.0, seed=9))
@@ -202,8 +237,9 @@ def test_run_normalized_rejects_bad_args():
     cfg = LearnerConfig(kind="da_sqrt", start=np.zeros(2))
     with pytest.raises(ContractViolation):
         run_normalized(cfg, p, 0)
-    with pytest.raises(ContractViolation):
-        run_normalized(cfg, p, 4, eps_zero=0.0)
+    for eps_zero in (0.0, 1e-300, math.inf, math.nan):
+        with pytest.raises(ContractViolation, match="eps_zero"):
+            run_normalized(cfg, p, 4, eps_zero=eps_zero)
     with pytest.raises(ContractViolation):
         run_normalized(LearnerConfig(kind="da_sqrt", start=np.zeros(3)), p, 4)
 
@@ -346,18 +382,18 @@ def test_closed_form_rate_examples():
     # ogd form at nu=1, L=1, D=1, alpha=1, T=100: 2 * ((1/20) * 2)^2 = 0.02
     p = Quadratic(1)
     cfg = ogd_cfg([1.0], 100)
-    assert closed_form_rate("ogd_const", p, cfg, 100) == pytest.approx(0.02, rel=1e-14)
+    assert closed_form_rate(p, cfg, 100) == pytest.approx(0.02, rel=1e-14)
 
     # nu=0 with G=1 and alpha=D: bound = D/sqrt(T)
     p0 = PowerNorm(0.0, 1)
     for d, t in ((2.0, 64), (0.5, 256)):
         cfg0 = ogd_cfg([d], t, alpha=d)
-        assert closed_form_rate("ogd_const", p0, cfg0, t) == pytest.approx(
+        assert closed_form_rate(p0, cfg0, t) == pytest.approx(
             d / math.sqrt(t), rel=1e-14)
 
     # quadrupling T at nu=1 divides the constant-step bound by 4
-    b1 = closed_form_rate("ogd_const", p, ogd_cfg([1.0], 100), 100)
-    b4 = closed_form_rate("ogd_const", p, ogd_cfg([1.0], 400), 400)
+    b1 = closed_form_rate(p, ogd_cfg([1.0], 100), 100)
+    b4 = closed_form_rate(p, ogd_cfg([1.0], 400), 400)
     assert b1 / b4 == pytest.approx(4.0, rel=1e-12)
 
 
@@ -367,11 +403,11 @@ def test_closed_form_rate_kt_and_da_forms():
     kt = LearnerConfig(kind="kt", start=np.array([d]), wealth_init=d0)
     expected = 2.0 * (d * math.sqrt(math.log(24 * t * t * d * d / (d0 * d0) + 1))
                       / math.sqrt(t) + d0 / t) ** 2
-    assert closed_form_rate("kt", p, kt, t) == pytest.approx(expected, rel=1e-14)
+    assert closed_form_rate(p, kt, t) == pytest.approx(expected, rel=1e-14)
 
     da = LearnerConfig(kind="da_sqrt", start=np.array([d]), step_scale=0.5)
     expected = 2.0 * ((d * d / 1.0 + 0.5) / math.sqrt(t)) ** 2
-    assert closed_form_rate("da_sqrt", p, da, t) == pytest.approx(expected, rel=1e-14)
+    assert closed_form_rate(p, da, t) == pytest.approx(expected, rel=1e-14)
 
 
 def test_closed_form_rate_adagrad_max_form():
@@ -381,13 +417,13 @@ def test_closed_form_rate_adagrad_max_form():
     c = 4.0 / 1.0 + 2.0
     for t in (4, 4096):
         expected = max(1.0 * 2.0 * (c / math.sqrt(t)) ** 2, 2.0 / t * c)
-        assert closed_form_rate("adagrad_da", p, cfg, t) == pytest.approx(expected, rel=1e-14)
+        assert closed_form_rate(p, cfg, t) == pytest.approx(expected, rel=1e-14)
     # at nu=1 both branches decay like 1/T: smooth wins iff 2c > G
-    assert closed_form_rate("adagrad_da", p, cfg, 4096) == pytest.approx(
+    assert closed_form_rate(p, cfg, 4096) == pytest.approx(
         2.0 * (c / 64.0) ** 2, rel=1e-14)
     big_g = LearnerConfig(kind="adagrad_da", start=np.array([2.0]),
                           step_scale=1.0, grad_bound_init=20.0)
-    assert closed_form_rate("adagrad_da", p, big_g, 4096) == pytest.approx(
+    assert closed_form_rate(p, big_g, 4096) == pytest.approx(
         20.0 / 4096 * c, rel=1e-14)
 
 
@@ -395,9 +431,9 @@ def test_closed_form_rate_contract_errors():
     p = Quadratic(1)
     cfg = ogd_cfg([1.0], 100)
     with pytest.raises(ContractViolation):
-        closed_form_rate("da_sqrt", p, cfg, 100)
+        closed_form_rate(p, cfg, 64)
     with pytest.raises(ContractViolation):
-        closed_form_rate("ogd_const", p, cfg, 64)
+        closed_form_rate(p, cfg, 0)
 
 
 # --- bound reports and the end-to-end chain ----------------------------------
