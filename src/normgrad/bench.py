@@ -16,13 +16,14 @@ phase generic at every default horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, InsufficientData, NumericalFailure
-from .learners import ANYTIME_KINDS, LEARNER_KINDS, LearnerConfig
+from .learners import ANYTIME_KINDS, LEARNER_KINDS, UNIT_NORM_KINDS, LearnerConfig
 from .problems import (
+    SAMPLE_RADIUS,
     Huber,
     L2Norm,
     LogSumExp,
@@ -302,24 +303,24 @@ def run_cells(problem: Problem, learner_record: dict, horizons, seed: int,
                     eps_zero)
 
 
-def _leq(a: float, b: float, slack: float = 1e-9) -> bool:
-    return a <= b + slack * (1.0 + abs(b))
+def _leq(a: float, b: float) -> bool:
+    return a <= b + 1e-9 * (1.0 + abs(b))
 
 
-def bound_violations(result: CellResult, slack: float = 1e-9) -> list:
+def bound_violations(result: CellResult) -> list:
     """Bound-chain violations for one cell (empty list means all hold).
 
     Checks measured <= bound_closed_form, measured <= bound_gm <= bound_am,
-    each with the given relative slack."""
+    each with relative slack 1e-9."""
     r = result.report
     out = []
     label = result.label
-    if not _leq(r.measured, r.bound_closed_form, slack):
+    if not _leq(r.measured, r.bound_closed_form):
         out.append(f"measured {r.measured!r} > closed-form bound "
                    f"{r.bound_closed_form!r} [{label}]")
-    if not _leq(r.measured, r.bound_gm, slack):
+    if not _leq(r.measured, r.bound_gm):
         out.append(f"measured {r.measured!r} > geometric-mean bound {r.bound_gm!r} [{label}]")
-    if not _leq(r.bound_gm, r.bound_am, slack):
+    if not _leq(r.bound_gm, r.bound_am):
         out.append(f"geometric-mean bound {r.bound_gm!r} > arithmetic-mean "
                    f"bound {r.bound_am!r} [{label}]")
     return out
@@ -513,14 +514,11 @@ def canonical_problems(dimension: int = 3) -> list:
     ]
 
 
-_SAMPLE_RADIUS = 10.0
-
-
 def _sample_point(problem: Problem, rng, min_smooth_dist: float = 0.0) -> np.ndarray:
     """One point uniform in the sampling box, redrawn while it lies within
     min_smooth_dist of the family's nonsmooth set."""
     while True:
-        x = rng.uniform(-_SAMPLE_RADIUS, _SAMPLE_RADIUS, problem.dimension)
+        x = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, problem.dimension)
         if min_smooth_dist <= 0.0 or problem.distance_to_nonsmooth(x) > min_smooth_dist:
             return x
 
@@ -551,55 +549,57 @@ class _Tally:
         return SuiteResult(name, self.total, self.failures, self.worst, self.failures == 0)
 
 
-def _chunks(samples: int, width: int):
-    """Sizes of the chunks that cover `samples` rows of `width` elements."""
-    rows = chunk_rows(width)
-    for lo in range(0, samples, rows):
-        yield min(rows, samples - lo)
+def _sampled(name: str, samples: int, seed: int, width, residuals,
+             smooth_only: bool = False) -> SuiteResult:
+    """The sampling loop of the suites below: for each canonical family
+    (only those with nu > 0 if smooth_only), a fresh rng from seed and
+    chunks that cover `samples` rows of width(d) elements; residuals(problem,
+    rng, m) draws a chunk of m rows and returns the values to tally.
 
-
-# The sampling suites below draw and check their points in chunks. A
-# (m, k, d) uniform draw holds the values of m rounds of k draws of d
-# coordinates, so every point equals the one the per-point loop
-# (_sample_point) draws, and the block oracles give its values bit for bit.
-
-
-def suite_descent(samples: int, seed: int, l_scale: float = 1.0,
-                  name: str = "descent") -> SuiteResult:
-    """Descent inequality on random pairs, per family, checked in chunks of
-    (x, y) pairs drawn as one (m, 2, d) block."""
+    A (m, k, d) uniform draw holds the values of m rounds of k draws of d
+    coordinates, so every point equals the one the per-point loop
+    (_sample_point) draws, and the block oracles give its values bit for
+    bit."""
     tally = _Tally()
     for problem in canonical_problems():
+        if smooth_only and problem.spec.nu <= 0.0:
+            continue
         rng = np.random.default_rng(seed)
-        for m in _chunks(samples, 2 * problem.dimension):
-            pairs = rng.uniform(-_SAMPLE_RADIUS, _SAMPLE_RADIUS, (m, 2, problem.dimension))
-            check = check_descent_inequality(problem, pairs[:, 0], pairs[:, 1], l_scale=l_scale)
-            tally.extend(check.residual - check.slack)
+        rows = chunk_rows(width(problem.dimension))
+        for lo in range(0, samples, rows):
+            tally.extend(residuals(problem, rng, min(rows, samples - lo)))
     return tally.result(name)
+
+
+def _descent_residuals(problem: Problem, rng, m: int, l_scale: float = 1.0) -> np.ndarray:
+    pairs = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (m, 2, problem.dimension))
+    check = check_descent_inequality(problem, pairs[:, 0], pairs[:, 1], l_scale=l_scale)
+    return check.residual - check.slack
+
+
+def suite_descent(samples: int, seed: int) -> SuiteResult:
+    """Descent inequality on random pairs, per family, checked in chunks of
+    (x, y) pairs drawn as one (m, 2, d) block."""
+    return _sampled("descent", samples, seed, lambda d: 2 * d, _descent_residuals)
 
 
 def suite_descent_negative_control(samples: int, seed: int) -> SuiteResult:
     """Same sampling with the declared constants halved; passes iff the
     corruption is detected (i.e. the descent check fails somewhere)."""
-    inner = suite_descent(samples, seed, l_scale=0.5, name="descent_negative_control")
-    detected = inner.failures > 0
-    return SuiteResult(inner.name, inner.samples, inner.failures, inner.worst_slack,
-                       detected, note="passes iff halved constants are caught")
+    inner = _sampled("descent_negative_control", samples, seed, lambda d: 2 * d,
+                     lambda problem, rng, m: _descent_residuals(problem, rng, m, l_scale=0.5))
+    return replace(inner, passed=inner.failures > 0,
+                   note="passes iff halved constants are caught")
 
 
 def suite_grad_bound(samples: int, seed: int) -> SuiteResult:
     """Gradient-norm bound on random points, families with nu > 0, checked
     in chunks."""
-    tally = _Tally()
-    for problem in canonical_problems():
-        if problem.spec.nu <= 0.0:
-            continue
-        rng = np.random.default_rng(seed)
-        for m in _chunks(samples, problem.dimension):
-            x = rng.uniform(-_SAMPLE_RADIUS, _SAMPLE_RADIUS, (m, problem.dimension))
-            check = check_grad_bound(problem, x)
-            tally.extend(check.residual - 1e-9 * (1.0 + abs(check.rhs)))
-    return tally.result("grad_bound")
+    def residuals(problem, rng, m):
+        check = check_grad_bound(
+            problem, rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (m, problem.dimension)))
+        return check.residual - 1e-9 * (1.0 + abs(check.rhs))
+    return _sampled("grad_bound", samples, seed, lambda d: d, residuals, smooth_only=True)
 
 
 def suite_gradient_check(samples: int, seed: int) -> SuiteResult:
@@ -609,15 +609,12 @@ def suite_gradient_check(samples: int, seed: int) -> SuiteResult:
     Each point is drawn by _sample_point, whose rejection step decides how
     many draws a point takes; the gradients and the 2d central-difference
     evaluations of a chunk of points go in blocks."""
-    tally = _Tally()
-    for problem in canonical_problems():
-        rng = np.random.default_rng(seed)
-        for m in _chunks(samples, 2 * problem.dimension ** 2):
-            x = np.array([_sample_point(problem, rng, min_smooth_dist=1e-3) for _ in range(m)])
-            a = problem.grad(x)
-            fd = finite_diff_grad(problem, x, h=1e-6)
-            tally.extend(l2_norm(a - fd) / (1e-12 + l2_norm(a)) - 1e-5)
-    return tally.result("gradient_check")
+    def residuals(problem, rng, m):
+        x = np.array([_sample_point(problem, rng, min_smooth_dist=1e-3) for _ in range(m)])
+        a = problem.grad(x)
+        fd = finite_diff_grad(problem, x, h=1e-6)
+        return l2_norm(a - fd) / (1e-12 + l2_norm(a)) - 1e-5
+    return _sampled("gradient_check", samples, seed, lambda d: 2 * d * d, residuals)
 
 
 def suite_convexity(samples: int, seed: int) -> SuiteResult:
@@ -627,19 +624,15 @@ def suite_convexity(samples: int, seed: int) -> SuiteResult:
     A segment takes 2d + 1 uniform draws (x, y, then lam); one (m, 2d + 1)
     draw of rng.random, scaled as -R + 2R u for the points, gives the same
     values as the uniform draws."""
-    n = max(1, samples // 10)
-    tally = _Tally()
-    for problem in canonical_problems():
+    def residuals(problem, rng, m):
         d = problem.dimension
-        rng = np.random.default_rng(seed)
-        for m in _chunks(n, 2 * d + 1):
-            u = rng.random((m, 2 * d + 1))
-            points = -_SAMPLE_RADIUS + 2.0 * _SAMPLE_RADIUS * u[:, :2 * d]
-            x, y, lam = points[:, :d], points[:, d:], u[:, 2 * d:]
-            mid = problem.eval(lam * x + (1.0 - lam) * y)
-            chord = lam[:, 0] * problem.eval(x) + (1.0 - lam[:, 0]) * problem.eval(y)
-            tally.extend(mid - chord - 1e-9)
-    return tally.result("convexity")
+        u = rng.random((m, 2 * d + 1))
+        points = -SAMPLE_RADIUS + 2.0 * SAMPLE_RADIUS * u[:, :2 * d]
+        x, y, lam = points[:, :d], points[:, d:], u[:, 2 * d:]
+        mid = problem.eval(lam * x + (1.0 - lam) * y)
+        chord = lam[:, 0] * problem.eval(x) + (1.0 - lam[:, 0]) * problem.eval(y)
+        return mid - chord - 1e-9
+    return _sampled("convexity", max(1, samples // 10), seed, lambda d: 2 * d + 1, residuals)
 
 
 def suite_holder_sampling(samples: int, seed: int) -> SuiteResult:
@@ -657,16 +650,11 @@ def suite_holder_sampling(samples: int, seed: int) -> SuiteResult:
 def suite_local_constant(samples: int, seed: int) -> SuiteResult:
     """Pointwise local constants never above the global one (nu > 0),
     checked in chunks; points at the optimum (gap <= 0) are skipped."""
-    tally = _Tally()
-    for problem in canonical_problems():
-        if problem.spec.nu <= 0.0:
-            continue
-        rng = np.random.default_rng(seed)
-        for m in _chunks(samples, problem.dimension):
-            x = rng.uniform(-_SAMPLE_RADIUS, _SAMPLE_RADIUS, (m, problem.dimension))
-            x = x[~(problem.gap(x) <= 0.0)]
-            tally.extend(local_holder_constant(problem, x) - problem.spec.l_nu - 1e-9)
-    return tally.result("local_constant")
+    def residuals(problem, rng, m):
+        x = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (m, problem.dimension))
+        x = x[~(problem.gap(x) <= 0.0)]
+        return local_holder_constant(problem, x) - problem.spec.l_nu - 1e-9
+    return _sampled("local_constant", samples, seed, lambda d: d, residuals, smooth_only=True)
 
 
 def suite_means_ordering(samples: int, seed: int) -> SuiteResult:
@@ -685,25 +673,25 @@ def suite_means_ordering(samples: int, seed: int) -> SuiteResult:
 _CHAIN_HORIZONS = tuple(2 ** k for k in range(4, 13))
 
 
-def _chain_learner_records():
-    return [
-        {"kind": "ogd_const", "step_scale": 1.0},
-        {"kind": "da_sqrt", "step_scale": 1.0},
-        {"kind": "kt", "wealth_init": 1.0},
-    ]
+def _chain_cells(seed: int, kinds):
+    """The cells of the driver suites: every family at the default
+    dimension, each learner kind started at DEFAULT_DISTANCE with the
+    default step scale and wealth, at every chain horizon."""
+    for problem in canonical_problems(DEFAULT_DIMENSION):
+        for kind in kinds:
+            record = {"kind": kind, "start_distance": DEFAULT_DISTANCE}
+            yield from run_cells(problem, record, _CHAIN_HORIZONS, seed)
 
 
 def suite_bounded_iterates(samples: int, seed: int) -> SuiteResult:
     """Constant-step normalized runs keep every iterate within
     ||x_1 - x*||^2 + alpha^2 of the minimizer (squared distances)."""
     tally = _Tally()
-    for problem in canonical_problems(DEFAULT_DIMENSION):
-        record = {"kind": "ogd_const", "step_scale": 1.0, "start_distance": DEFAULT_DISTANCE}
-        for cell in run_cells(problem, record, _CHAIN_HORIZONS, seed):
-            d_sq = l2_norm(cell.config.start - problem.minimizer) ** 2
-            limit = d_sq + cell.config.step_scale ** 2 + 1e-9
-            for dist_sq in _visited_dist_sq(cell.run, problem.minimizer):
-                tally.add(dist_sq - limit)
+    for cell in _chain_cells(seed, ("ogd_const",)):
+        center = cell.problem.minimizer
+        limit = l2_norm(cell.config.start - center) ** 2 + cell.config.step_scale ** 2 + 1e-9
+        for dist_sq in _visited_dist_sq(cell.run, center):
+            tally.add(dist_sq - limit)
     return tally.result("bounded_iterates")
 
 
@@ -715,25 +703,20 @@ def suite_reduction_chain(samples: int, seed: int) -> SuiteResult:
     (+1e-9), the weighted gap sum stays below psi (+1e-6), and an early
     stop really sits at a zero-gradient point."""
     tally = _Tally()
-    for problem in canonical_problems(DEFAULT_DIMENSION):
-        for record in _chain_learner_records():
-            record = dict(record, start_distance=DEFAULT_DISTANCE)
-            for cell in run_cells(problem, record, _CHAIN_HORIZONS, seed):
-                run, rep = cell.run, cell.report
-                tally.add(run.average_suboptimality - run.mean_suboptimality - 1e-9)
-                if run.steps_taken > 0:
-                    gap_w = left_sum(run.suboptimalities / run.grad_norms)
-                    tally.add(gap_w - rep.psi_at_xstar - 1e-6)
-                    tally.add(rep.measured - rep.bound_gm - 1e-9 * (1.0 + rep.bound_gm))
-                    tally.add(rep.bound_gm - rep.bound_am - 1e-9 * (1.0 + rep.bound_am))
-                if not run.terminated_early:
-                    # psi/steps matches the closed form only for full runs
-                    tally.add(rep.bound_am - rep.bound_closed_form
-                              - 1e-9 * (1.0 + rep.bound_closed_form))
-                tally.add(rep.measured - rep.bound_closed_form
-                          - 1e-9 * (1.0 + rep.bound_closed_form))
-                if run.terminated_early:
-                    tally.add(l2_norm(problem.grad(run.average_point)) - DEFAULT_EPS_ZERO)
+    for cell in _chain_cells(seed, UNIT_NORM_KINDS):
+        run, rep = cell.run, cell.report
+        tally.add(run.average_suboptimality - run.mean_suboptimality - 1e-9)
+        if run.steps_taken > 0:
+            gap_w = left_sum(run.suboptimalities / run.grad_norms)
+            tally.add(gap_w - rep.psi_at_xstar - 1e-6)
+            tally.add(rep.measured - rep.bound_gm - 1e-9 * (1.0 + rep.bound_gm))
+            tally.add(rep.bound_gm - rep.bound_am - 1e-9 * (1.0 + rep.bound_am))
+        if not run.terminated_early:
+            # psi/steps matches the closed form only for full runs
+            tally.add(rep.bound_am - rep.bound_closed_form - 1e-9 * (1.0 + rep.bound_closed_form))
+        tally.add(rep.measured - rep.bound_closed_form - 1e-9 * (1.0 + rep.bound_closed_form))
+        if run.terminated_early:
+            tally.add(l2_norm(cell.problem.grad(run.average_point)) - DEFAULT_EPS_ZERO)
     return tally.result("reduction_chain")
 
 

@@ -1,10 +1,10 @@
 """Holder-smooth convex test problems with analytic gradients and known optima.
 
 Every problem knows its minimizer x*, its optimal value f*, and a declared
-smoothness record (exponent nu in [0, 1], constant l_nu, and the gradient
-inequality constant holder_alpha). The module also provides executable
-checkers for the descent inequality, the gradient-norm bound, the sampled
-smoothness ratio, and pointwise local smoothness constants.
+smoothness record: exponent nu in [0, 1] and constant l_nu. The module also
+provides executable checkers for the descent inequality, the gradient-norm
+bound, the sampled smoothness ratio, and pointwise local smoothness
+constants.
 
 Every oracle and checker takes one point of shape (d,) or a block of n
 points of shape (n, d), with one implementation for both. A point gives a
@@ -41,6 +41,7 @@ from .vectors import as_vector, chunk_rows, l2_norm, log, power
 
 __all__ = [
     "HolderSpec",
+    "SAMPLE_RADIUS",
     "Problem",
     "Quadratic",
     "PowerNorm",
@@ -62,41 +63,35 @@ __all__ = [
 ]
 
 
+# Half-width of the box [-R, R]^d that the sampling checks draw points from.
+SAMPLE_RADIUS = 10.0
+
+
 @dataclass(frozen=True)
 class HolderSpec:
-    """Declared smoothness data: exponent nu, constant l_nu, and the
-    constant holder_alpha of the gradient-norm inequality
-    ||grad f(x)|| <= alpha^(nu/(1+nu)) L(x)^(1/(1+nu)) (f(x)-f*)^(nu/(1+nu)).
+    """Declared smoothness data: exponent nu and constant l_nu.
 
-    For globally smooth declarations holder_alpha = 1 + 1/nu; only the
-    derived factor alpha^nu enters any bound, and at nu = 0 that factor is
-    defined as its limit, 1.
+    The gradient-norm inequality of a globally smooth declaration,
+    ||grad f(x)|| <= alpha^(nu/(1+nu)) L(x)^(1/(1+nu)) (f(x)-f*)^(nu/(1+nu)),
+    holds with alpha = 1 + 1/nu; only the derived factor alpha^nu enters any
+    bound, and at nu = 0 that factor is defined as its limit, 1.
     """
 
     nu: float
     l_nu: float
-    holder_alpha: float
 
     def __post_init__(self):
         if not (0.0 <= self.nu <= 1.0):
             raise ContractViolation(f"nu must lie in [0, 1], got {self.nu}")
         if not (self.l_nu > 0.0):
             raise ContractViolation(f"l_nu must be positive, got {self.l_nu}")
-        if not (self.holder_alpha > 0.0):
-            raise ContractViolation(f"holder_alpha must be positive, got {self.holder_alpha}")
-
-    @classmethod
-    def from_nu(cls, nu: float, l_nu: float) -> "HolderSpec":
-        """Record with the globally-smooth alpha = 1 + 1/nu (1 at nu = 0)."""
-        alpha = 1.0 + 1.0 / nu if nu > 0.0 else 1.0
-        return cls(nu=nu, l_nu=l_nu, holder_alpha=alpha)
 
     @property
     def alpha_pow_nu(self) -> float:
-        """holder_alpha^nu with the nu -> 0 limit value 1."""
+        """(1 + 1/nu)^nu with the nu -> 0 limit value 1."""
         if self.nu == 0.0:
             return 1.0
-        return self.holder_alpha ** self.nu
+        return (1.0 + 1.0 / self.nu) ** self.nu
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
@@ -204,7 +199,7 @@ class Quadratic(Problem):
 
     def __init__(self, dimension: int, minimizer=None):
         super().__init__(dimension, minimizer)
-        self.spec = HolderSpec.from_nu(1.0, 1.0)
+        self.spec = HolderSpec(1.0, 1.0)
 
     def eval(self, x):
         z = self._center(x)
@@ -228,7 +223,7 @@ class PowerNorm(Problem):
         if not (0.0 <= nu <= 1.0):
             raise ContractViolation(f"power_norm exponent nu must lie in [0, 1], got {nu}")
         self.nu = float(nu)
-        self.spec = HolderSpec.from_nu(self.nu, 2.0 ** (1.0 - self.nu))
+        self.spec = HolderSpec(self.nu, 2.0 ** (1.0 - self.nu))
         if self.nu == 0.0:
             self.grad_norm_bound = 1.0
         self.params = {"nu": self.nu}
@@ -256,7 +251,7 @@ class L2Norm(Problem):
 
     def __init__(self, dimension: int, minimizer=None):
         super().__init__(dimension, minimizer)
-        self.spec = HolderSpec.from_nu(0.0, 2.0)
+        self.spec = HolderSpec(0.0, 2.0)
         self.grad_norm_bound = 1.0
 
     def eval(self, x):
@@ -290,7 +285,7 @@ class Huber(Problem):
         if not (delta > 0.0):
             raise ContractViolation(f"huber delta must be positive, got {delta}")
         self.delta = float(delta)
-        self.spec = HolderSpec.from_nu(1.0, 1.0 / self.delta)
+        self.spec = HolderSpec(1.0, 1.0 / self.delta)
         self.params = {"delta": self.delta}
 
     def eval(self, x):
@@ -318,7 +313,7 @@ class LogSumExp(Problem):
 
     def __init__(self, dimension: int, minimizer=None):
         super().__init__(dimension, minimizer)
-        self.spec = HolderSpec.from_nu(1.0, 1.0)
+        self.spec = HolderSpec(1.0, 1.0)
         self.optimum = math.log(2.0 * self.dimension)
 
     def eval(self, x):
@@ -462,10 +457,10 @@ def check_grad_bound(p: Problem, x: np.ndarray) -> GradBoundCheck:
     return GradBoundCheck(residual <= 1e-9 * (1.0 + abs(rhs)), lhs, rhs, residual)
 
 
-def _distinct_pairs(rng, n: int, dimension: int, radius: float):
+def _distinct_pairs(rng, n: int, dimension: int):
     """Yield (x, y, ||x - y||) blocks of n pairs of points, coordinatewise
-    uniform in [-radius, radius], as n rounds of "draw x, then draw y until
-    y != x" would draw them from rng.
+    uniform in [-SAMPLE_RADIUS, SAMPLE_RADIUS], as n rounds of "draw x, then
+    draw y until y != x" would draw them from rng.
 
     The vectors are drawn in chunks: one (k, d) draw equals k draws of d.
     A pair with x == y drops its y, so the next vector of the stream
@@ -474,7 +469,7 @@ def _distinct_pairs(rng, n: int, dimension: int, radius: float):
     while n > 0:
         m = min(n, chunk_rows(2 * dimension))
         if len(stream) < 2 * m:
-            fresh = rng.uniform(-radius, radius, (2 * m - len(stream), dimension))
+            fresh = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (2 * m - len(stream), dimension))
             stream = np.concatenate([stream, fresh])
         x, y = stream[0:2 * m:2], stream[1:2 * m:2]
         dist = l2_norm(x - y)
@@ -488,11 +483,12 @@ def _distinct_pairs(rng, n: int, dimension: int, radius: float):
             stream = np.delete(stream, 1, axis=0)
 
 
-def sample_holder_constant(p: Problem, n: int, seed: int, radius: float = 10.0) -> float:
+def sample_holder_constant(p: Problem, n: int, seed: int) -> float:
     """Empirical max over n random pairs of ||g(x) - g(y)|| / ||x - y||^nu.
 
-    Points are sampled coordinatewise uniform in [-radius, radius], a pair
-    with x == y redrawing y, and checked in blocks (see _distinct_pairs).
+    Points are sampled coordinatewise uniform in [-SAMPLE_RADIUS,
+    SAMPLE_RADIUS], a pair with x == y redrawing y, and checked in blocks
+    (see _distinct_pairs).
     A NaN ratio is skipped. For a correctly declared constant the result
     never exceeds l_nu + 1e-9.
     """
@@ -501,7 +497,7 @@ def sample_holder_constant(p: Problem, n: int, seed: int, radius: float = 10.0) 
     rng = np.random.default_rng(seed)
     nu = p.spec.nu
     worst = 0.0
-    for x, y, dist in _distinct_pairs(rng, n, p.dimension, radius):
+    for x, y, dist in _distinct_pairs(rng, n, p.dimension):
         for ratio in (l2_norm(p.grad(x) - p.grad(y)) / power(dist, nu)).tolist():
             if ratio > worst:
                 worst = ratio

@@ -13,9 +13,9 @@ local smoothness constants:
     f(xbar_T) - f*  <=  alpha^nu (psi/T)^(1+nu) * mean(L(x_t))
 
 where the mean is geometric (sharper) or arithmetic, and alpha^nu is the
-derived factor of the problem's smoothness record ((1+1/nu)^nu for the
-shipped families, limit 1 at nu = 0; at nu = 0 the local constants are the
-gradient norms themselves). `closed_form_rate` evaluates the per-learner
+factor the problem's smoothness record derives from nu ((1+1/nu)^nu, limit
+1 at nu = 0; at nu = 0 the local constants are the gradient norms
+themselves). `closed_form_rate` evaluates the per-learner
 worst-case displays obtained by relaxing the local constants to the global
 one.
 """
@@ -162,9 +162,8 @@ def summarize(run: RunRecord, horizon: int, problem: Problem) -> RunRecord:
                 points = WeightedMeanAccumulator(problem.dimension)
                 points.push(run.iterates[:steps], weights)
                 point = points.finalize()
-            gap_sums = WeightedMeanAccumulator(1)
-            gap_sums.push(gaps[:, None], weights)
-            mean_gap = float(gap_sums.finalize()[0])
+            # left to right from 0.0, as the accumulator adds
+            mean_gap = left_sum(weights * gaps) / left_sum(weights)
         gap = problem.gap(point)
     exceeded = run.exceeded_index is not None and run.exceeded_index <= steps
     return RunRecord(horizon, run.iterates[:steps], run.grad_norms[:steps], gaps, weights,
@@ -340,7 +339,7 @@ def closed_form_rate(problem: Problem, config: LearnerConfig, horizon: int) -> f
     d = l2_norm(config.start - problem.minimizer)
     alpha = config.step_scale
     l_rate = _rate_constant(problem)
-    factor = 1.0 if nu == 0.0 else (1.0 + 1.0 / nu) ** nu
+    factor = problem.spec.alpha_pow_nu
     rt = math.sqrt(horizon)
     if kind == "ogd_const":
         if horizon != config.horizon:

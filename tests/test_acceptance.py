@@ -48,10 +48,10 @@ def default_sweep():
     return list(sweep_rows())
 
 
-def test_default_sweep_matches_reference_csv(default_sweep):
+def test_default_sweep_matches_reference_csv(default_sweep, kernel_note):
     body = "".join(rows_to_csv(default_sweep, SWEEP_COLUMNS))
     reference = (REFERENCE_DIR / "sweep_default.csv").read_bytes()
-    assert body.encode("utf-8") == reference
+    assert body.encode("utf-8") == reference, kernel_note
 
 
 def test_criterion_1_rate_interpolation():
@@ -75,7 +75,7 @@ def test_criterion_1_rate_interpolation():
 def test_criterion_2_bound_validity(default_sweep):
     failures = []
     for row in default_sweep:
-        failures.extend(bound_violations(row["_cell"], slack=1e-9))
+        failures.extend(bound_violations(row["_cell"]))
     _report(2, f"bound validity on {len(default_sweep)} sweep cells", failures)
 
 

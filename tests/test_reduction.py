@@ -352,13 +352,13 @@ def test_hm_gm_am_ordering_random():
 
 
 def test_regret_to_gap_bound_examples():
-    spec = HolderSpec(nu=1.0, l_nu=1.0, holder_alpha=2.0)
+    spec = HolderSpec(nu=1.0, l_nu=1.0)
     # alpha^nu (psi/T)^2 * gm = 2 * 0.01 * 1
     v_gm, v_am = regret_to_gap_bound(10.0, 100, spec, [1.0])
     assert v_gm == pytest.approx(0.02, rel=1e-15)
     assert v_am == pytest.approx(0.02, rel=1e-15)
 
-    spec0 = HolderSpec(nu=0.0, l_nu=2.0, holder_alpha=1.0)
+    spec0 = HolderSpec(nu=0.0, l_nu=2.0)
     _, v0 = regret_to_gap_bound(10.0, 100, spec0, [0.5, 2.0])
     assert v0 == pytest.approx(0.1 * 1.25, rel=1e-15)
 
@@ -367,7 +367,7 @@ def test_regret_to_gap_bound_examples():
 
 
 def test_regret_to_gap_bound_validation():
-    spec = HolderSpec(nu=1.0, l_nu=1.0, holder_alpha=2.0)
+    spec = HolderSpec(nu=1.0, l_nu=1.0)
     with pytest.raises(ContractViolation):
         regret_to_gap_bound(-1.0, 10, spec, [1.0])
     with pytest.raises(ContractViolation):
