@@ -33,6 +33,7 @@ from .problems import (
     check_descent_inequality,
     check_grad_bound,
     config_count,
+    config_real,
     finite_diff_grad,
     local_holder_constant,
     problem_from_config,
@@ -124,8 +125,9 @@ def fit_rate(horizons, gaps, predicted_slope: float) -> RateFit:
     """Fit log(gap) against log(T). Horizons with nonpositive gap (early
     stops at the optimum) are excluded; fewer than 3 usable points raise
     InsufficientData. Every sum is a left_sum."""
+    horizons = list(horizons)
     pts = [(t, g) for t, g in zip(horizons, gaps) if g is not None and g > 0.0]
-    excluded = len(list(horizons)) - len(pts)
+    excluded = len(horizons) - len(pts)
     if len(pts) < 3:
         raise InsufficientData(
             f"insufficient data: rate fit needs >= 3 horizons with positive "
@@ -165,31 +167,32 @@ def parse_experiment_config(record: dict) -> ExperimentConfig:
      "seed": int >= 0, "eps_zero": float}
 
     Counts (horizons, seeds, the problem's dimension) must be integers; a
-    bool or a non-integral number raises ConfigError. The learner record is
-    resolved for every horizon here, so a malformed learner field raises
-    ConfigError before anything runs. eps_zero must pass check_eps_zero,
-    and the gradient norm at the start must be finite.
+    bool or a non-integral number raises ConfigError, as does a real that
+    is not an int or a float. The learner record is resolved once here (only
+    ogd_const's horizon field depends on the horizon), so a malformed
+    learner field raises ConfigError before anything runs. eps_zero must
+    pass check_eps_zero, and the gradient norm at the start must be finite.
     """
     try:
         problem = problem_from_config(record["problem"])
         learner = dict(record["learner"])
         horizons = [config_count(t, "horizon") for t in record["horizons"]]
         seed = config_count(record.get("seed", 0), "seed")
-        eps_zero = check_eps_zero(float(record.get("eps_zero", DEFAULT_EPS_ZERO)))
+        eps_zero = check_eps_zero(config_real(record.get("eps_zero", DEFAULT_EPS_ZERO), "eps_zero"))
         if not horizons:
             raise ConfigError("horizons must be nonempty")
         if any(b <= a for a, b in zip(horizons, horizons[1:])) or horizons[0] < 1:
             raise ConfigError("horizons must be strictly increasing positives")
         if seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {seed}")
-        for horizon in horizons:
-            config = resolve_learner_config(problem, learner, horizon, seed)
+        config = resolve_learner_config(problem, learner, horizons[0], seed)
         # checked once here, not per cell: the start is the same at every horizon
         with _overflow_unwarned():
             grad_norm = l2_norm(problem.grad(config.start))
         if not math.isfinite(grad_norm):
             raise ConfigError("the gradient norm at the start is not finite")
-    except (KeyError, TypeError, ValueError, ContractViolation, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ContractViolation,
+            ConfigError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
     return ExperimentConfig(problem, learner, horizons, seed, eps_zero)
 
@@ -203,14 +206,16 @@ def resolve_learner_config(problem: Problem, record: dict, horizon: int,
     ogd_const always runs at horizon == T regardless of any horizon field.
     The adagrad_da gradient bound defaults to the gradient norm at the
     start (its largest realized value on the shipped descent problems),
-    floored at 1. A start whose dimension is not the problem's, or whose
-    distance from the minimizer is not finite, raises ContractViolation.
+    floored at 1. Every number goes through config_real. A start whose
+    dimension is not the problem's, or whose distance from the minimizer is
+    not finite, raises ContractViolation.
     """
     kind = record["kind"]
     if "start" in record and record["start"] is not None:
-        start = np.asarray(record["start"], dtype=np.float64)
+        start = np.array([config_real(c, "start coordinate") for c in record["start"]])
     else:
-        start = start_at_distance(problem, float(record.get("start_distance", DEFAULT_DISTANCE)), seed)
+        distance = config_real(record.get("start_distance", DEFAULT_DISTANCE), "start_distance")
+        start = start_at_distance(problem, distance, seed)
     if start.shape != (problem.dimension,):
         raise ContractViolation(
             f"start has shape {start.shape}, problem wants ({problem.dimension},)")
@@ -221,14 +226,14 @@ def resolve_learner_config(problem: Problem, record: dict, horizon: int,
     kwargs = {
         "kind": kind,
         "start": start,
-        "step_scale": float(record.get("step_scale", 1.0)),
-        "wealth_init": float(record.get("wealth_init", 1.0)),
+        "step_scale": config_real(record.get("step_scale", 1.0), "step_scale"),
+        "wealth_init": config_real(record.get("wealth_init", 1.0), "wealth_init"),
     }
     if kind == "ogd_const":
         kwargs["horizon"] = horizon
     if kind == "adagrad_da":
         if "grad_bound_init" in record:
-            kwargs["grad_bound_init"] = float(record["grad_bound_init"])
+            kwargs["grad_bound_init"] = config_real(record["grad_bound_init"], "grad_bound_init")
         else:
             kwargs["grad_bound_init"] = max(1.0, l2_norm(problem.grad(start)))
     return LearnerConfig(**kwargs)
@@ -419,7 +424,7 @@ def rate_fit_from_records(records) -> RateFit:
             horizons.append(rec["config"]["T"])
             gaps.append(None if rec["terminated_early"] else rec["f_gap_mean"])
         return fit_rate(horizons, gaps, predicted_slope=-(1.0 + nu) / 2.0)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad summary record: {exc!r}") from exc
 
 
@@ -471,18 +476,14 @@ def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=DEFAULT_SWEEP_LEARNERS,
                     }
 
 
-def rate_experiment(nu: float, kind: str, horizons=DEFAULT_HORIZONS,
-                    dimension=DEFAULT_DIMENSION, seed: int = 0,
-                    distance: float = RATE_FIT_DISTANCE):
+def rate_experiment(nu: float, kind: str):
     """Canonical rate-fit experiment: one learner on the interpolation
-    family across horizons, returning (summary records, RateFit)."""
-    problem = PowerNorm(float(nu), dimension)
-    record = {
-        "kind": kind,
-        "start_distance": distance,
-        "step_scale": RATE_FIT_STEP_SCALES.get(kind, 1.0),
-    }
-    summaries = [summary_record(cell) for cell in run_cells(problem, record, horizons, seed)]
+    family at DEFAULT_DIMENSION, started at RATE_FIT_DISTANCE with seed 0,
+    across DEFAULT_HORIZONS; returns (summary records, RateFit)."""
+    problem = PowerNorm(float(nu), DEFAULT_DIMENSION)
+    record = {"kind": kind, "start_distance": RATE_FIT_DISTANCE,
+              "step_scale": RATE_FIT_STEP_SCALES.get(kind, 1.0)}
+    summaries = [summary_record(cell) for cell in run_cells(problem, record, DEFAULT_HORIZONS, 0)]
     return summaries, rate_fit_from_records(summaries)
 
 
@@ -612,7 +613,7 @@ def suite_gradient_check(samples: int, seed: int) -> SuiteResult:
     def residuals(problem, rng, m):
         x = np.array([_sample_point(problem, rng, min_smooth_dist=1e-3) for _ in range(m)])
         a = problem.grad(x)
-        fd = finite_diff_grad(problem, x, h=1e-6)
+        fd = finite_diff_grad(problem, x)
         return l2_norm(a - fd) / (1e-12 + l2_norm(a)) - 1e-5
     return _sampled("gradient_check", samples, seed, lambda d: 2 * d * d, residuals)
 

@@ -1,8 +1,8 @@
 """Online linear optimizers with closed-form regret guarantees.
 
 Each learner serves points via `next_point()` and ingests loss vectors via
-`observe(q)`. The first three operate on unit-norm losses and the fourth
-consumes raw gradients. `observe` checks neither: the driver
+`observe(q)`. The first three, UNIT_NORM_KINDS, operate on unit-norm losses
+and the fourth consumes raw gradients. `observe` checks neither: the driver
 (`reduction._drive`) makes every loss, and its `eps_zero` rule keeps each
 normalized gradient at norm 1 up to rounding. A gradient above adagrad_da's
 bound G is reported by the driver, not raised here.
@@ -97,7 +97,6 @@ class OgdConstLearner:
     """Gradient steps of fixed length alpha/sqrt(T) against unit losses (unchecked)."""
 
     kind = "ogd_const"
-    unit_norm_losses = True
 
     def __init__(self, config: LearnerConfig):
         self.config = config
@@ -115,7 +114,6 @@ class DaSqrtLearner:
     """Dual averaging: x_{t+1} = x_1 - (alpha / sqrt(t)) * (sum of unit losses)."""
 
     kind = "da_sqrt"
-    unit_norm_losses = True
 
     def __init__(self, config: LearnerConfig):
         self.config = config
@@ -143,7 +141,6 @@ class KTLearner:
     """
 
     kind = "kt"
-    unit_norm_losses = True
 
     def __init__(self, config: LearnerConfig):
         self.config = config
@@ -176,7 +173,6 @@ class AdaGradDaLearner:
     """
 
     kind = "adagrad_da"
-    unit_norm_losses = False
 
     def __init__(self, config: LearnerConfig):
         self.config = config

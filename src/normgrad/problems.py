@@ -52,6 +52,7 @@ __all__ = [
     "make_problem",
     "problem_from_config",
     "config_count",
+    "config_real",
     "finite_diff_grad",
     "DescentCheck",
     "check_descent_inequality",
@@ -364,7 +365,8 @@ def problem_from_config(record: dict) -> Problem:
     Schema: {"family": str, "dimension": int, "minimizer": [floats] | "random"
     (optional, default origin), "parameters": {...} (optional), "seed": int
     (used only when minimizer == "random")}. A dimension or seed that is not
-    an integer raises ConfigError.
+    an integer, or a coordinate or parameter that is not an int or a float,
+    raises ConfigError.
     """
     if "family" not in record or "dimension" not in record:
         raise ContractViolation("problem record requires 'family' and 'dimension'")
@@ -375,7 +377,9 @@ def problem_from_config(record: dict) -> Problem:
             raise ContractViolation(f"minimizer must be a list or 'random', got {minimizer!r}")
         rng = np.random.default_rng(config_count(record.get("seed", 0), "problem seed"))
         minimizer = rng.standard_normal(dimension)
-    params = dict(record.get("parameters", {}))
+    elif minimizer is not None:
+        minimizer = [config_real(c, "minimizer coordinate") for c in minimizer]
+    params = {k: config_real(v, k) for k, v in dict(record.get("parameters", {})).items()}
     return make_problem(record["family"], dimension, minimizer, **params)
 
 
@@ -388,17 +392,25 @@ def config_count(value, name: str) -> int:
     return int(value)
 
 
-def finite_diff_grad(p: Problem, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient, (f(x + h e_i) - f(x - h e_i)) / (2h),
-    of a point (d,) or of each row of a block (n, d).
+def config_real(value, name: str) -> float:
+    """A real read from a config record: an int or a float. A bool or any
+    other value raises ConfigError; an int too large for a float raises
+    OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def finite_diff_grad(p: Problem, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient, (f(x + h e_i) - f(x - h e_i)) / (2h)
+    with h = 1e-6, of a point (d,) or of each row of a block (n, d).
 
     One eval call takes the 2d points x +- h e_i of every row as one block;
     adding the 0.0 entries of h e_i leaves the other coordinates as they
     are. The caller is responsible for keeping x at distance > 10h from the
     family's nonsmooth set (see Problem.distance_to_nonsmooth).
     """
-    if not (h > 0.0):
-        raise ContractViolation(f"h must be positive, got {h}")
+    h = 1e-6
     d = x.shape[-1]
     e = h * np.eye(d)
     points = np.stack([x[..., None, :] + e, x[..., None, :] - e], axis=-3)
@@ -457,51 +469,28 @@ def check_grad_bound(p: Problem, x: np.ndarray) -> GradBoundCheck:
     return GradBoundCheck(residual <= 1e-9 * (1.0 + abs(rhs)), lhs, rhs, residual)
 
 
-def _distinct_pairs(rng, n: int, dimension: int):
-    """Yield (x, y, ||x - y||) blocks of n pairs of points, coordinatewise
-    uniform in [-SAMPLE_RADIUS, SAMPLE_RADIUS], as n rounds of "draw x, then
-    draw y until y != x" would draw them from rng.
-
-    The vectors are drawn in chunks: one (k, d) draw equals k draws of d.
-    A pair with x == y drops its y, so the next vector of the stream
-    becomes the new y, as a redraw would make it."""
-    stream = np.empty((0, dimension))
-    while n > 0:
-        m = min(n, chunk_rows(2 * dimension))
-        if len(stream) < 2 * m:
-            fresh = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (2 * m - len(stream), dimension))
-            stream = np.concatenate([stream, fresh])
-        x, y = stream[0:2 * m:2], stream[1:2 * m:2]
-        dist = l2_norm(x - y)
-        repeats = np.flatnonzero(dist == 0.0)
-        if repeats.size:
-            m = int(repeats[0])
-        yield x[:m], y[:m], dist[:m]
-        n -= m
-        stream = stream[2 * m:]
-        if repeats.size:
-            stream = np.delete(stream, 1, axis=0)
-
-
 def sample_holder_constant(p: Problem, n: int, seed: int) -> float:
     """Empirical max over n random pairs of ||g(x) - g(y)|| / ||x - y||^nu.
 
-    Points are sampled coordinatewise uniform in [-SAMPLE_RADIUS,
-    SAMPLE_RADIUS], a pair with x == y redrawing y, and checked in blocks
-    (see _distinct_pairs).
-    A NaN ratio is skipped. For a correctly declared constant the result
-    never exceeds l_nu + 1e-9.
+    Each chunk of m pairs (x, y) is one (m, 2, d) uniform draw in
+    [-SAMPLE_RADIUS, SAMPLE_RADIUS]. A pair with x == y is skipped, as is a
+    NaN ratio. For a correctly declared constant the result never exceeds
+    l_nu + 1e-9.
     """
     if n < 1:
         raise ContractViolation(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     nu = p.spec.nu
     worst = 0.0
-    for x, y, dist in _distinct_pairs(rng, n, p.dimension):
-        for ratio in (l2_norm(p.grad(x) - p.grad(y)) / power(dist, nu)).tolist():
-            if ratio > worst:
-                worst = ratio
-    return worst
+    rows = chunk_rows(2 * p.dimension)
+    for lo in range(0, n, rows):
+        pairs = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (min(rows, n - lo), 2, p.dimension))
+        x, y = pairs[:, 0], pairs[:, 1]
+        dist = l2_norm(x - y)
+        live = dist != 0.0
+        ratios = l2_norm(p.grad(x[live]) - p.grad(y[live])) / power(dist[live], nu)
+        worst = np.fmax.reduce(ratios, initial=worst)
+    return float(worst)
 
 
 def local_constant_from_parts(spec: HolderSpec, grad_norm: float, gap: float) -> float:

@@ -187,7 +187,7 @@ def _drive(config: LearnerConfig, problem: Problem, horizon: int,
     or the raw g_t (adagrad_da, which never stops early; a norm above G only
     sets exceeded_index). After the loop problem.gap takes the recorded
     iterates in blocks of chunk_rows(d) rows (each row equal to its
-    one-point call); learner.unit_norm_losses alone decides the weights,
+    one-point call); config.kind in UNIT_NORM_KINDS alone decides the weights,
     one block call of local_constant_from_parts gives the local constants
     (NaN where none exists), and `summarize` computes the averages.
 
@@ -200,7 +200,7 @@ def _drive(config: LearnerConfig, problem: Problem, horizon: int,
         raise ContractViolation(
             f"start has dimension {config.start.size}, problem wants {problem.dimension}")
     learner = make_learner(config)
-    unit = learner.unit_norm_losses
+    unit = config.kind in UNIT_NORM_KINDS
     d = problem.dimension
     iterates = np.empty((min(horizon, 16), d))
     grad_norms = []

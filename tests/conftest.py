@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from normgrad.bench import run_suites
+
 
 def openblas_kernel() -> str:
     """The kernel numpy's bundled OpenBLAS runs, as OpenBLAS names it (e.g.
@@ -27,3 +29,11 @@ def kernel_note() -> str:
     differently under other kernels than the references were written under."""
     return ("the references in perfbench/reference were written under the SkylakeX "
             f"OpenBLAS kernel; this run uses {openblas_kernel()}")
+
+
+@pytest.fixture(scope="session")
+def default_check() -> list:
+    """The results of all ten suites at the default check (10^4 samples,
+    seed 0), run once for every test that compares them with the
+    reference report."""
+    return run_suites(None, 10_000, 0)

@@ -19,7 +19,6 @@ from normgrad import (
     run_normalized,
 )
 from normgrad.bench import (
-    SUITES,
     SWEEP_COLUMNS,
     bound_violations,
     rate_experiment,
@@ -96,18 +95,19 @@ def test_criterion_3_bounded_iterates(default_sweep):
     _report(3, f"bounded iterates on {cells} constant-step cells", failures)
 
 
-def test_criterion_4_inequality_suites():
+def test_criterion_4_inequality_suites(default_check):
     failures = []
     reference = json.loads((REFERENCE_DIR / "check_default.json").read_text())
     expected = {s["name"]: s for s in reference["suites"]}
+    results = {r.name: r for r in default_check}
     for name in ("descent", "grad_bound", "means_ordering"):
-        res = SUITES[name](10_000, seed=0)
+        res = results[name]
         if not res.passed:
             failures.append(f"{name}: {res.failures} failures over {res.samples} samples "
                             f"(worst slack {res.worst_slack!r})")
         if res.as_dict() != expected[name]:
             failures.append(f"{name}: {res.as_dict()} differs from the reference report")
-    control = SUITES["descent_negative_control"](10_000, seed=0)
+    control = results["descent_negative_control"]
     if not control.passed:
         failures.append("halved-constant negative control was not caught")
     if control.as_dict() != expected[control.name]:
@@ -207,8 +207,8 @@ def test_criterion_7_local_smoothness_advantage():
             failures)
 
 
-def test_criterion_8_gradient_correctness():
-    res = SUITES["gradient_check"](10_000, seed=0)
+def test_criterion_8_gradient_correctness(default_check):
+    res = next(r for r in default_check if r.name == "gradient_check")
     failures = []
     if not res.passed:
         failures.append(f"{res.failures} of {res.samples} points off by more than "

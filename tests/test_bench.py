@@ -68,6 +68,9 @@ def test_fit_rate_excludes_nonpositive_and_requires_three():
         fit_rate([4, 16], [0.1, 0.01], predicted_slope=-1.0)
     with pytest.raises(InsufficientData, match="insufficient data"):
         fit_rate([4, 16, 64], [0.1, 0.0, None], predicted_slope=-1.0)
+    # iterators count their excluded horizons as lists do
+    fit = fit_rate(iter([256, 512, 1024, 2048]), iter([1e-2, 5e-3, 2.5e-3, None]), -0.5)
+    assert fit.n_points == 3 and fit.n_excluded == 1
 
 
 def _loop_sum(values):
@@ -407,14 +410,13 @@ def test_suite_counts_nonfinite_value_as_failure(monkeypatch):
     assert math.isnan(res.worst_slack)
 
 
-def test_driver_suites_match_reference_report(kernel_note):
+def test_driver_suites_match_reference_report(default_check, kernel_note):
     """All ten suites at the default check, as `normgrad check` reports them."""
     reference = json.loads(
         (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
          / "check_default.json").read_text())
-    results = run_suites(None, 10_000, 0)
-    report = {"samples": 10_000, "seed": 0, "passed": all(r.passed for r in results),
-              "suites": [r.as_dict() for r in results]}
+    report = {"samples": 10_000, "seed": 0, "passed": all(r.passed for r in default_check),
+              "suites": [r.as_dict() for r in default_check]}
     assert report == reference, kernel_note
 
 
@@ -482,9 +484,9 @@ def test_cli_config_errors_exit_2(tmp_path):
     assert main(["run", "--config", str(mismatch), "--out", str(tmp_path / "o")]) == 2
 
 
-def _bad_problem_config(**problem):
+def _bad_problem_config(learner=None, **problem):
     return {"problem": {"family": "quadratic", "dimension": 2, **problem},
-            "learner": {"kind": "ogd_const", "start_distance": 1.0}, "horizons": [4]}
+            "learner": learner or {"kind": "ogd_const", "start_distance": 1.0}, "horizons": [4]}
 
 
 def _bad_run_config(**learner):
@@ -502,7 +504,9 @@ def _bad_run_config(**learner):
     "problem_seed_float", "dimension_huge", "sweep_dimension_huge", "step_scale_inf",
     "wealth_init_inf", "grad_bound_init_inf", "sweep_step_scale_inf",
     "sweep_closed_form_overflow", "sweep_norm_overflow_nu0", "sweep_norm_overflow_nu05",
-    "eps_zero_below_floor",
+    "eps_zero_below_floor", "step_scale_str", "step_scale_bool", "wealth_init_str",
+    "start_distance_str", "start_str", "eps_zero_str", "eps_zero_bool", "minimizer_str",
+    "nu_bool", "delta_bool", "step_scale_huge_int",
 ])
 def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
     out = tmp_path / "out"
@@ -531,6 +535,20 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
         "step_scale_inf": _bad_run_config(step_scale=1e400),
         "wealth_init_inf": _bad_run_config(kind="kt", wealth_init=1e400),
         "grad_bound_init_inf": _bad_run_config(kind="adagrad_da", grad_bound_init=1e400),
+        # a config real is an int or a float: neither a string nor a bool
+        "step_scale_str": _bad_run_config(step_scale="1.5"),
+        "step_scale_bool": _bad_run_config(step_scale=True),
+        "wealth_init_str": _bad_run_config(kind="kt", wealth_init="2"),
+        "start_distance_str": _bad_problem_config(
+            learner={"kind": "ogd_const", "start_distance": "3"}),
+        "start_str": _bad_problem_config(dimension=3,
+                                         learner={"kind": "da_sqrt", "start": ["1", "2", "3"]}),
+        "eps_zero_str": {**good_config(), "eps_zero": "1e-12"},
+        "eps_zero_bool": {**good_config(), "eps_zero": True},
+        "minimizer_str": _bad_problem_config(dimension=3, minimizer=["1", "2", "3"]),
+        "nu_bool": _bad_problem_config(family="power_norm", parameters={"nu": True}),
+        "delta_bool": _bad_problem_config(family="huber", parameters={"delta": True}),
+        "step_scale_huge_int": _bad_run_config(step_scale=10**400),  # no float holds it
     }
     payloads = {"ratefit_records_int": {"records": 5}, "ratefit_list": [1, 2, 3],
                 "ratefit_int": 5}

@@ -3,6 +3,7 @@ that row, bit for bit, and the chunked property suites equal their
 per-point loops, which this file keeps as the reference implementation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,9 +77,9 @@ def test_oracle_rows_equal_one_point_calls(d, index):
     grads = problem.grad(x)
     assert grads.shape == x.shape
     assert all(same_bits(g, problem.grad(row)) for g, row in zip(grads, x))
-    fd = finite_diff_grad(problem, x, h=1e-6)
+    fd = finite_diff_grad(problem, x)
     assert fd.shape == x.shape
-    assert all(same_bits(g, finite_diff_grad(problem, row, h=1e-6)) for g, row in zip(fd, x))
+    assert all(same_bits(g, finite_diff_grad(problem, row)) for g, row in zip(fd, x))
 
 
 @pytest.mark.parametrize("d,index", FAMILY_CASES)
@@ -266,14 +267,15 @@ class StreamRng:
 
 
 @pytest.mark.parametrize("repeat_at", [0, 3, chunk_rows(6) - 1, chunk_rows(6)])
-def test_sample_holder_constant_redraws_y_like_the_loop(repeat_at, monkeypatch):
-    """A pair with x == y redraws y from the stream: here pair repeat_at
-    repeats x, so the next vector becomes its y and every later pair
-    shifts by one vector."""
+def test_sample_holder_constant_skips_a_repeated_pair(repeat_at, monkeypatch):
+    """A pair with x == y is skipped: here pair repeat_at repeats x, and the
+    result, and the points sent to grad, are those of the per-point loop on
+    the stream without that pair. Every later pair keeps its own draws, the
+    sampler draws exactly 2 n d values, and 0 / 0 is never computed (the
+    RuntimeWarning filter makes it an error)."""
     d, n = 3, chunk_rows(6) + 4
-    vectors = np.random.default_rng(5).uniform(-10.0, 10.0, (2 * n + 8, d))
+    vectors = np.random.default_rng(5).uniform(-10.0, 10.0, (2 * n, d))
     vectors[2 * repeat_at + 1] = vectors[2 * repeat_at]
-    stream = vectors.ravel()
     seen = {}
 
     class Recording(PowerNorm):
@@ -283,10 +285,13 @@ def test_sample_holder_constant_redraws_y_like_the_loop(repeat_at, monkeypatch):
 
     loop_problem, block_problem = Recording(0.5, d), Recording(0.5, d)
     loop_problem.tag, block_problem.tag = "loop", "block"
-    loop_rng = StreamRng(stream)
-    expected = loop_sample_holder_constant(loop_problem, n, loop_rng)
-    monkeypatch.setattr(problems.np.random, "default_rng", lambda seed: StreamRng(stream))
-    assert sample_holder_constant(block_problem, n, seed=0) == expected
+    kept = np.delete(vectors, [2 * repeat_at, 2 * repeat_at + 1], axis=0)
+    expected = loop_sample_holder_constant(loop_problem, n - 1, StreamRng(kept.ravel()))
+    block_rng = StreamRng(vectors.ravel())
+    monkeypatch.setattr(problems.np.random, "default_rng", lambda seed: block_rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sample_holder_constant(block_problem, n, seed=0) == expected
     assert sorted(seen["block"]) == sorted(seen["loop"])
-    assert len(seen["loop"]) == 2 * n
-    assert loop_rng.used == (2 * n + 1) * d  # one redraw
+    assert len(seen["block"]) == 2 * (n - 1)
+    assert block_rng.used == 2 * n * d
