@@ -308,27 +308,21 @@ def run_cells(problem: Problem, learner_record: dict, horizons, seed: int,
                     eps_zero)
 
 
-def _leq(a: float, b: float) -> bool:
-    return a <= b + 1e-9 * (1.0 + abs(b))
+def _excess(a, b):
+    """Residual of a <= b (floats or arrays) with the bench's relative slack
+    1e-9: the inequality holds when this is <= 0, and a NaN never holds."""
+    return a - b - 1e-9 * (1.0 + abs(b))
 
 
 def bound_violations(result: CellResult) -> list:
-    """Bound-chain violations for one cell (empty list means all hold).
-
-    Checks measured <= bound_closed_form, measured <= bound_gm <= bound_am,
-    each with relative slack 1e-9."""
+    """Bound-chain violations for one cell (empty list means all hold):
+    measured <= bound_closed_form and measured <= bound_gm <= bound_am."""
     r = result.report
-    out = []
-    label = result.label
-    if not _leq(r.measured, r.bound_closed_form):
-        out.append(f"measured {r.measured!r} > closed-form bound "
-                   f"{r.bound_closed_form!r} [{label}]")
-    if not _leq(r.measured, r.bound_gm):
-        out.append(f"measured {r.measured!r} > geometric-mean bound {r.bound_gm!r} [{label}]")
-    if not _leq(r.bound_gm, r.bound_am):
-        out.append(f"geometric-mean bound {r.bound_gm!r} > arithmetic-mean "
-                   f"bound {r.bound_am!r} [{label}]")
-    return out
+    links = (("measured", r.measured, "closed-form bound", r.bound_closed_form),
+             ("measured", r.measured, "geometric-mean bound", r.bound_gm),
+             ("geometric-mean bound", r.bound_gm, "arithmetic-mean bound", r.bound_am))
+    return [f"{a_name} {a!r} > {b_name} {b!r} [{result.label}]"
+            for a_name, a, b_name, b in links if not _excess(a, b) <= 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +388,7 @@ def summary_record(result: CellResult) -> dict:
     }
 
 
-def _visited_dist_sq(run: RunRecord, center: np.ndarray) -> list:
+def _visited_dist_sq(run: RunRecord, center: np.ndarray) -> np.ndarray:
     """Squared distances from center of every point a run visited: the
     loss-fed iterates, plus the stop point of an early stop."""
     points = run.iterates
@@ -402,7 +396,7 @@ def _visited_dist_sq(run: RunRecord, center: np.ndarray) -> list:
         points = np.vstack([points, run.average_point])
     z = points - center
     # vecdot equals a per-row np.dot bit for bit; einsum and (z*z).sum do not
-    return np.vecdot(z, z).tolist()
+    return np.vecdot(z, z)
 
 
 def rate_fit_from_records(records) -> RateFit:
@@ -470,8 +464,8 @@ def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=DEFAULT_SWEEP_LEARNERS,
                         "learner": kind,
                         "T": cell.horizon,
                         "seed": cell.seed,
-                        "max_iterate_dist_sq": max(
-                            _visited_dist_sq(cell.run, problem.minimizer), default=0.0),
+                        "max_iterate_dist_sq": float(_visited_dist_sq(
+                            cell.run, problem.minimizer).max(initial=0.0)),
                         "_cell": cell,
                     }
 
@@ -524,30 +518,21 @@ def _sample_point(problem: Problem, rng, min_smooth_dist: float = 0.0) -> np.nda
             return x
 
 
-class _Tally:
-    """Count, failures and worst value over the values a suite checks. A
-    value passes only when it is <= 0, so a NaN counts as a failure, and a
-    NaN, once seen, stays the worst value."""
-
-    def __init__(self):
-        self.total = 0
-        self.failures = 0
-        self.worst = -math.inf
-
-    def add(self, value: float) -> None:
-        self.total += 1
-        if value > self.worst or math.isnan(value):
-            self.worst = value
-        if not (value <= 0.0):
-            self.failures += 1
-
-    def extend(self, values: np.ndarray) -> None:
-        """Add each value of an array, in order."""
-        for value in values.tolist():
-            self.add(value)
-
-    def result(self, name: str) -> SuiteResult:
-        return SuiteResult(name, self.total, self.failures, self.worst, self.failures == 0)
+def _tally(name: str, residuals) -> SuiteResult:
+    """Count, failures and worst value over residuals, an iterable of floats
+    or float arrays. A value passes only when it is <= 0, so a NaN fails and,
+    once seen, stays the worst; no values give worst -inf and a pass. A tie
+    of 0.0 and -0.0 for the worst may report either sign."""
+    samples = failures = 0
+    worst = -math.inf
+    for chunk in residuals:
+        values = np.ravel(chunk)
+        samples += values.size
+        failures += int(np.count_nonzero(~(values <= 0.0)))
+        top = float(values.max(initial=-math.inf))  # a NaN in the chunk makes top NaN
+        if top > worst or math.isnan(top):
+            worst = top
+    return SuiteResult(name, samples, failures, worst, failures == 0)
 
 
 def _sampled(name: str, samples: int, seed: int, width, residuals,
@@ -561,15 +546,15 @@ def _sampled(name: str, samples: int, seed: int, width, residuals,
     coordinates, so every point equals the one the per-point loop
     (_sample_point) draws, and the block oracles give its values bit for
     bit."""
-    tally = _Tally()
-    for problem in canonical_problems():
-        if smooth_only and problem.spec.nu <= 0.0:
-            continue
-        rng = np.random.default_rng(seed)
-        rows = chunk_rows(width(problem.dimension))
-        for lo in range(0, samples, rows):
-            tally.extend(residuals(problem, rng, min(rows, samples - lo)))
-    return tally.result(name)
+    def chunks():
+        for problem in canonical_problems():
+            if smooth_only and problem.spec.nu <= 0.0:
+                continue
+            rng = np.random.default_rng(seed)
+            rows = chunk_rows(width(problem.dimension))
+            for lo in range(0, samples, rows):
+                yield residuals(problem, rng, min(rows, samples - lo))
+    return _tally(name, chunks())
 
 
 def _descent_residuals(problem: Problem, rng, m: int, l_scale: float = 1.0) -> np.ndarray:
@@ -599,7 +584,7 @@ def suite_grad_bound(samples: int, seed: int) -> SuiteResult:
     def residuals(problem, rng, m):
         check = check_grad_bound(
             problem, rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (m, problem.dimension)))
-        return check.residual - 1e-9 * (1.0 + abs(check.rhs))
+        return _excess(check.lhs, check.rhs)
     return _sampled("grad_bound", samples, seed, lambda d: d, residuals, smooth_only=True)
 
 
@@ -640,12 +625,9 @@ def suite_holder_sampling(samples: int, seed: int) -> SuiteResult:
     """Sampled smoothness ratio never above the declared constant (10 seeds
     per family, a tenth of the configured samples each)."""
     n = max(1, samples // 10)
-    tally = _Tally()
-    for problem in canonical_problems():
-        for offset in range(10):
-            value = sample_holder_constant(problem, n, seed + offset)
-            tally.add(value - problem.spec.l_nu - 1e-9)
-    return tally.result("holder_sampling")
+    return _tally("holder_sampling", (
+        sample_holder_constant(problem, n, seed + offset) - problem.spec.l_nu - 1e-9
+        for problem in canonical_problems() for offset in range(10)))
 
 
 def suite_local_constant(samples: int, seed: int) -> SuiteResult:
@@ -661,14 +643,13 @@ def suite_local_constant(samples: int, seed: int) -> SuiteResult:
 def suite_means_ordering(samples: int, seed: int) -> SuiteResult:
     """hm <= gm <= am (relative 1e-12) on random positive sequences of
     lengths 1..64 spanning twelve orders of magnitude."""
-    rng = np.random.default_rng(seed)
-    tally = _Tally()
-    for _ in range(samples):
-        n = int(rng.integers(1, 65))
-        vals = np.exp(rng.uniform(-14.0, 14.0, n))
-        hm, gm, am = hm_gm_am(vals)
-        tally.add(max((hm - gm) / gm, (gm - am) / am) - 1e-12)
-    return tally.result("means_ordering")
+    def residuals():
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            n = int(rng.integers(1, 65))
+            hm, gm, am = hm_gm_am(np.exp(rng.uniform(-14.0, 14.0, n)))
+            yield max((hm - gm) / gm, (gm - am) / am) - 1e-12
+    return _tally("means_ordering", residuals())
 
 
 _CHAIN_HORIZONS = tuple(2 ** k for k in range(4, 13))
@@ -687,13 +668,12 @@ def _chain_cells(seed: int, kinds):
 def suite_bounded_iterates(samples: int, seed: int) -> SuiteResult:
     """Constant-step normalized runs keep every iterate within
     ||x_1 - x*||^2 + alpha^2 of the minimizer (squared distances)."""
-    tally = _Tally()
-    for cell in _chain_cells(seed, ("ogd_const",)):
-        center = cell.problem.minimizer
-        limit = l2_norm(cell.config.start - center) ** 2 + cell.config.step_scale ** 2 + 1e-9
-        for dist_sq in _visited_dist_sq(cell.run, center):
-            tally.add(dist_sq - limit)
-    return tally.result("bounded_iterates")
+    def residuals():
+        for cell in _chain_cells(seed, ("ogd_const",)):
+            center = cell.problem.minimizer
+            limit = l2_norm(cell.config.start - center) ** 2 + cell.config.step_scale ** 2 + 1e-9
+            yield _visited_dist_sq(cell.run, center) - limit
+    return _tally("bounded_iterates", residuals())
 
 
 def suite_reduction_chain(samples: int, seed: int) -> SuiteResult:
@@ -703,22 +683,21 @@ def suite_reduction_chain(samples: int, seed: int) -> SuiteResult:
     the averaged point obeys the weighted mean of the per-step gaps
     (+1e-9), the weighted gap sum stays below psi (+1e-6), and an early
     stop really sits at a zero-gradient point."""
-    tally = _Tally()
-    for cell in _chain_cells(seed, UNIT_NORM_KINDS):
-        run, rep = cell.run, cell.report
-        tally.add(run.average_suboptimality - run.mean_suboptimality - 1e-9)
-        if run.steps_taken > 0:
-            gap_w = left_sum(run.suboptimalities / run.grad_norms)
-            tally.add(gap_w - rep.psi_at_xstar - 1e-6)
-            tally.add(rep.measured - rep.bound_gm - 1e-9 * (1.0 + rep.bound_gm))
-            tally.add(rep.bound_gm - rep.bound_am - 1e-9 * (1.0 + rep.bound_am))
-        if not run.terminated_early:
-            # psi/steps matches the closed form only for full runs
-            tally.add(rep.bound_am - rep.bound_closed_form - 1e-9 * (1.0 + rep.bound_closed_form))
-        tally.add(rep.measured - rep.bound_closed_form - 1e-9 * (1.0 + rep.bound_closed_form))
-        if run.terminated_early:
-            tally.add(l2_norm(cell.problem.grad(run.average_point)) - DEFAULT_EPS_ZERO)
-    return tally.result("reduction_chain")
+    def residuals():
+        for cell in _chain_cells(seed, UNIT_NORM_KINDS):
+            run, rep = cell.run, cell.report
+            yield run.average_suboptimality - run.mean_suboptimality - 1e-9
+            if run.steps_taken > 0:
+                yield left_sum(run.suboptimalities / run.grad_norms) - rep.psi_at_xstar - 1e-6
+                yield _excess(rep.measured, rep.bound_gm)
+                yield _excess(rep.bound_gm, rep.bound_am)
+            if not run.terminated_early:
+                # psi/steps matches the closed form only for full runs
+                yield _excess(rep.bound_am, rep.bound_closed_form)
+            yield _excess(rep.measured, rep.bound_closed_form)
+            if run.terminated_early:
+                yield l2_norm(cell.problem.grad(run.average_point)) - DEFAULT_EPS_ZERO
+    return _tally("reduction_chain", residuals())
 
 
 SUITES = {

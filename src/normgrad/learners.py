@@ -54,9 +54,10 @@ class LearnerConfig:
     """Configuration shared by all learner kinds.
 
     step_scale is the learning-rate scale alpha (ogd_const, da_sqrt,
-    adagrad_da), horizon is required by ogd_const only, wealth_init is the
-    KT initial wealth d0, and grad_bound_init is the adagrad_da gradient
-    bound G. The three scales must be positive and finite.
+    adagrad_da), horizon is required by ogd_const only and is >= 1 wherever
+    given, wealth_init is the KT initial wealth d0, and grad_bound_init is
+    the adagrad_da gradient bound G. The three scales must be positive and
+    finite.
     """
 
     kind: str
@@ -75,11 +76,9 @@ class LearnerConfig:
             value = getattr(self, name)
             if not (0.0 < value < math.inf):
                 raise ContractViolation(f"{name} must be positive and finite, got {value}")
-        if self.kind == "ogd_const":
-            if self.horizon is None or self.horizon < 1:
-                raise ContractViolation("ogd_const requires a positive horizon")
-        if self.horizon is not None and self.horizon < 1:
-            raise ContractViolation(f"horizon must be >= 1, got {self.horizon}")
+        if not ((self.horizon or 0) >= 1 or self.horizon is None and self.kind != "ogd_const"):
+            raise ContractViolation(
+                f"horizon must be >= 1 (ogd_const requires one), got {self.horizon}")
 
     def config_record(self) -> dict:
         rec = {"kind": self.kind, "start": [float(c) for c in self.start],

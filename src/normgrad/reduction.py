@@ -274,7 +274,10 @@ def hm_gm_am(values: Sequence[float]) -> MeanTriple:
 
     The geometric mean is computed through the mean of logarithms; the
     returned triple satisfies hm <= gm <= am up to relative 1e-12. The
-    sums are left_sums of Python floats: numpy costs more at 1 to 64 values.
+    sums are left_sums of Python floats, for both callers: means_ordering
+    (1 to 64 values) and bound_report (256 to 16,384 local constants per
+    default-sweep cell). The libm log per value dominates at both sizes;
+    numpy would cost more at 64 and save 20-30 % at 16,384.
     """
     vals = np.asarray(values, dtype=np.float64).tolist()
     if not vals:

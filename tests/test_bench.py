@@ -1,6 +1,10 @@
 import json
 import math
 import os
+import re
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -280,7 +284,7 @@ def test_run_columns_weights_and_local_constants(kind, problem, distance):
                for row in rows for value in row.values())
     # one vecdot over the rows equals one dot product per visited point
     center = problem.minimizer
-    assert _visited_dist_sq(run, center) == [
+    assert _visited_dist_sq(run, center).tolist() == [
         float(np.dot(x - center, x - center)) for x in run.iterates]
 
 
@@ -423,6 +427,88 @@ def test_driver_suites_match_reference_report(default_check, kernel_note):
 def test_unknown_suite_rejected():
     with pytest.raises(ConfigError):
         run_suites(["nope"], samples=10, seed=0)
+
+
+# --- bound violations ----------------------------------------------------------
+
+_KT_LABEL = "[learner=kt problem=PowerNorm(dimension=10, nu=0.5) T=4 seed=0]"
+# the label that perfbench/workloads.py parses out of each violation line
+_LABEL = re.compile(r"\[learner=(\S+) problem=\w+\((.*)\) T=(\d+) seed=(-?\d+)\]$")
+
+
+def test_bound_violations_names_each_broken_link():
+    cell = run_cell(PowerNorm(0.5, 10), {"kind": "kt"}, 4, 0)
+    assert cell.label in _KT_LABEL and bound_violations(cell) == []
+
+    def violations(measured, gm, am, closed_form):
+        report = replace(cell.report, measured=measured, bound_gm=gm, bound_am=am,
+                         bound_closed_form=closed_form)
+        return bound_violations(replace(cell, report=report))
+
+    assert violations(0.5, 1.0, 2.0, 3.0) == []
+    assert violations(2.0, 3.0, 4.0, 1.0) == [
+        f"measured 2.0 > closed-form bound 1.0 {_KT_LABEL}"]
+    assert violations(2.0, 1.0, 1.5, 3.0) == [
+        f"measured 2.0 > geometric-mean bound 1.0 {_KT_LABEL}"]
+    assert violations(0.5, 2.0, 1.0, 3.0) == [
+        f"geometric-mean bound 2.0 > arithmetic-mean bound 1.0 {_KT_LABEL}"]
+    # the relative slack 1e-9 (1 + |b|): half of it holds, twice it does not
+    assert violations(1.0 + 1e-9, 1.0, 1.0, 1.0) == []
+    assert len(violations(1.0 + 4e-9, 1.0, 1.0, 1.0)) == 2
+    for message in violations(2.0, 1.0, 0.5, 1.5):
+        assert _LABEL.search(message).groups() == ("kt", "dimension=10, nu=0.5", "4", "0")
+
+
+@pytest.fixture
+def gap_above_closed_form(monkeypatch):
+    """bound_report with the measured gap moved above the closed-form and the
+    geometric-mean bounds: two broken links per cell."""
+    def broken(run, problem, config):
+        report = normgrad.reduction.bound_report(run, problem, config)
+        top = max(report.bound_closed_form, report.bound_gm)
+        return replace(report, measured=2.0 * top + 1.0)
+    monkeypatch.setattr(normgrad.bench, "bound_report", broken)
+
+
+_LINK = re.compile(r"bound violation: (.+?) \S+ > (.+?) \S+ \[")
+
+
+def _violation_lines(err: str) -> list:
+    return [line for line in err.splitlines() if line.startswith("bound violation: ")]
+
+
+def test_cli_sweep_with_broken_bound_exits_1(tmp_path, capsys, gap_above_closed_form):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--nu", "0.5", "--learner", "kt", "--horizons", "4",
+                 "--seeds", "0", "--out", str(out)]) == 1
+    assert len(out.read_text().splitlines()) == 2  # header and the one cell
+    lines = _violation_lines(capsys.readouterr().err)
+    assert [_LINK.match(line).groups() for line in lines] == [
+        ("measured", "closed-form bound"), ("measured", "geometric-mean bound")]
+    assert all(line.endswith(_KT_LABEL) for line in lines)
+
+
+def test_cli_run_with_broken_bound_exits_1(tmp_path, capsys, gap_above_closed_form):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**good_config(), "horizons": [4, 8]}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        "summary.json", "trajectory_T4.csv", "trajectory_T8.csv"]
+    assert len(json.loads((out / "summary.json").read_text())["records"]) == 2
+    lines = _violation_lines(capsys.readouterr().err)
+    assert len(lines) == 4  # two links at each of the two horizons
+    assert [_LABEL.search(line).group(3) for line in lines] == ["4", "4", "8", "8"]
+
+
+def test_cli_check_with_failed_suite_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(Quadratic, "eval", lambda self, x: float("nan"))
+    out = tmp_path / "report.json"
+    assert main(["check", "--suite", "convexity", "means_ordering", "--samples", "100",
+                 "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["passed"] is False
+    assert capsys.readouterr().err == (
+        "suite failed: convexity (10 failures, worst slack nan)\n")
 
 
 # --- CLI ----------------------------------------------------------------------
@@ -662,13 +748,18 @@ def test_cli_failed_trajectory_row_keeps_existing_file(error, tmp_path, capsys, 
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
-def test_cli_ratefit_insufficient_data_exit_1(tmp_path):
+def test_cli_ratefit_insufficient_data_exit_1(tmp_path, capsys):
     cfg = good_config()  # early stop at T=4 leaves zero usable horizons
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert main(["ratefit", "--in", str(out / "summary.json")]) == 1
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"records": []}))
+    capsys.readouterr()
+    assert main(["ratefit", "--in", str(empty)]) == 1
+    assert capsys.readouterr().err == "insufficient data: no summary records\n"
 
 
 def test_cli_ratefit_malformed_record_exit_2(tmp_path):
@@ -720,3 +811,25 @@ def test_cli_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _normgrad(cwd, *args):
+    """Run `python -m normgrad` on this checkout's sources in a subprocess."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run([sys.executable, "-m", "normgrad", *args], cwd=cwd, env=env,
+                          capture_output=True, check=False)
+
+
+def test_module_entry_point_prints_what_out_writes(tmp_path):
+    for argv in (["check", "--suite", "means_ordering", "--samples", "20", "--seed", "0"],
+                 ["sweep", "--nu", "0.5", "--learner", "kt", "--horizons", "4",
+                  "--seeds", "0"]):
+        printed = _normgrad(tmp_path, *argv)
+        written = _normgrad(tmp_path, *argv, "--out", "out")
+        assert printed.returncode == written.returncode == 0, printed.stderr
+        assert printed.stderr == b""
+        assert printed.stdout == (tmp_path / "out").read_bytes()
+    bad = _normgrad(tmp_path, "check", "--samples", "0")
+    assert bad.returncode == 2 and bad.stdout == b""
+    assert bad.stderr.decode().startswith("config error: ")
+    assert b"Traceback" not in bad.stderr

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from normgrad import problems
-from normgrad.bench import SUITES, SuiteResult, _sample_point, _Tally, canonical_problems
+from normgrad.bench import SUITES, SuiteResult, _sample_point, _tally, canonical_problems
 from normgrad.problems import (
     PowerNorm,
     check_descent_inequality,
@@ -149,15 +149,15 @@ def loop_sample_holder_constant(p, n, rng, radius=10.0):
 
 
 def loop_descent(samples, seed, l_scale=1.0, name="descent"):
-    tally = _Tally()
+    residuals = []
     for problem in canonical_problems():
         rng = np.random.default_rng(seed)
         for _ in range(samples):
             x = _sample_point(problem, rng)
             y = _sample_point(problem, rng)
             check = check_descent_inequality(problem, x, y, l_scale=l_scale)
-            tally.add(check.residual - check.slack)
-    return tally.result(name)
+            residuals.append(check.residual - check.slack)
+    return _tally(name, residuals)
 
 
 def loop_descent_negative_control(samples, seed):
@@ -167,7 +167,7 @@ def loop_descent_negative_control(samples, seed):
 
 
 def loop_grad_bound(samples, seed):
-    tally = _Tally()
+    residuals = []
     for problem in canonical_problems():
         if problem.spec.nu <= 0.0:
             continue
@@ -175,25 +175,25 @@ def loop_grad_bound(samples, seed):
         for _ in range(samples):
             x = _sample_point(problem, rng)
             check = check_grad_bound(problem, x)
-            tally.add(check.residual - 1e-9 * (1.0 + abs(check.rhs)))
-    return tally.result("grad_bound")
+            residuals.append(check.residual - 1e-9 * (1.0 + abs(check.rhs)))
+    return _tally("grad_bound", residuals)
 
 
 def loop_gradient_check(samples, seed):
-    tally = _Tally()
+    residuals = []
     for problem in canonical_problems():
         rng = np.random.default_rng(seed)
         for _ in range(samples):
             x = _sample_point(problem, rng, min_smooth_dist=1e-3)
             a = problem.grad(x)
             fd = loop_finite_diff_grad(problem, x, h=1e-6)
-            tally.add(l2_norm(a - fd) / (1e-12 + l2_norm(a)) - 1e-5)
-    return tally.result("gradient_check")
+            residuals.append(l2_norm(a - fd) / (1e-12 + l2_norm(a)) - 1e-5)
+    return _tally("gradient_check", residuals)
 
 
 def loop_convexity(samples, seed):
     n = max(1, samples // 10)
-    tally = _Tally()
+    residuals = []
     for problem in canonical_problems():
         rng = np.random.default_rng(seed)
         for _ in range(n):
@@ -202,22 +202,22 @@ def loop_convexity(samples, seed):
             lam = rng.uniform()
             mid = problem.eval(lam * x + (1.0 - lam) * y)
             chord = lam * problem.eval(x) + (1.0 - lam) * problem.eval(y)
-            tally.add(mid - chord - 1e-9)
-    return tally.result("convexity")
+            residuals.append(mid - chord - 1e-9)
+    return _tally("convexity", residuals)
 
 
 def loop_holder_sampling(samples, seed):
     n = max(1, samples // 10)
-    tally = _Tally()
+    residuals = []
     for problem in canonical_problems():
         for offset in range(10):
             value = loop_sample_holder_constant(problem, n, np.random.default_rng(seed + offset))
-            tally.add(value - problem.spec.l_nu - 1e-9)
-    return tally.result("holder_sampling")
+            residuals.append(value - problem.spec.l_nu - 1e-9)
+    return _tally("holder_sampling", residuals)
 
 
 def loop_local_constant(samples, seed):
-    tally = _Tally()
+    residuals = []
     for problem in canonical_problems():
         if problem.spec.nu <= 0.0:
             continue
@@ -226,8 +226,56 @@ def loop_local_constant(samples, seed):
             x = _sample_point(problem, rng)
             if problem.gap(x) <= 0.0:
                 continue
-            tally.add(local_holder_constant(problem, x) - problem.spec.l_nu - 1e-9)
-    return tally.result("local_constant")
+            residuals.append(local_holder_constant(problem, x) - problem.spec.l_nu - 1e-9)
+    return _tally("local_constant", residuals)
+
+
+def per_value_tally(name, chunks):
+    """The tally rule one value at a time: a value fails unless it is <= 0,
+    and it becomes the worst when it is larger or NaN."""
+    samples = failures = 0
+    worst = -math.inf
+    for chunk in chunks:
+        for v in np.ravel(chunk).tolist():
+            samples += 1
+            if v > worst or math.isnan(v):
+                worst = v
+            if not v <= 0.0:
+                failures += 1
+    return SuiteResult(name, samples, failures, worst, failures == 0)
+
+
+def _tally_cases():
+    rng = np.random.default_rng(3)
+    chunks = [rng.standard_normal(n) - 2.0 for n in (5, 1, 17, 40, 3)]
+    for where in ("first", "middle", "last"):
+        with_nan = [c.copy() for c in chunks]
+        target = {"first": (0, 0), "middle": (2, 8), "last": (-1, -1)}[where]
+        with_nan[target[0]][target[1]] = math.nan
+        yield f"nan-{where}", with_nan
+    yield "random", chunks
+    yield "inf", [np.array([-math.inf, -1.0]), np.array([math.inf]), np.array([2.0])]
+    yield "minus-inf-only", [np.array([-math.inf]), -math.inf]
+    yield "empty-chunks", [np.array([]), chunks[0], [], np.zeros((0,)), chunks[1]]
+    yield "scalars", [-3.0, chunks[2], np.float64(-0.5), 0.25, np.array(-1.0), chunks[3]]
+    yield "empty", []
+
+
+@pytest.mark.parametrize("case", [case for case, _ in _tally_cases()])
+def test_tally_equals_the_per_value_rule(case):
+    chunks = dict(_tally_cases())[case]
+    got = _tally("t", iter(chunks))
+    want = per_value_tally("t", chunks)
+    assert (got.name, got.samples, got.failures, got.passed, got.note) == (
+        want.name, want.samples, want.failures, want.passed, want.note)
+    assert type(got.worst_slack) is float
+    assert got.worst_slack == want.worst_slack or (
+        math.isnan(got.worst_slack) and math.isnan(want.worst_slack))
+    if case.startswith("nan"):
+        assert math.isnan(got.worst_slack) and not got.passed
+    if case == "empty":
+        assert (got.samples, got.failures, got.worst_slack, got.passed) == (
+            0, 0, -math.inf, True)
 
 
 # samples that make one more row than a chunk of each suite's blocks (d = 3)

@@ -90,6 +90,11 @@ def test_config_validation():
         LearnerConfig(kind="kt", start=np.array([1.0]), wealth_init=-1.0)
     with pytest.raises(ContractViolation):
         LearnerConfig(kind="mystery", start=np.array([1.0]))
+    with pytest.raises(ContractViolation, match="horizon must be >= 1"):
+        LearnerConfig(kind="kt", start=np.array([1.0]), horizon=0)
+    with pytest.raises(ContractViolation, match="horizon must be >= 1"):
+        LearnerConfig(kind="ogd_const", start=np.array([1.0]), horizon=0)
+    assert LearnerConfig(kind="kt", start=np.array([1.0]), horizon=3).horizon == 3
 
 
 def test_ogd_bound_requires_configured_horizon():
