@@ -52,7 +52,7 @@ from .reduction import (
     start_at_distance,
     summarize,
 )
-from .vectors import chunk_rows, l2_norm, left_sum
+from .vectors import chunk_rows, dot, l2_norm, left_sum
 
 __all__ = [
     "ConfigError",
@@ -395,8 +395,7 @@ def _visited_dist_sq(run: RunRecord, center: np.ndarray) -> np.ndarray:
     if run.terminated_early:
         points = np.vstack([points, run.average_point])
     z = points - center
-    # vecdot equals a per-row np.dot bit for bit; einsum and (z*z).sum do not
-    return np.vecdot(z, z)
+    return dot(z, z)
 
 
 def rate_fit_from_records(records) -> RateFit:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .vectors import as_vector
+from .vectors import as_vector, dot
 
 __all__ = [
     "UNIT_NORM_KINDS",
@@ -156,7 +156,7 @@ class KTLearner:
 
     def observe(self, q: np.ndarray) -> None:
         # <q, x_t - x_1> for the point served before this observation
-        self._spent += -float(np.dot(q, self._sum)) / (self.steps + 1.0) * self.wealth
+        self._spent += -dot(q, self._sum) / (self.steps + 1.0) * self.wealth
         self._sum = self._sum + q
         self.steps += 1
 
@@ -184,15 +184,11 @@ class AdaGradDaLearner:
 
     def observe(self, g: np.ndarray) -> None:
         self._sum = self._sum + g
-        self.grad_sq_sum += float(np.dot(g, g))
+        self.grad_sq_sum += dot(g, g)
 
 
-_LEARNER_CLASSES = {
-    "ogd_const": OgdConstLearner,
-    "da_sqrt": DaSqrtLearner,
-    "kt": KTLearner,
-    "adagrad_da": AdaGradDaLearner,
-}
+_LEARNER_CLASSES = {cls.kind: cls for cls in (
+    OgdConstLearner, DaSqrtLearner, KTLearner, AdaGradDaLearner)}
 
 
 def make_learner(config: LearnerConfig):

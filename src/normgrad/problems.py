@@ -10,9 +10,9 @@ Every oracle and checker takes one point of shape (d,) or a block of n
 points of shape (n, d), with one implementation for both. A point gives a
 Python float (or a (d,) gradient); a block gives an (n,) array (or an
 (n, d) block of gradients) whose rows equal the one-point calls bit for
-bit. Only elementwise + - * /, np.sqrt, np.exp, row sums and np.vecdot
-act on blocks; powers and logarithms go through `vectors.power` and
-`vectors.log`.
+bit. Only elementwise + - * /, np.sqrt, np.exp, row sums and
+`vectors.dot` act on blocks; powers and logarithms go through
+`vectors.power` and `vectors.log`.
 
 Families and declared constants:
 
@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, DegeneratePointError
-from .vectors import as_vector, chunk_rows, l2_norm, log, power
+from .vectors import as_vector, chunk_rows, dot, l2_norm, log, power
 
 __all__ = [
     "HolderSpec",
@@ -93,12 +93,6 @@ class HolderSpec:
         if self.nu == 0.0:
             return 1.0
         return (1.0 + 1.0 / self.nu) ** self.nu
-
-
-def _dot(a: np.ndarray, b: np.ndarray):
-    """Dot product over the last axis: a float for vectors, an (n,) array
-    for blocks (np.vecdot rows equal np.dot)."""
-    return float(np.dot(a, b)) if a.ndim == 1 else np.vecdot(a, b)
 
 
 def _where(cond, a, b):
@@ -204,7 +198,7 @@ class Quadratic(Problem):
 
     def eval(self, x):
         z = self._center(x)
-        return 0.5 * _dot(z, z)
+        return 0.5 * dot(z, z)
 
     def grad(self, x):
         return self._center(x)
@@ -333,13 +327,7 @@ class LogSumExp(Problem):
         return (ep - en) / _rows(ep.sum(axis=-1) + en.sum(axis=-1))
 
 
-FAMILIES = {
-    "quadratic": Quadratic,
-    "power_norm": PowerNorm,
-    "l2_norm": L2Norm,
-    "huber": Huber,
-    "log_sum_exp": LogSumExp,
-}
+FAMILIES = {cls.family: cls for cls in (Quadratic, PowerNorm, L2Norm, Huber, LogSumExp)}
 
 
 def make_problem(family: str, dimension: int, minimizer=None, **params) -> Problem:
@@ -419,7 +407,6 @@ def finite_diff_grad(p: Problem, x: np.ndarray) -> np.ndarray:
 
 
 class DescentCheck(NamedTuple):
-    passed: bool
     residual: float
     slack: float
 
@@ -429,10 +416,10 @@ def check_descent_inequality(p: Problem, x: np.ndarray, y: np.ndarray,
     """Check f(y) <= f(x) + <grad f(x), y - x> + L/(1+nu) ||x - y||^(1+nu)
     for a pair of points, or row by row for blocks x and y of equal shape.
 
-    Returns the residual (left side minus right side); the check passes when
-    the residual is at most 1e-9 * (1 + |f(y)|). `l_scale` rescales the
-    declared constant, which negative-control suites use to verify that a
-    too-small constant is caught.
+    Returns the residual (left side minus right side) and the slack
+    1e-9 * (1 + |f(y)|); the check passes when residual <= slack.
+    `l_scale` rescales the declared constant, which negative-control suites
+    use to verify that a too-small constant is caught.
     """
     nu = p.spec.nu
     l_eff = p.spec.l_nu * l_scale
@@ -440,14 +427,13 @@ def check_descent_inequality(p: Problem, x: np.ndarray, y: np.ndarray,
     fx = p.eval(x)
     g = p.grad(x)
     d = y - x
-    rhs = fx + _dot(g, d) + l_eff / (1.0 + nu) * power(l2_norm(d), 1.0 + nu)
+    rhs = fx + dot(g, d) + l_eff / (1.0 + nu) * power(l2_norm(d), 1.0 + nu)
     residual = fy - rhs
     slack = 1e-9 * (1.0 + abs(fy))
-    return DescentCheck(residual <= slack, residual, slack)
+    return DescentCheck(residual, slack)
 
 
 class GradBoundCheck(NamedTuple):
-    passed: bool
     lhs: float
     rhs: float
     residual: float
@@ -457,7 +443,8 @@ def check_grad_bound(p: Problem, x: np.ndarray) -> GradBoundCheck:
     """Check ||grad f(x)||^(1 + 1/nu) <= (1 + 1/nu) l_nu^(1/nu) (f(x) - f*)
     at a point, or row by row for a block.
 
-    Defined for nu > 0 only; the inequality passes with relative slack 1e-9.
+    Defined for nu > 0 only. Returns both sides and their difference; the
+    caller chooses the slack (the bench allows 1e-9 relative to |rhs|).
     """
     nu = p.spec.nu
     if nu <= 0.0:
@@ -465,8 +452,7 @@ def check_grad_bound(p: Problem, x: np.ndarray) -> GradBoundCheck:
     gn = l2_norm(p.grad(x))
     lhs = power(gn, 1.0 + 1.0 / nu)
     rhs = (1.0 + 1.0 / nu) * p.spec.l_nu ** (1.0 / nu) * p.gap(x)
-    residual = lhs - rhs
-    return GradBoundCheck(residual <= 1e-9 * (1.0 + abs(rhs)), lhs, rhs, residual)
+    return GradBoundCheck(lhs, rhs, lhs - rhs)
 
 
 def sample_holder_constant(p: Problem, n: int, seed: int) -> float:

@@ -312,37 +312,28 @@ def regret_to_gap_bound(psi_at_xstar: float, steps: int, spec: HolderSpec,
     return scale * means.gm, scale * means.am
 
 
-def _rate_constant(problem: Problem) -> float:
-    """Global constant entering worst-case rate displays: l_nu for nu > 0,
-    the gradient norm bound at nu = 0 (where the local constants are
-    gradient norms)."""
-    if problem.spec.nu > 0.0:
-        return problem.spec.l_nu
-    if problem.grad_norm_bound is None:
-        raise ContractViolation(
-            f"{problem.family} declares nu = 0 but no gradient norm bound")
-    return problem.grad_norm_bound
-
-
 def closed_form_rate(problem: Problem, config: LearnerConfig, horizon: int) -> float:
     """Deterministic worst-case bound on f(xbar_T) - f* for config's learner.
 
     With D = ||x_1 - x*||, C = L (1 + 1/nu)^nu (limit 1 at nu = 0, with L
-    the nu = 0 gradient bound in that case):
+    the nu = 0 gradient bound in that case), each kind gives a base B and
+    the bound is C * B^(1+nu):
 
-    ogd_const   C * ((D^2/alpha + alpha) / (2 sqrt(T)))^(1+nu)
-    da_sqrt     C * ((D^2/(2 alpha) + alpha) / sqrt(T))^(1+nu)
-    kt          C * (D sqrt(ln(24 T^2 D^2/d0^2 + 1))/sqrt(T) + d0/T)^(1+nu)
-    adagrad_da  max(C * ((D^2/alpha + 2 alpha)/sqrt(T))^(1+nu),
-                    (G/T) (D^2/alpha + 2 alpha))
+    ogd_const   B = (D^2/alpha + alpha) / (2 sqrt(T))
+    da_sqrt     B = (D^2/(2 alpha) + alpha) / sqrt(T)
+    kt          B = D sqrt(ln(24 T^2 D^2/d0^2 + 1))/sqrt(T) + d0/T
+    adagrad_da  B = (D^2/alpha + 2 alpha)/sqrt(T), and the bound is the
+                larger of C * B^(1+nu) and (G/T) (D^2/alpha + 2 alpha)
     """
     if horizon < 1:
         raise ContractViolation(f"horizon must be >= 1, got {horizon}")
     kind, nu = config.kind, problem.spec.nu
+    l_rate = problem.spec.l_nu if nu > 0.0 else problem.grad_norm_bound
+    if l_rate is None:
+        raise ContractViolation(
+            f"{problem.family} declares nu = 0 but no gradient norm bound")
     d = l2_norm(config.start - problem.minimizer)
     alpha = config.step_scale
-    l_rate = _rate_constant(problem)
-    factor = problem.spec.alpha_pow_nu
     rt = math.sqrt(horizon)
     if kind == "ogd_const":
         if horizon != config.horizon:
@@ -350,21 +341,21 @@ def closed_form_rate(problem: Problem, config: LearnerConfig, horizon: int) -> f
                 f"ogd_const rate is only valid at its configured horizon "
                 f"{config.horizon}, asked for {horizon}")
         base = (d * d / alpha + alpha) / (2.0 * rt)
-        return l_rate * factor * base ** (1.0 + nu)
-    if kind == "da_sqrt":
+    elif kind == "da_sqrt":
         base = (d * d / (2.0 * alpha) + alpha) / rt
-        return l_rate * factor * base ** (1.0 + nu)
-    if kind == "kt":
+    elif kind == "kt":
         d0 = config.wealth_init
         log_arg = 24.0 * horizon * horizon * d * d / (d0 * d0) + 1.0
         base = d * math.sqrt(math.log(log_arg)) / rt + d0 / horizon
-        return l_rate * factor * base ** (1.0 + nu)
-    if kind == "adagrad_da":
+    elif kind == "adagrad_da":
         c = d * d / alpha + 2.0 * alpha
-        smooth_branch = l_rate * factor * (c / rt) ** (1.0 + nu)
-        lipschitz_branch = config.grad_bound_init / horizon * c
-        return max(smooth_branch, lipschitz_branch)
-    raise ContractViolation(f"unknown learner kind {kind!r}")
+        base = c / rt
+    else:
+        raise ContractViolation(f"unknown learner kind {kind!r}")
+    smooth = l_rate * problem.spec.alpha_pow_nu * base ** (1.0 + nu)
+    if kind == "adagrad_da":
+        return max(smooth, config.grad_bound_init / horizon * c)
+    return smooth
 
 
 @dataclass

@@ -1,14 +1,16 @@
-"""Vector validation, row-wise norms and libm calls, and the weighted-average accumulator.
+"""Vector validation, row-wise inner products, norms and libm calls, and the
+weighted-average accumulator.
 
 Vectors are plain 1-D float64 numpy arrays; a block of n vectors is an
-(n, d) array. `l2_norm`, `power` and `log` take either, and each row of a block
-call equals the call on that row, bit for bit. The accumulator takes blocks
-of rows of its own dimension and raises :class:`ContractViolation` otherwise.
-Both `left_sum` and the accumulator add left to right, in the order a
-streaming sum would use. Runs reach 2^17 steps (the benchmark's long
-run); there the worst-case rounding error of a sum is (n - 1) * 2^-53 ~
-1.5e-11 relative to the summed magnitudes, well under the 1e-9 relative
-slack of the bound checks, so compensated summation is not used.
+(n, d) array. `dot`, `l2_norm`, `power` and `log` take either, and each
+row of a block call equals the call on that row, bit for bit. The
+accumulator takes blocks of rows of its own dimension and raises
+:class:`ContractViolation` otherwise. Both `left_sum` and the
+accumulator add left to right, in the order a streaming sum would use.
+Runs reach 2^17 steps (the benchmark's long run); there the worst-case
+rounding error of a sum is (n - 1) * 2^-53 ~ 1.5e-11 relative to the
+summed magnitudes, well under the 1e-9 relative slack of the bound
+checks, so compensated summation is not used.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import ContractViolation
 
 __all__ = [
     "as_vector",
+    "dot",
     "l2_norm",
     "power",
     "log",
@@ -40,17 +43,23 @@ def as_vector(coords, *, name: str = "vector") -> np.ndarray:
     return v
 
 
+def dot(a: np.ndarray, b: np.ndarray):
+    """Inner product over the last axis: a float for two (d,) vectors, an
+    (n,) array for two (n, d) blocks. The one BLAS call of the package.
+
+    A block row equals the vector call bit for bit: np.vecdot rows equal a
+    per-row np.dot, while einsum and (a * b).sum do not."""
+    if a.ndim == 1:
+        return float(np.dot(a, b))
+    return np.vecdot(a, b)
+
+
 def l2_norm(v: np.ndarray):
     """Euclidean norm over the last axis: a float for a (d,) vector, an (n,)
-    array for an (n, d) block. It is 0 for the zero vector, and also when
-    the squares underflow (every coordinate below about 1e-154).
-
-    A block row equals the vector call bit for bit: np.vecdot equals a
-    per-row np.dot (einsum and (v * v).sum do not), and np.sqrt equals
-    math.sqrt."""
-    if v.ndim == 1:
-        return math.sqrt(float(np.dot(v, v)))
-    return np.sqrt(np.vecdot(v, v))
+    array for an (n, d) block, each block row equal to the vector call bit
+    for bit (np.sqrt equals math.sqrt). It is 0 for the zero vector, and
+    also when the squares underflow (every coordinate below about 1e-154)."""
+    return math.sqrt(dot(v, v)) if v.ndim == 1 else np.sqrt(dot(v, v))
 
 
 # Powers and logarithms go through libm (Python's float ** and math.log),

@@ -23,12 +23,27 @@ def openblas_kernel() -> str:
     return "unknown"
 
 
+def numpy_dispatch() -> str:
+    """The SIMD targets numpy dispatches its loops to on this CPU: those of
+    numpy's dispatch list that the CPU supports, space separated (e.g.
+    'X86_V3 X86_V4'), 'none' if it supports none, or 'unknown' if numpy
+    does not say."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+        found = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    except (ImportError, AttributeError):
+        return "unknown"
+    return " ".join(found) or "none"
+
+
 @pytest.fixture(scope="session")
 def kernel_note() -> str:
     """For the failure message of a golden test: np.dot and np.vecdot round
-    differently under other kernels than the references were written under."""
+    differently under other OpenBLAS kernels, and np.exp under other numpy
+    dispatch targets, than the references were written under."""
     return ("the references in perfbench/reference were written under the SkylakeX "
-            f"OpenBLAS kernel; this run uses {openblas_kernel()}")
+            "OpenBLAS kernel and numpy's X86_V3 X86_V4 AVX512_ICL AVX512_SPR dispatch "
+            f"targets; this run uses the {openblas_kernel()} kernel and {numpy_dispatch()}")
 
 
 @pytest.fixture(scope="session")

@@ -95,7 +95,7 @@ def test_criterion_3_bounded_iterates(default_sweep):
     _report(3, f"bounded iterates on {cells} constant-step cells", failures)
 
 
-def test_criterion_4_inequality_suites(default_check):
+def test_criterion_4_inequality_suites(default_check, kernel_note):
     failures = []
     reference = json.loads((REFERENCE_DIR / "check_default.json").read_text())
     expected = {s["name"]: s for s in reference["suites"]}
@@ -106,12 +106,14 @@ def test_criterion_4_inequality_suites(default_check):
             failures.append(f"{name}: {res.failures} failures over {res.samples} samples "
                             f"(worst slack {res.worst_slack!r})")
         if res.as_dict() != expected[name]:
-            failures.append(f"{name}: {res.as_dict()} differs from the reference report")
+            failures.append(f"{name}: {res.as_dict()} differs from the reference report "
+                            f"({kernel_note})")
     control = results["descent_negative_control"]
     if not control.passed:
         failures.append("halved-constant negative control was not caught")
     if control.as_dict() != expected[control.name]:
-        failures.append(f"{control.name}: {control.as_dict()} differs from the reference report")
+        failures.append(f"{control.name}: {control.as_dict()} differs from the reference "
+                        f"report ({kernel_note})")
     _report(4, "descent / gradient-bound / means suites at 10^4 samples", failures)
 
 

@@ -424,6 +424,13 @@ def test_driver_suites_match_reference_report(default_check, kernel_note):
     assert report == reference, kernel_note
 
 
+def test_kernel_note_names_every_found_dispatch_target(kernel_note):
+    from numpy._core import _multiarray_umath as umath
+    found = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
+    this_run = kernel_note.split("this run uses ", 1)[1].split()
+    assert all(t in this_run for t in found)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ConfigError):
         run_suites(["nope"], samples=10, seed=0)

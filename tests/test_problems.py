@@ -19,7 +19,7 @@ from normgrad import (
     problem_from_config,
     sample_holder_constant,
 )
-from normgrad.bench import canonical_problems
+from normgrad.bench import _excess, canonical_problems
 
 
 def test_quadratic_values():
@@ -128,7 +128,7 @@ def test_descent_inequality_quadratic_is_equality():
         x = rng.uniform(-10, 10, 3)
         y = rng.uniform(-10, 10, 3)
         check = check_descent_inequality(p, x, y)
-        assert check.passed
+        assert check.residual <= check.slack
         assert abs(check.residual) <= 1e-9 * (1.0 + abs(p.eval(y)))
 
 
@@ -138,26 +138,27 @@ def test_descent_inequality_random_pairs(problem):
     for _ in range(2000):
         x = rng.uniform(-10, 10, problem.dimension)
         y = rng.uniform(-10, 10, problem.dimension)
-        assert check_descent_inequality(problem, x, y).passed
+        check = check_descent_inequality(problem, x, y)
+        assert check.residual <= check.slack
 
 
 def test_grad_bound_examples():
     q = Quadratic(1)
     check = check_grad_bound(q, np.array([3.0]))
     # quadratic saturates: lhs = 9, rhs = 2 * 1 * 4.5 = 9
-    assert check.passed
+    assert _excess(check.lhs, check.rhs) <= 0.0
     assert check.lhs == pytest.approx(9.0, rel=1e-12)
     assert check.rhs == pytest.approx(9.0, rel=1e-12)
 
     pn = PowerNorm(0.5, 1)
     check = check_grad_bound(pn, np.array([1.0]))
     # lhs = 1, rhs = 3 * (2^(1/2))^2 * (2/3) = 4
-    assert check.passed
+    assert _excess(check.lhs, check.rhs) <= 0.0
     assert check.lhs == pytest.approx(1.0, rel=1e-12)
     assert check.rhs == pytest.approx(4.0, rel=1e-12)
 
     at_min = check_grad_bound(q, q.minimizer)
-    assert at_min.passed and at_min.lhs == 0.0 and at_min.rhs == 0.0
+    assert _excess(at_min.lhs, at_min.rhs) <= 0.0 and at_min.lhs == 0.0 and at_min.rhs == 0.0
 
 
 def test_grad_bound_rejects_nu_zero():
@@ -170,7 +171,8 @@ def test_grad_bound_rejects_nu_zero():
 def test_grad_bound_random_points(problem):
     rng = np.random.default_rng(5)
     for _ in range(2000):
-        assert check_grad_bound(problem, rng.uniform(-10, 10, problem.dimension)).passed
+        check = check_grad_bound(problem, rng.uniform(-10, 10, problem.dimension))
+        assert _excess(check.lhs, check.rhs) <= 0.0
 
 
 def test_sample_holder_constant_quadratic_exact_ratio():

@@ -427,6 +427,32 @@ def test_closed_form_rate_adagrad_max_form():
         20.0 / 4096 * c, rel=1e-14)
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
+def test_closed_form_rate_bits(nu):
+    # D != 1, alpha != 1, d0 != 1 and T an odd power of 2, so that no factor
+    # is exact; each expected value is written in closed_form_rate's order
+    # of float operations, and must equal it bit for bit
+    p = PowerNorm(nu, 3, minimizer=[0.25, -1.0, 0.5])
+    start = p.minimizer + np.array([1.5, -0.75, 2.25])
+    t, alpha, d0, g = 2048, 0.7, 0.3, 1.7
+    d = l2_norm(start - p.minimizer)
+    c = (p.spec.l_nu if nu > 0.0 else p.grad_norm_bound) * p.spec.alpha_pow_nu
+    rt = math.sqrt(t)
+    expected = {
+        "ogd_const": c * ((d * d / alpha + alpha) / (2.0 * rt)) ** (1.0 + nu),
+        "da_sqrt": c * ((d * d / (2.0 * alpha) + alpha) / rt) ** (1.0 + nu),
+        "kt": c * (d * math.sqrt(math.log(24.0 * t * t * d * d / (d0 * d0) + 1.0)) / rt
+                   + d0 / t) ** (1.0 + nu),
+        "adagrad_da": max(c * ((d * d / alpha + 2.0 * alpha) / rt) ** (1.0 + nu),
+                          g / t * (d * d / alpha + 2.0 * alpha)),
+    }
+    for kind, value in expected.items():
+        cfg = LearnerConfig(kind=kind, start=start, horizon=t if kind == "ogd_const" else None,
+                            step_scale=alpha, wealth_init=d0, grad_bound_init=g)
+        got = closed_form_rate(p, cfg, t)
+        assert type(got) is float and got == value, kind
+
+
 def test_closed_form_rate_contract_errors():
     p = Quadratic(1)
     cfg = ogd_cfg([1.0], 100)
@@ -434,6 +460,11 @@ def test_closed_form_rate_contract_errors():
         closed_form_rate(p, cfg, 64)
     with pytest.raises(ContractViolation):
         closed_form_rate(p, cfg, 0)
+    # a nu = 0 family without a gradient norm bound has no rate constant
+    p0 = PowerNorm(0.0, 1)
+    p0.grad_norm_bound = None
+    with pytest.raises(ContractViolation):
+        closed_form_rate(p0, cfg, 100)
 
 
 # --- bound reports and the end-to-end chain ----------------------------------

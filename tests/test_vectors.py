@@ -1,10 +1,12 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from normgrad import ContractViolation, WeightedMeanAccumulator, as_vector, l2_norm
-from normgrad.vectors import _CHUNK_ELEMENTS, left_sum
+from normgrad.vectors import _CHUNK_ELEMENTS, dot, left_sum
 
 
 def test_l2_norm_examples():
@@ -101,6 +103,28 @@ def test_block_push_equals_pushing_rows_one_at_a_time():
         assert np.array_equal(block.weighted_point_sum, single.weighted_point_sum)
         assert np.array_equal(block.weighted_point_sum, point_sum)
         assert np.array_equal(block.finalize(), single.finalize())
+
+
+@pytest.mark.parametrize("d", [1, 3, 10, 256])
+def test_dot_block_rows_equal_point_calls(d):
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((200, d)) * np.exp(rng.uniform(-20.0, 20.0, (200, 1)))
+    b = rng.standard_normal((200, d))
+    points = [dot(x, y) for x, y in zip(a, b)]
+    # a point gives a Python float, so no np.float64 repr reaches a CSV
+    assert all(type(v) is float for v in points)
+    block = dot(a, b)
+    assert block.shape == (200,) and block.tobytes() == np.array(points).tobytes()
+
+
+def test_only_vectors_names_blas():
+    # every inner product goes through vectors.dot, so one function fixes its bits
+    package = Path(__file__).resolve().parents[1] / "src" / "normgrad"
+    modules = sorted(package.glob("*.py"))
+    assert any(m.name == "vectors.py" for m in modules)
+    blas = re.compile(r"\b(np|numpy)\.(dot|vecdot)\b")
+    named = [m.name for m in modules if m.name != "vectors.py" and blas.search(m.read_text())]
+    assert named == []
 
 
 def test_norm_squared_matches_dot():
