@@ -16,7 +16,7 @@ phase generic at every default horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .problems import (
     finite_diff_grad,
     local_holder_constant,
     problem_from_config,
+    refuse_unknown_keys,
     sample_holder_constant,
 )
 from .reduction import (
@@ -167,13 +168,16 @@ def parse_experiment_config(record: dict) -> ExperimentConfig:
      "seed": int >= 0, "eps_zero": float}
 
     Counts (horizons, seeds, the problem's dimension) must be integers; a
-    bool or a non-integral number raises ConfigError, as does a real that
-    is not an int or a float. The learner record is resolved once here (only
-    ogd_const's horizon field depends on the horizon), so a malformed
-    learner field raises ConfigError before anything runs. eps_zero must
-    pass check_eps_zero, and the gradient norm at the start must be finite.
+    bool or a non-integral number raises ConfigError, as do a real that is
+    not an int or a float and a key, at any level, that the schema lacks.
+    The learner record is resolved once here (only ogd_const's horizon
+    depends on the horizon), so a malformed learner field raises
+    ConfigError before anything runs. eps_zero must pass check_eps_zero,
+    and the gradient norm at the start must be finite.
     """
     try:
+        refuse_unknown_keys(record, ("problem", "learner", "horizons", "seed", "eps_zero"),
+                            "experiment record")
         problem = problem_from_config(record["problem"])
         learner = dict(record["learner"])
         horizons = [config_count(t, "horizon") for t in record["horizons"]]
@@ -191,8 +195,7 @@ def parse_experiment_config(record: dict) -> ExperimentConfig:
             grad_norm = l2_norm(problem.grad(config.start))
         if not math.isfinite(grad_norm):
             raise ConfigError("the gradient norm at the start is not finite")
-    except (KeyError, TypeError, ValueError, OverflowError, ContractViolation,
-            ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
     return ExperimentConfig(problem, learner, horizons, seed, eps_zero)
 
@@ -203,15 +206,17 @@ def resolve_learner_config(problem: Problem, record: dict, horizon: int,
 
     The start point comes from an explicit "start" list or from
     "start_distance" (direction drawn from the seed; default distance 1).
-    ogd_const always runs at horizon == T regardless of any horizon field.
-    The adagrad_da gradient bound defaults to the gradient norm at the
-    start (its largest realized value on the shipped descent problems),
-    floored at 1. Every number goes through config_real. A start whose
-    dimension is not the problem's, or whose distance from the minimizer is
-    not finite, raises ContractViolation.
+    The other keys are LearnerConfig fields, passed by name (an omitted
+    one keeps its default; adagrad_da's gradient bound defaults to the
+    gradient norm at the start, floored at 1); a "horizon" key (ogd_const
+    runs at horizon == T) or any other key raises ContractViolation, as
+    does a start whose dimension is not the problem's, or whose distance
+    from the minimizer is not finite. Every number goes through config_real.
     """
+    refuse_unknown_keys(record, {f.name for f in fields(LearnerConfig) if f.name != "horizon"}
+                        | {"start_distance"}, "learner record")
     kind = record["kind"]
-    if "start" in record and record["start"] is not None:
+    if record.get("start") is not None:
         start = np.array([config_real(c, "start coordinate") for c in record["start"]])
     else:
         distance = config_real(record.get("start_distance", DEFAULT_DISTANCE), "start_distance")
@@ -223,20 +228,11 @@ def resolve_learner_config(problem: Problem, record: dict, horizon: int,
         distance = l2_norm(start - problem.minimizer)
     if not math.isfinite(distance):
         raise ContractViolation("the start's distance from the minimizer is not finite")
-    kwargs = {
-        "kind": kind,
-        "start": start,
-        "step_scale": config_real(record.get("step_scale", 1.0), "step_scale"),
-        "wealth_init": config_real(record.get("wealth_init", 1.0), "wealth_init"),
-    }
-    if kind == "ogd_const":
-        kwargs["horizon"] = horizon
-    if kind == "adagrad_da":
-        if "grad_bound_init" in record:
-            kwargs["grad_bound_init"] = config_real(record["grad_bound_init"], "grad_bound_init")
-        else:
-            kwargs["grad_bound_init"] = max(1.0, l2_norm(problem.grad(start)))
-    return LearnerConfig(**kwargs)
+    scales = {name: config_real(value, name) for name, value in record.items()
+              if name not in ("kind", "start", "start_distance")}
+    if kind == "adagrad_da" and "grad_bound_init" not in scales:
+        scales["grad_bound_init"] = max(1.0, l2_norm(problem.grad(start)))
+    return LearnerConfig(kind, start, horizon=horizon if kind == "ogd_const" else None, **scales)
 
 
 @dataclass
@@ -699,18 +695,10 @@ def suite_reduction_chain(samples: int, seed: int) -> SuiteResult:
     return _tally("reduction_chain", residuals())
 
 
-SUITES = {
-    "descent": suite_descent,
-    "descent_negative_control": suite_descent_negative_control,
-    "grad_bound": suite_grad_bound,
-    "gradient_check": suite_gradient_check,
-    "convexity": suite_convexity,
-    "holder_sampling": suite_holder_sampling,
-    "local_constant": suite_local_constant,
-    "means_ordering": suite_means_ordering,
-    "bounded_iterates": suite_bounded_iterates,
-    "reduction_chain": suite_reduction_chain,
-}
+SUITES = {suite.__name__.removeprefix("suite_"): suite for suite in (
+    suite_descent, suite_descent_negative_control, suite_grad_bound, suite_gradient_check,
+    suite_convexity, suite_holder_sampling, suite_local_constant, suite_means_ordering,
+    suite_bounded_iterates, suite_reduction_chain)}
 
 
 def run_suites(names=None, samples: int = 10_000, seed: int = 0):

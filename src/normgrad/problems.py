@@ -53,6 +53,7 @@ __all__ = [
     "problem_from_config",
     "config_count",
     "config_real",
+    "refuse_unknown_keys",
     "finite_diff_grad",
     "DescentCheck",
     "check_descent_inequality",
@@ -124,14 +125,18 @@ def _radial(z: np.ndarray, r, exponent: float) -> np.ndarray:
 class Problem:
     """Base class: a convex function with analytic gradient and known optimum.
 
-    Subclasses set `family`, `spec`, `optimum`, optionally `grad_norm_bound`
-    (a global bound on ||grad f||, required for rate formulas at nu = 0),
+    Subclasses set `family` and `spec`, override `optimum` and
+    `grad_norm_bound` (a global bound on ||grad f||, required for rate
+    formulas at nu = 0) where they differ, on the class if they are fixed,
     and implement `eval` / `grad`. Problems are immutable after construction.
     `eval`, `grad` and `gap` take a point (d,) or a block (n, d); see the
     module docstring.
     """
 
     family: str = "abstract"
+    spec: HolderSpec
+    optimum: float = 0.0
+    grad_norm_bound: float | None = None
 
     def __init__(self, dimension: int, minimizer=None):
         if dimension < 1:
@@ -144,9 +149,6 @@ class Problem:
             if self.minimizer.size != self.dimension:
                 raise ContractViolation(
                     f"minimizer has dimension {self.minimizer.size}, expected {self.dimension}")
-        self.spec: HolderSpec
-        self.optimum: float = 0.0
-        self.grad_norm_bound: float | None = None
         self.params: dict = {}
 
     def _center(self, x: np.ndarray) -> np.ndarray:
@@ -191,10 +193,7 @@ class Quadratic(Problem):
     """f(x) = 0.5 * ||x - x*||^2."""
 
     family = "quadratic"
-
-    def __init__(self, dimension: int, minimizer=None):
-        super().__init__(dimension, minimizer)
-        self.spec = HolderSpec(1.0, 1.0)
+    spec = HolderSpec(1.0, 1.0)
 
     def eval(self, x):
         z = self._center(x)
@@ -219,8 +218,7 @@ class PowerNorm(Problem):
             raise ContractViolation(f"power_norm exponent nu must lie in [0, 1], got {nu}")
         self.nu = float(nu)
         self.spec = HolderSpec(self.nu, 2.0 ** (1.0 - self.nu))
-        if self.nu == 0.0:
-            self.grad_norm_bound = 1.0
+        self.grad_norm_bound = 1.0 if self.nu == 0.0 else None
         self.params = {"nu": self.nu}
 
     def eval(self, x):
@@ -243,11 +241,8 @@ class L2Norm(Problem):
     """f(x) = ||x - x*||; the chosen subgradient at the kink x* is zero."""
 
     family = "l2_norm"
-
-    def __init__(self, dimension: int, minimizer=None):
-        super().__init__(dimension, minimizer)
-        self.spec = HolderSpec(0.0, 2.0)
-        self.grad_norm_bound = 1.0
+    spec = HolderSpec(0.0, 2.0)
+    grad_norm_bound = 1.0
 
     def eval(self, x):
         return l2_norm(self._center(x))
@@ -305,10 +300,10 @@ class LogSumExp(Problem):
     """
 
     family = "log_sum_exp"
+    spec = HolderSpec(1.0, 1.0)
 
     def __init__(self, dimension: int, minimizer=None):
         super().__init__(dimension, minimizer)
-        self.spec = HolderSpec(1.0, 1.0)
         self.optimum = math.log(2.0 * self.dimension)
 
     def eval(self, x):
@@ -331,20 +326,15 @@ FAMILIES = {cls.family: cls for cls in (Quadratic, PowerNorm, L2Norm, Huber, Log
 
 
 def make_problem(family: str, dimension: int, minimizer=None, **params) -> Problem:
-    """Construct a problem by family name; unknown names are rejected."""
+    """Construct a problem by family name with its parameters as constructor
+    keywords; an unknown family, or a missing or unknown parameter, is rejected."""
     if family not in FAMILIES:
         raise ContractViolation(
             f"unknown family {family!r}; expected one of {sorted(FAMILIES)}")
-    cls = FAMILIES[family]
-    if cls is PowerNorm:
-        if "nu" not in params:
-            raise ContractViolation("power_norm requires a 'nu' parameter")
-        return PowerNorm(params["nu"], dimension, minimizer)
-    if cls is Huber:
-        return Huber(dimension, params.get("delta", 1.0), minimizer)
-    if params:
-        raise ContractViolation(f"{family} takes no parameters, got {sorted(params)}")
-    return cls(dimension, minimizer)
+    try:
+        return FAMILIES[family](dimension=dimension, minimizer=minimizer, **params)
+    except TypeError as exc:  # a missing or unknown keyword
+        raise ContractViolation(f"{family}: {exc}") from None
 
 
 def problem_from_config(record: dict) -> Problem:
@@ -352,10 +342,12 @@ def problem_from_config(record: dict) -> Problem:
 
     Schema: {"family": str, "dimension": int, "minimizer": [floats] | "random"
     (optional, default origin), "parameters": {...} (optional), "seed": int
-    (used only when minimizer == "random")}. A dimension or seed that is not
-    an integer, or a coordinate or parameter that is not an int or a float,
-    raises ConfigError.
+    (used only when minimizer == "random")}; any other key is refused. A
+    dimension or seed that is not an integer, or a coordinate or parameter
+    that is not an int or a float, raises ConfigError.
     """
+    refuse_unknown_keys(record, ("family", "dimension", "minimizer", "parameters", "seed"),
+                        "problem record")
     if "family" not in record or "dimension" not in record:
         raise ContractViolation("problem record requires 'family' and 'dimension'")
     dimension = config_count(record["dimension"], "dimension")
@@ -378,6 +370,13 @@ def config_count(value, name: str) -> int:
             isinstance(value, float) and value.is_integer())):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def refuse_unknown_keys(record: dict, known, what: str) -> None:
+    """Raise ContractViolation naming the first key of record not in known."""
+    for key in record:
+        if key not in known:
+            raise ContractViolation(f"{what}: unknown key {key!r}; expected one of {sorted(known)}")
 
 
 def config_real(value, name: str) -> float:
@@ -436,15 +435,14 @@ def check_descent_inequality(p: Problem, x: np.ndarray, y: np.ndarray,
 class GradBoundCheck(NamedTuple):
     lhs: float
     rhs: float
-    residual: float
 
 
 def check_grad_bound(p: Problem, x: np.ndarray) -> GradBoundCheck:
     """Check ||grad f(x)||^(1 + 1/nu) <= (1 + 1/nu) l_nu^(1/nu) (f(x) - f*)
     at a point, or row by row for a block.
 
-    Defined for nu > 0 only. Returns both sides and their difference; the
-    caller chooses the slack (the bench allows 1e-9 relative to |rhs|).
+    Defined for nu > 0 only. Returns both sides; the caller chooses the
+    slack (the bench allows 1e-9 relative to |rhs|).
     """
     nu = p.spec.nu
     if nu <= 0.0:
@@ -452,7 +450,7 @@ def check_grad_bound(p: Problem, x: np.ndarray) -> GradBoundCheck:
     gn = l2_norm(p.grad(x))
     lhs = power(gn, 1.0 + 1.0 / nu)
     rhs = (1.0 + 1.0 / nu) * p.spec.l_nu ** (1.0 / nu) * p.gap(x)
-    return GradBoundCheck(lhs, rhs, lhs - rhs)
+    return GradBoundCheck(lhs, rhs)
 
 
 def sample_holder_constant(p: Problem, n: int, seed: int) -> float:

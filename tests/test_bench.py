@@ -205,6 +205,24 @@ def test_resolve_learner_config_start_handling():
     assert ada_small.grad_bound_init == 1.0
 
 
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+def test_learner_config_record_round_trip(kind):
+    # each kind's own scale off its default; the fields a kind does not read keep theirs
+    cfg = LearnerConfig(kind=kind, start=np.array([0.5, -1.0, 2.0]), step_scale=1.5,
+                        horizon=32 if kind == "ogd_const" else None,
+                        wealth_init=0.25 if kind == "kt" else 1.0,
+                        grad_bound_init=3.0 if kind == "adagrad_da" else 1.0)
+    record = cfg.config_record()
+    if kind == "ogd_const":
+        with pytest.raises(ContractViolation, match="'horizon'"):
+            resolve_learner_config(Quadratic(3), record, 32, 0)
+        del record["horizon"]
+    back = resolve_learner_config(Quadratic(3), record, 32, 0)
+    assert vars(back).keys() == vars(cfg).keys()
+    for name, value in vars(cfg).items():
+        assert np.array_equal(getattr(back, name), value), name
+
+
 # --- cells, trajectories, summaries -------------------------------------------
 
 
@@ -599,7 +617,9 @@ def _bad_run_config(**learner):
     "sweep_closed_form_overflow", "sweep_norm_overflow_nu0", "sweep_norm_overflow_nu05",
     "eps_zero_below_floor", "step_scale_str", "step_scale_bool", "wealth_init_str",
     "start_distance_str", "start_str", "eps_zero_str", "eps_zero_bool", "minimizer_str",
-    "nu_bool", "delta_bool", "step_scale_huge_int",
+    "nu_bool", "delta_bool", "step_scale_huge_int", "huber_unknown_parameter",
+    "power_norm_extra_parameter", "learner_unknown_key", "ogd_const_horizon",
+    "experiment_unknown_key", "problem_unknown_key",
 ])
 def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
     out = tmp_path / "out"
@@ -642,7 +662,18 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
         "nu_bool": _bad_problem_config(family="power_norm", parameters={"nu": True}),
         "delta_bool": _bad_problem_config(family="huber", parameters={"delta": True}),
         "step_scale_huge_int": _bad_run_config(step_scale=10**400),  # no float holds it
+        # every key is read or refused: a misspelt or derived field never runs with defaults
+        "huber_unknown_parameter": _bad_problem_config(family="huber", parameters={"delat": 0.5}),
+        "power_norm_extra_parameter": _bad_problem_config(
+            family="power_norm", parameters={"nu": 0.5, "delta": 0.5}),
+        "learner_unknown_key": _bad_run_config(**{"step-scale": 2.0}),
+        "ogd_const_horizon": _bad_run_config(horizon=5),
+        "experiment_unknown_key": {**good_config(), "eps-zero": 1e-3},
+        "problem_unknown_key": _bad_problem_config(family="huber", parameter={"delta": 0.5}),
     }
+    unknown_keys = {"huber_unknown_parameter": "'delat'", "power_norm_extra_parameter": "'delta'",
+                    "learner_unknown_key": "'step-scale'", "ogd_const_horizon": "'horizon'",
+                    "experiment_unknown_key": "'eps-zero'", "problem_unknown_key": "'parameter'"}
     payloads = {"ratefit_records_int": {"records": 5}, "ratefit_list": [1, 2, 3],
                 "ratefit_int": 5}
     overflow_sweep = ["sweep", "--learner", "da_sqrt", "--horizons", "4", "--seeds", "0",
@@ -679,6 +710,8 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+    if case in unknown_keys:  # one line that names the key
+        assert err.count("\n") == 1 and unknown_keys[case] in err
     overflows = ("sweep_closed_form_overflow", "sweep_norm_overflow_nu0",
                  "sweep_norm_overflow_nu05")
     if case in configs or case in ("binary_config", "sweep_dimension_huge",

@@ -173,7 +173,7 @@ def loop_grad_bound(samples, seed):
         for _ in range(samples):
             x = _sample_point(problem, rng)
             check = check_grad_bound(problem, x)
-            residuals.append(check.residual - 1e-9 * (1.0 + abs(check.rhs)))
+            residuals.append(check.lhs - check.rhs - 1e-9 * (1.0 + abs(check.rhs)))
     return _tally("grad_bound", residuals)
 
 

@@ -6,6 +6,7 @@ import pytest
 from normgrad import (
     ContractViolation,
     DegeneratePointError,
+    HolderSpec,
     Huber,
     L2Norm,
     LogSumExp,
@@ -246,6 +247,39 @@ def test_convexity_random_segments():
             assert mid <= lam * problem.eval(x) + (1 - lam) * problem.eval(y) + 1e-9
 
 
+def test_fixed_families_declare_their_constants_on_the_class():
+    assert "__init__" not in vars(Quadratic) and "__init__" not in vars(L2Norm)
+    assert Quadratic.spec == HolderSpec(1.0, 1.0) and LogSumExp.spec == HolderSpec(1.0, 1.0)
+    assert L2Norm.spec == HolderSpec(0.0, 2.0) and L2Norm.grad_norm_bound == 1.0
+    assert Quadratic.optimum == 0.0 and Quadratic.grad_norm_bound is None
+    assert Quadratic(2).params is not Quadratic(2).params
+
+
+@pytest.mark.parametrize("family, params, key", [
+    ("quadratic", {"nu": 0.5}, "nu"),
+    ("power_norm", {}, "nu"),
+    ("power_norm", {"nu": 0.5, "delta": 1.0}, "delta"),
+    ("l2_norm", {"delta": 1.0}, "delta"),
+    ("huber", {"delat": 0.5}, "delat"),
+    ("log_sum_exp", {"nu": 1.0}, "nu"),
+])
+def test_make_problem_names_a_missing_or_unknown_parameter(family, params, key):
+    with pytest.raises(ContractViolation, match=f"^{family}: .*'{key}'"):
+        make_problem(family, 3, **params)
+
+
+@pytest.mark.parametrize("problem", [
+    Quadratic(3), PowerNorm(0.0, 3), PowerNorm(0.5, 3), PowerNorm(1.0, 3), L2Norm(3),
+    Huber(3, delta=0.5), LogSumExp(3), LogSumExp(3, minimizer=[0.25, -1.0, 0.5]),
+], ids=repr)
+def test_problem_config_record_round_trip(problem):
+    back = problem_from_config(problem.config_record())
+    assert type(back) is type(problem) and repr(back) == repr(problem)
+    assert back.spec == problem.spec and back.optimum == problem.optimum
+    assert back.grad_norm_bound == problem.grad_norm_bound
+    assert np.array_equal(back.minimizer, problem.minimizer)
+
+
 def test_make_problem_and_config_round_trip():
     p = make_problem("huber", 3, delta=0.5)
     assert isinstance(p, Huber) and p.delta == 0.5
@@ -255,6 +289,8 @@ def test_make_problem_and_config_round_trip():
         make_problem("nope", 2)
     with pytest.raises(ContractViolation):
         make_problem("quadratic", 2, nu=0.5)
+    with pytest.raises(ContractViolation):
+        make_problem("huber", 3, delta=0.5, nu=0.5)
 
     rec = {"family": "power_norm", "dimension": 4,
            "minimizer": [1.0, 0.0, 0.0, 0.0], "parameters": {"nu": 0.5}}
