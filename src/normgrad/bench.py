@@ -15,6 +15,7 @@ phase generic at every default horizon.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, astuple, dataclass, fields, replace
 
@@ -513,6 +514,24 @@ def _sample_point(problem: Problem, rng, min_smooth_dist: float = 0.0) -> np.nda
             return x
 
 
+def _sample_points(problem: Problem, rng, m: int, min_smooth_dist: float) -> np.ndarray:
+    """The m points that m calls of _sample_point(problem, rng,
+    min_smooth_dist) draw, for min_smooth_dist > 0, leaving rng as they do.
+
+    Each round draws one (k, d) block of exactly the k points still
+    missing and keeps those farther than min_smooth_dist from the nonsmooth
+    set. The candidates are the per-point loop's stream in order, and the
+    last one drawn is the last one kept, so no draw is wasted."""
+    kept = []
+    missing = m
+    while missing:
+        x = rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (missing, problem.dimension))
+        x = x[problem.distance_to_nonsmooth(x) > min_smooth_dist]
+        kept.append(x)
+        missing -= len(x)
+    return np.concatenate(kept)
+
+
 def _tally(name: str, residuals) -> SuiteResult:
     """Count, failures and worst value over residuals, an iterable of floats
     or float arrays. A value passes only when it is <= 0, so a NaN fails and,
@@ -538,7 +557,8 @@ def _sampled(name: str, samples: int, seed: int, width, residuals,
     rng, m) draws a chunk of m rows and returns the values to tally.
 
     A (m, k, d) uniform draw holds the values of m rounds of k draws of d
-    coordinates, so every point equals the one the per-point loop
+    coordinates, and _sample_points keeps the per-point loop's stream under
+    rejection, so every point equals the one the per-point loop
     (_sample_point) draws, and the block oracles give its values bit for
     bit."""
     def chunks():
@@ -584,14 +604,14 @@ def suite_grad_bound(samples: int, seed: int) -> SuiteResult:
 
 
 def suite_gradient_check(samples: int, seed: int) -> SuiteResult:
-    """Analytic gradients against central differences (1e-5 relative),
-    sampling away from nonsmooth sets.
+    """Analytic gradients against central differences (1e-5 relative), at
+    points farther than 1e-3 from the nonsmooth set.
 
-    Each point is drawn by _sample_point, whose rejection step decides how
-    many draws a point takes; the gradients and the 2d central-difference
-    evaluations of a chunk of points go in blocks."""
+    A chunk's points come from _sample_points, in blocks of candidates that
+    give the per-point loop's points; their gradients and the 2d
+    central-difference evaluations of each go in blocks too."""
     def residuals(problem, rng, m):
-        x = np.array([_sample_point(problem, rng, min_smooth_dist=1e-3) for _ in range(m)])
+        x = _sample_points(problem, rng, m, min_smooth_dist=1e-3)
         a = problem.grad(x)
         fd = finite_diff_grad(problem, x)
         return l2_norm(a - fd) / (1e-12 + l2_norm(a)) - 1e-5
@@ -650,48 +670,84 @@ def suite_means_ordering(samples: int, seed: int) -> SuiteResult:
 _CHAIN_HORIZONS = tuple(2 ** k for k in range(4, 13))
 
 
-def _chain_cells(seed: int, kinds):
-    """The cells of the driver suites: every family at the default
-    dimension, each learner kind started at DEFAULT_DISTANCE with the
-    default step scale and wealth, at every chain horizon."""
-    for problem in canonical_problems(DEFAULT_DIMENSION):
-        for kind in kinds:
-            record = {"kind": kind, "start_distance": DEFAULT_DISTANCE}
-            yield from run_cells(problem, record, _CHAIN_HORIZONS, seed)
+def _chain_cells(problem: Problem, kind: str, seed: int):
+    """The driver suites' cells of one family and learner kind: the learner
+    started at DEFAULT_DISTANCE with the default step scale and wealth, at
+    every chain horizon."""
+    return run_cells(problem, {"kind": kind, "start_distance": DEFAULT_DISTANCE},
+                     _CHAIN_HORIZONS, seed)
 
 
-def suite_bounded_iterates(samples: int, seed: int) -> SuiteResult:
+def _bounded_residuals(cell: CellResult):
     """Constant-step normalized runs keep every iterate within
     ||x_1 - x*||^2 + alpha^2 of the minimizer (squared distances)."""
+    center = cell.problem.minimizer
+    limit = l2_norm(cell.config.start - center) ** 2 + cell.config.step_scale ** 2 + 1e-9
+    yield _visited_dist_sq(cell.run, center) - limit
+
+
+def _chain_residuals(cell: CellResult):
+    """measured <= gm-bound <= am-bound <= closed form (relative slack 1e-9),
+    the averaged point obeys the weighted mean of the per-step gaps (+1e-9),
+    the weighted gap sum stays below psi (+1e-6), and an early stop really
+    sits at a zero-gradient point."""
+    run, rep = cell.run, cell.report
+    yield run.average_suboptimality - run.mean_suboptimality - 1e-9
+    if run.steps_taken > 0:
+        yield left_sum(run.suboptimalities / run.grad_norms) - rep.psi_at_xstar - 1e-6
+        yield _excess(rep.measured, rep.bound_gm)
+        yield _excess(rep.bound_gm, rep.bound_am)
+    if not run.terminated_early:
+        # psi/steps matches the closed form only for full runs
+        yield _excess(rep.bound_am, rep.bound_closed_form)
+    yield _excess(rep.measured, rep.bound_closed_form)
+    if run.terminated_early:
+        yield l2_norm(cell.problem.grad(run.average_point)) - DEFAULT_EPS_ZERO
+
+
+_OGD_CONST_RESIDUALS = {"bounded_iterates": _bounded_residuals,
+                        "reduction_chain": _chain_residuals}
+
+
+def _ogd_const_residuals(name: str, seed: int, shared) -> list:
+    """Per canonical family, the list of suite `name`'s residuals over its
+    ogd_const chain cells. Each cell gives both driver suites' residuals.
+    shared is None, or the dict that run_suites hands both driver suites:
+    there the first suite keeps the other's residuals (never a run), so the
+    cells run once per run_suites call."""
+    if shared is not None and name in shared:
+        return shared.pop(name)
+    problems = canonical_problems(DEFAULT_DIMENSION)
+    lists = {suite: [[] for _ in problems] for suite in _OGD_CONST_RESIDUALS}
+    for i, problem in enumerate(problems):
+        for cell in _chain_cells(problem, "ogd_const", seed):
+            for suite, residuals in _OGD_CONST_RESIDUALS.items():
+                lists[suite][i].extend(residuals(cell))
+    if shared is not None:
+        shared.update((suite, values) for suite, values in lists.items() if suite != name)
+    return lists[name]
+
+
+def suite_bounded_iterates(samples: int, seed: int, shared=None) -> SuiteResult:
+    """_bounded_residuals on the ogd_const chain cells of every family;
+    shared as in _ogd_const_residuals."""
+    return _tally("bounded_iterates", itertools.chain.from_iterable(
+        _ogd_const_residuals("bounded_iterates", seed, shared)))
+
+
+def suite_reduction_chain(samples: int, seed: int, shared=None) -> SuiteResult:
+    """End-to-end chain (_chain_residuals) on the chain cells of every
+    family and unit-norm learner, in that order; shared as in
+    _ogd_const_residuals."""
     def residuals():
-        for cell in _chain_cells(seed, ("ogd_const",)):
-            center = cell.problem.minimizer
-            limit = l2_norm(cell.config.start - center) ** 2 + cell.config.step_scale ** 2 + 1e-9
-            yield _visited_dist_sq(cell.run, center) - limit
-    return _tally("bounded_iterates", residuals())
-
-
-def suite_reduction_chain(samples: int, seed: int) -> SuiteResult:
-    """End-to-end chain on every family and unit-norm learner:
-
-    measured <= gm-bound <= am-bound <= closed form (relative slack 1e-9),
-    the averaged point obeys the weighted mean of the per-step gaps
-    (+1e-9), the weighted gap sum stays below psi (+1e-6), and an early
-    stop really sits at a zero-gradient point."""
-    def residuals():
-        for cell in _chain_cells(seed, UNIT_NORM_KINDS):
-            run, rep = cell.run, cell.report
-            yield run.average_suboptimality - run.mean_suboptimality - 1e-9
-            if run.steps_taken > 0:
-                yield left_sum(run.suboptimalities / run.grad_norms) - rep.psi_at_xstar - 1e-6
-                yield _excess(rep.measured, rep.bound_gm)
-                yield _excess(rep.bound_gm, rep.bound_am)
-            if not run.terminated_early:
-                # psi/steps matches the closed form only for full runs
-                yield _excess(rep.bound_am, rep.bound_closed_form)
-            yield _excess(rep.measured, rep.bound_closed_form)
-            if run.terminated_early:
-                yield l2_norm(cell.problem.grad(run.average_point)) - DEFAULT_EPS_ZERO
+        ogd_const = _ogd_const_residuals("reduction_chain", seed, shared)
+        for problem, ogd_const_values in zip(canonical_problems(DEFAULT_DIMENSION), ogd_const):
+            for kind in UNIT_NORM_KINDS:
+                if kind == "ogd_const":
+                    yield from ogd_const_values
+                    continue
+                for cell in _chain_cells(problem, kind, seed):
+                    yield from _chain_residuals(cell)
     return _tally("reduction_chain", residuals())
 
 
@@ -702,14 +758,16 @@ SUITES = {suite.__name__.removeprefix("suite_"): suite for suite in (
 
 
 def run_suites(names=None, samples: int = 10_000, seed: int = 0):
-    """Run the named suites (all by default); returns the result list."""
+    """Run the named suites (all by default); returns the result list.
+    When both driver suites are named, their ogd_const cells run once (see
+    _ogd_const_residuals)."""
     if samples < 1 or seed < 0:
         raise ConfigError(f"samples must be >= 1 and seed >= 0, got {samples} and {seed}")
     if names is None:
         names = list(SUITES)
-    results = []
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
-        results.append(SUITES[name](samples, seed))
-    return results
+    shared = {} if set(_OGD_CONST_RESIDUALS) <= set(names) else None
+    return [SUITES[name](samples, seed, shared=shared) if name in _OGD_CONST_RESIDUALS
+            else SUITES[name](samples, seed) for name in names]

@@ -81,10 +81,10 @@ class LearnerConfig:
                 f"horizon must be >= 1 (ogd_const requires one), got {self.horizon}")
 
     def config_record(self) -> dict:
+        """The learner record of this config, without the horizon: a summary
+        record's T holds it, so the written record replays as a config's."""
         rec = {"kind": self.kind, "start": [float(c) for c in self.start],
                "step_scale": self.step_scale}
-        if self.kind == "ogd_const":
-            rec["horizon"] = self.horizon
         if self.kind == "kt":
             rec["wealth_init"] = self.wealth_init
         if self.kind == "adagrad_da":

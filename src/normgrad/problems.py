@@ -173,8 +173,10 @@ class Problem:
         return _where(value < 0.0, 0.0, value)
 
     def distance_to_nonsmooth(self, x: np.ndarray) -> float:
-        """Distance to the nearest point where higher derivatives blow up."""
-        return math.inf
+        """Distance to the nearest point where higher derivatives blow up, a
+        float for a point and an (n,) array for a block; inf if none does."""
+        z = self._center(x)
+        return np.full(len(z), math.inf) if z.ndim == 2 else math.inf
 
     def config_record(self) -> dict:
         return {
@@ -233,7 +235,7 @@ class PowerNorm(Problem):
 
     def distance_to_nonsmooth(self, x):
         if self.nu == 1.0:
-            return math.inf
+            return super().distance_to_nonsmooth(x)
         return l2_norm(self._center(x))
 
 
@@ -342,9 +344,9 @@ def problem_from_config(record: dict) -> Problem:
 
     Schema: {"family": str, "dimension": int, "minimizer": [floats] | "random"
     (optional, default origin), "parameters": {...} (optional), "seed": int
-    (used only when minimizer == "random")}; any other key is refused. A
-    dimension or seed that is not an integer, or a coordinate or parameter
-    that is not an int or a float, raises ConfigError.
+    (optional, allowed only when minimizer == "random")}; any other key is
+    refused. A dimension or seed that is not an integer, or a coordinate or
+    parameter that is not an int or a float, raises ConfigError.
     """
     refuse_unknown_keys(record, ("family", "dimension", "minimizer", "parameters", "seed"),
                         "problem record")
@@ -352,6 +354,8 @@ def problem_from_config(record: dict) -> Problem:
         raise ContractViolation("problem record requires 'family' and 'dimension'")
     dimension = config_count(record["dimension"], "dimension")
     minimizer = record.get("minimizer")
+    if "seed" in record and minimizer != "random":
+        raise ContractViolation("problem record: key 'seed' is read only with minimizer 'random'")
     if isinstance(minimizer, str):
         if minimizer != "random":
             raise ContractViolation(f"minimizer must be a list or 'random', got {minimizer!r}")

@@ -28,6 +28,8 @@ from normgrad.bench import (
 )
 from normgrad.vectors import l2_norm
 
+from golden_diff import csv_diff
+
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 RATE_LEARNERS = ("ogd_const", "da_sqrt")
 RATE_NUS = (0.0, 0.5, 1.0)
@@ -50,7 +52,8 @@ def default_sweep():
 def test_default_sweep_matches_reference_csv(default_sweep, kernel_note):
     body = "".join(rows_to_csv(default_sweep, SWEEP_COLUMNS))
     reference = (REFERENCE_DIR / "sweep_default.csv").read_bytes()
-    assert body.encode("utf-8") == reference, kernel_note
+    assert body.encode("utf-8") == reference, (
+        f"{kernel_note}\n{csv_diff(body, reference.decode('utf-8'))}")
 
 
 def test_criterion_1_rate_interpolation():

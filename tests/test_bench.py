@@ -16,6 +16,7 @@ import normgrad.reduction
 import normgrad.vectors
 from normgrad import (
     ContractViolation,
+    Huber,
     LearnerConfig,
     LogSumExp,
     NumericalFailure,
@@ -52,6 +53,9 @@ from normgrad.bench import (
 )
 from normgrad.cli import main
 from normgrad.learners import ANYTIME_KINDS, LEARNER_KINDS
+from normgrad.problems import FAMILIES
+
+from golden_diff import json_diff
 
 
 # --- rate fitting ------------------------------------------------------------
@@ -213,10 +217,7 @@ def test_learner_config_record_round_trip(kind):
                         wealth_init=0.25 if kind == "kt" else 1.0,
                         grad_bound_init=3.0 if kind == "adagrad_da" else 1.0)
     record = cfg.config_record()
-    if kind == "ogd_const":
-        with pytest.raises(ContractViolation, match="'horizon'"):
-            resolve_learner_config(Quadratic(3), record, 32, 0)
-        del record["horizon"]
+    assert "horizon" not in record  # a summary record's T holds it
     back = resolve_learner_config(Quadratic(3), record, 32, 0)
     assert vars(back).keys() == vars(cfg).keys()
     for name, value in vars(cfg).items():
@@ -439,7 +440,49 @@ def test_driver_suites_match_reference_report(default_check, kernel_note):
          / "check_default.json").read_text())
     report = {"samples": 10_000, "seed": 0, "passed": all(r.passed for r in default_check),
               "suites": [r.as_dict() for r in default_check]}
-    assert report == reference, kernel_note
+    assert report == reference, f"{kernel_note}\n{json_diff(report, reference)}"
+
+
+def test_driver_suites_share_one_pass_of_ogd_const_runs(monkeypatch):
+    calls = []
+    run_normalized = normgrad.bench.run_normalized
+
+    def counted(config, *args):
+        calls.append(config.kind)
+        return run_normalized(config, *args)
+
+    monkeypatch.setattr(normgrad.bench, "run_normalized", counted)
+    names = ["bounded_iterates", "reduction_chain"]
+    together = run_suites(names, 10, 0)
+    # 5 families x 9 horizons of ogd_const, run once for both suites, and
+    # one run to the longest horizon per family for da_sqrt and for kt
+    assert len(calls) == 55 and calls.count("ogd_const") == 45
+    del calls[:]
+    alone = [SUITES[name](10, 0) for name in names]
+    assert len(calls) == 45 + 55
+    assert [r.as_dict() for r in together] == [r.as_dict() for r in alone]
+
+
+def test_oracle_patched_between_run_suites_calls_changes_the_second(monkeypatch):
+    names = ["bounded_iterates", "reduction_chain"]
+    first = [r.as_dict() for r in run_suites(names, 10, 0)]
+    grad = Huber.grad
+    # a gradient off by 0.1 in every coordinate moves every huber run
+    monkeypatch.setattr(Huber, "grad", lambda self, x: grad(self, x) + 0.1)
+    second = [r.as_dict() for r in run_suites(names, 10, 0)]
+    assert all(a != b for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_gradient_check_catches_a_bad_gradient_on_each_family(family, monkeypatch):
+    n = 40
+    assert SUITES["gradient_check"](n, 0).failures == 0
+    cls = FAMILIES[family]
+    grad = cls.grad
+    monkeypatch.setattr(cls, "grad", lambda self, x: grad(self, x) * (1.0 + 1e-4))
+    res = SUITES["gradient_check"](n, 0)
+    # the other families' rows are the clean run's, so these are all of family's
+    assert (res.samples, res.failures, res.passed) == (5 * n, n, False)
 
 
 def test_kernel_note_names_every_found_dispatch_target(kernel_note):
@@ -565,6 +608,48 @@ def test_cli_run_and_ratefit_and_artifacts(tmp_path):
     assert main(["ratefit", "--in", str(out_dir / "summary.json")]) == 0
 
 
+_REPLAY_PROBLEMS = {
+    "quadratic": {"family": "quadratic", "dimension": 3, "minimizer": "random", "seed": 4},
+    "power_norm": {"family": "power_norm", "dimension": 3, "parameters": {"nu": 0.5}},
+    "l2_norm": {"family": "l2_norm", "dimension": 3, "minimizer": [0.25, -1.0, 0.5]},
+    "huber": {"family": "huber", "dimension": 3, "parameters": {"delta": 0.5}},
+    "log_sum_exp": {"family": "log_sum_exp", "dimension": 3},
+}
+_REPLAY_LEARNERS = {
+    "ogd_const": {"kind": "ogd_const", "start_distance": 1.7, "step_scale": 1.3},
+    "da_sqrt": {"kind": "da_sqrt", "start_distance": 1.7, "step_scale": 1.3},
+    "kt": {"kind": "kt", "start_distance": 1.7, "wealth_init": 0.5},
+    "adagrad_da": {"kind": "adagrad_da", "start_distance": 1.7, "step_scale": 1.3},
+}
+
+
+def _run_outputs(config, tmp_path, name):
+    """(summary records, trajectory bytes per T) of `normgrad run` on config."""
+    cfg, out = tmp_path / f"{name}.json", tmp_path / name
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    records = json.loads((out / "summary.json").read_text())["records"]
+    return records, {t: (out / f"trajectory_T{t}.csv").read_bytes() for t in config["horizons"]}
+
+
+@pytest.mark.parametrize("kind", list(_REPLAY_LEARNERS))
+@pytest.mark.parametrize("family", list(_REPLAY_PROBLEMS))
+def test_written_record_replays_bit_for_bit(family, kind, tmp_path):
+    """Each summary record, fed back as a one-horizon config at its T,
+    writes the same record and trajectory."""
+    config = {"problem": _REPLAY_PROBLEMS[family], "learner": _REPLAY_LEARNERS[kind],
+              "horizons": [8, 32, 64], "seed": 2}
+    records, trajectories = _run_outputs(config, tmp_path, "first")
+    for record in records:
+        written = record["config"]
+        replay = {"problem": written["problem"], "learner": written["learner"],
+                  "horizons": [written["T"]], "seed": written["seed"],
+                  "eps_zero": written["eps_zero"]}
+        again, again_trajectories = _run_outputs(replay, tmp_path, f"T{written['T']}")
+        assert json.dumps(again) == json.dumps([record])
+        assert again_trajectories[written["T"]] == trajectories[written["T"]]
+
+
 def test_cli_run_early_stop_artifact(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(good_config()))
@@ -619,7 +704,8 @@ def _bad_run_config(**learner):
     "start_distance_str", "start_str", "eps_zero_str", "eps_zero_bool", "minimizer_str",
     "nu_bool", "delta_bool", "step_scale_huge_int", "huber_unknown_parameter",
     "power_norm_extra_parameter", "learner_unknown_key", "ogd_const_horizon",
-    "experiment_unknown_key", "problem_unknown_key",
+    "experiment_unknown_key", "problem_unknown_key", "problem_seed_without_minimizer",
+    "problem_seed_with_listed_minimizer",
 ])
 def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
     out = tmp_path / "out"
@@ -670,10 +756,15 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
         "ogd_const_horizon": _bad_run_config(horizon=5),
         "experiment_unknown_key": {**good_config(), "eps-zero": 1e-3},
         "problem_unknown_key": _bad_problem_config(family="huber", parameter={"delta": 0.5}),
+        # a problem seed is read only to draw a random minimizer
+        "problem_seed_without_minimizer": _bad_problem_config(seed=7),
+        "problem_seed_with_listed_minimizer": _bad_problem_config(minimizer=[0.0, 1.0], seed=7),
     }
     unknown_keys = {"huber_unknown_parameter": "'delat'", "power_norm_extra_parameter": "'delta'",
                     "learner_unknown_key": "'step-scale'", "ogd_const_horizon": "'horizon'",
-                    "experiment_unknown_key": "'eps-zero'", "problem_unknown_key": "'parameter'"}
+                    "experiment_unknown_key": "'eps-zero'", "problem_unknown_key": "'parameter'",
+                    "problem_seed_without_minimizer": "'seed'",
+                    "problem_seed_with_listed_minimizer": "'seed'"}
     payloads = {"ratefit_records_int": {"records": 5}, "ratefit_list": [1, 2, 3],
                 "ratefit_int": 5}
     overflow_sweep = ["sweep", "--learner", "da_sqrt", "--horizons", "4", "--seeds", "0",

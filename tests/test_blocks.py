@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from normgrad import problems
-from normgrad.bench import SUITES, SuiteResult, _sample_point, _tally, canonical_problems
+from normgrad.bench import (
+    SUITES,
+    SuiteResult,
+    _sample_point,
+    _sample_points,
+    _tally,
+    canonical_problems,
+)
 from normgrad.problems import (
     PowerNorm,
     check_descent_inequality,
@@ -109,6 +116,16 @@ def test_checker_rows_equal_one_point_calls(d, index):
         assert same_bits(parts[i], local_constant_from_parts(problem.spec, norms[i].item(),
                                                              gaps[i].item()))
         assert same_bits(local[i], local_holder_constant(problem, row))
+
+
+@pytest.mark.parametrize("problem", canonical_problems(3) + [PowerNorm(1.0, 3)], ids=repr)
+def test_distance_to_nonsmooth_rows_equal_one_point_calls(problem):
+    x = block_points(problem)
+    block = problem.distance_to_nonsmooth(x)
+    assert type(block) is np.ndarray and block.shape == (len(x),)
+    for value, row in zip(block, x):
+        one = problem.distance_to_nonsmooth(row)
+        assert type(one) is float and same_bits(value, one), row
 
 
 def test_block_of_shape_other_than_n_by_d_is_rejected():
@@ -295,6 +312,24 @@ def test_chunked_suite_equals_its_per_point_loop(name, size):
     samples = {"1": 1, "7": 7, "chunk+1": past_chunk}[size]
     for seed in range(5):
         assert SUITES[name](samples, seed).as_dict() == loop(samples, seed).as_dict()
+
+
+@pytest.mark.parametrize("min_smooth_dist", [1e-3, 5.0])
+@pytest.mark.parametrize("index", range(5), ids=[p.family for p in canonical_problems()])
+def test_block_sampler_equals_the_per_point_loop(index, min_smooth_dist):
+    """The points of _sample_points, and the generator's next draw after
+    it, are those of _sample_point called point by point; at distance 5
+    from l2_norm's and power_norm's kink (about 6.5 % of the box) and from
+    huber's sphere, some candidates are rejected."""
+    problem = canonical_problems()[index]
+    m = 200
+    loop_rng, block_rng = np.random.default_rng(9), np.random.default_rng(9)
+    expected = np.array([_sample_point(problem, loop_rng, min_smooth_dist) for _ in range(m)])
+    assert same_bits(_sample_points(problem, block_rng, m, min_smooth_dist), expected)
+    assert same_bits(block_rng.uniform(), loop_rng.uniform())
+    if min_smooth_dist == 5.0 and problem.family in ("power_norm", "l2_norm", "huber"):
+        drawn = np.random.default_rng(9).uniform(-10.0, 10.0, (m, 3))
+        assert not same_bits(expected, drawn)  # a candidate was rejected
 
 
 class StreamRng:

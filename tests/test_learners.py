@@ -253,4 +253,4 @@ def test_config_record_round_trip_fields():
     assert rec == {"kind": "kt", "start": [1.0, 2.0], "step_scale": 1.0,
                    "wealth_init": 0.5}
     ogd = unit_config("ogd_const", [0.0], horizon=32)
-    assert ogd.config_record()["horizon"] == 32
+    assert ogd.config_record() == {"kind": "ogd_const", "start": [0.0], "step_scale": 1.0}
