@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, InsufficientData, NumericalFailure
-from .learners import ANYTIME_KINDS, LEARNER_KINDS, UNIT_NORM_KINDS, LearnerConfig
+from .learners import ANYTIME_KINDS, LEARNER_KINDS, RECORD_SCALES, UNIT_NORM_KINDS, LearnerConfig
 from .problems import (
     SAMPLE_RADIUS,
     Huber,
@@ -34,6 +34,7 @@ from .problems import (
     check_descent_inequality,
     check_grad_bound,
     config_count,
+    config_object,
     config_real,
     finite_diff_grad,
     local_holder_constant,
@@ -155,7 +156,7 @@ def fit_rate(horizons, gaps, predicted_slope: float) -> RateFit:
 @dataclass
 class ExperimentConfig:
     problem: Problem
-    learner_record: dict
+    learner: LearnerConfig
     horizons: list
     seed: int = 0
     eps_zero: float = DEFAULT_EPS_ZERO
@@ -170,17 +171,16 @@ def parse_experiment_config(record: dict) -> ExperimentConfig:
 
     Counts (horizons, seeds, the problem's dimension) must be integers; a
     bool or a non-integral number raises ConfigError, as do a real that is
-    not an int or a float and a key, at any level, that the schema lacks.
-    The learner record is resolved once here (only ogd_const's horizon
-    depends on the horizon), so a malformed learner field raises
-    ConfigError before anything runs. eps_zero must pass check_eps_zero,
-    and the gradient norm at the start must be finite.
+    not an int or a float, a level that is not a JSON object and a key, at
+    any level, that the schema lacks. The learner record is resolved once
+    here, into the config every horizon runs, so a malformed learner field
+    raises ConfigError before anything runs. eps_zero must pass
+    check_eps_zero, and the gradient norm at the start must be finite.
     """
     try:
         refuse_unknown_keys(record, ("problem", "learner", "horizons", "seed", "eps_zero"),
                             "experiment record")
         problem = problem_from_config(record["problem"])
-        learner = dict(record["learner"])
         horizons = [config_count(t, "horizon") for t in record["horizons"]]
         seed = config_count(record.get("seed", 0), "seed")
         eps_zero = check_eps_zero(config_real(record.get("eps_zero", DEFAULT_EPS_ZERO), "eps_zero"))
@@ -190,7 +190,7 @@ def parse_experiment_config(record: dict) -> ExperimentConfig:
             raise ConfigError("horizons must be strictly increasing positives")
         if seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {seed}")
-        config = resolve_learner_config(problem, learner, horizons[0], seed)
+        config = resolve_learner_config(problem, record["learner"], seed)
         # checked once here, not per cell: the start is the same at every horizon
         with _overflow_unwarned():
             grad_norm = l2_norm(problem.grad(config.start))
@@ -198,25 +198,26 @@ def parse_experiment_config(record: dict) -> ExperimentConfig:
             raise ConfigError("the gradient norm at the start is not finite")
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
-    return ExperimentConfig(problem, learner, horizons, seed, eps_zero)
+    return ExperimentConfig(problem, config, horizons, seed, eps_zero)
 
 
-def resolve_learner_config(problem: Problem, record: dict, horizon: int,
-                           seed: int) -> LearnerConfig:
-    """Turn a learner record into a concrete config for one horizon.
+def resolve_learner_config(problem: Problem, record: dict, seed: int) -> LearnerConfig:
+    """Turn a learner record into the config that every horizon shares.
 
     The start point comes from an explicit "start" list or from
     "start_distance" (direction drawn from the seed; default distance 1).
-    The other keys are LearnerConfig fields, passed by name (an omitted
-    one keeps its default; adagrad_da's gradient bound defaults to the
-    gradient norm at the start, floored at 1); a "horizon" key (ogd_const
-    runs at horizon == T) or any other key raises ContractViolation, as
-    does a start whose dimension is not the problem's, or whose distance
-    from the minimizer is not finite. Every number goes through config_real.
+    The other keys are the kind's RECORD_SCALES, passed to LearnerConfig
+    by name (an omitted one keeps its default; adagrad_da's gradient bound
+    defaults to the gradient norm at the start, floored at 1). An unknown
+    kind or key (such as "horizon", which the run gives), or a start of the
+    wrong dimension or at a distance that is not finite, raises
+    ContractViolation. Every number goes through config_real.
     """
-    refuse_unknown_keys(record, {f.name for f in fields(LearnerConfig) if f.name != "horizon"}
-                        | {"start_distance"}, "learner record")
-    kind = record["kind"]
+    kind = config_object(record, "learner record")["kind"]
+    if kind not in LEARNER_KINDS:
+        raise ContractViolation(f"unknown learner kind {kind!r}; expected one of {LEARNER_KINDS}")
+    refuse_unknown_keys(record, ("kind", "start", "start_distance") + RECORD_SCALES[kind],
+                        f"{kind} learner record")
     if record.get("start") is not None:
         start = np.array([config_real(c, "start coordinate") for c in record["start"]])
     else:
@@ -229,11 +230,10 @@ def resolve_learner_config(problem: Problem, record: dict, horizon: int,
         distance = l2_norm(start - problem.minimizer)
     if not math.isfinite(distance):
         raise ContractViolation("the start's distance from the minimizer is not finite")
-    scales = {name: config_real(value, name) for name, value in record.items()
-              if name not in ("kind", "start", "start_distance")}
+    scales = {k: config_real(record[k], k) for k in RECORD_SCALES[kind] if k in record}
     if kind == "adagrad_da" and "grad_bound_init" not in scales:
         scales["grad_bound_init"] = max(1.0, l2_norm(problem.grad(start)))
-    return LearnerConfig(kind, start, horizon=horizon if kind == "ogd_const" else None, **scales)
+    return LearnerConfig(kind, start, **scales)
 
 
 @dataclass
@@ -270,10 +270,9 @@ def _cell(problem: Problem, config: LearnerConfig, horizon: int, seed: int,
     return cell
 
 
-def run_cell(problem: Problem, learner_record: dict, horizon: int, seed: int,
+def run_cell(problem: Problem, config: LearnerConfig, horizon: int, seed: int,
              eps_zero: float = DEFAULT_EPS_ZERO) -> CellResult:
-    """Run one (problem, learner, horizon, seed) cell with its bound report."""
-    config = resolve_learner_config(problem, learner_record, horizon, seed)
+    """Run one (problem, config, horizon, seed) cell with its bound report."""
     if config.kind == "adagrad_da":
         run = run_adagrad_warmup(config, problem, horizon)
     else:
@@ -281,10 +280,10 @@ def run_cell(problem: Problem, learner_record: dict, horizon: int, seed: int,
     return _cell(problem, config, horizon, seed, run, eps_zero)
 
 
-def run_cells(problem: Problem, learner_record: dict, horizons, seed: int,
+def run_cells(problem: Problem, config: LearnerConfig, horizons, seed: int,
               eps_zero: float = DEFAULT_EPS_ZERO):
     """Yield the cell of every horizon, in the order given (horizons may be
-    unsorted or repeated); each equals run_cell at that horizon.
+    unsorted or repeated); each equals run_cell at that horizon with config.
 
     An anytime learner (ANYTIME_KINDS) runs once, to the largest horizon,
     at the first request. Each shorter horizon's record is summarized from
@@ -292,16 +291,16 @@ def run_cells(problem: Problem, learner_record: dict, horizons, seed: int,
     alive until the generator is done. ogd_const, whose step depends on the
     horizon, runs once per horizon."""
     horizons = [int(h) for h in horizons]
-    if learner_record["kind"] not in ANYTIME_KINDS:
+    if config.kind not in ANYTIME_KINDS:
         for horizon in horizons:
-            yield run_cell(problem, learner_record, horizon, seed, eps_zero)
+            yield run_cell(problem, config, horizon, seed, eps_zero)
         return
-    full = run_cell(problem, learner_record, max(horizons), seed, eps_zero)
+    full = run_cell(problem, config, max(horizons), seed, eps_zero)
     for horizon in horizons:
         if horizon == full.horizon:
             yield full
             continue
-        yield _cell(problem, full.config, horizon, seed, summarize(full.run, horizon, problem),
+        yield _cell(problem, config, horizon, seed, summarize(full.run, horizon, problem),
                     eps_zero)
 
 
@@ -430,14 +429,15 @@ def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=DEFAULT_SWEEP_LEARNERS,
     family and yield one row dict per cell, in deterministic grid order.
 
     This is a generator: each cell runs when its row is requested, through
-    one run_cells generator per seed of a (nu, learner) block. An anytime
-    block therefore runs all its seeds, each to the largest horizon, at its
-    first row, and keeps those runs until the block is done; an ogd_const
-    block runs one cell per row. The whole grid is checked at the first
-    request, before any cell runs: an empty axis, an unknown learner, a nu
-    outside [0, 1], a horizon below 1 or a negative seed raises. A row holds
-    the SWEEP_COLUMNS (the summary_record fields plus nu, learner, T, seed
-    and max_iterate_dist_sq) and the CellResult under "_cell"."""
+    one resolved config and one run_cells generator per seed of a (nu,
+    learner) block. An anytime block therefore runs all its seeds, each to
+    the largest horizon, at its first row, and keeps those runs until the
+    block is done; an ogd_const block runs one cell per row. The whole grid
+    is checked at the first request, before any cell runs: an empty axis,
+    an unknown learner, a nu outside [0, 1], a horizon below 1 or a negative
+    seed raises. A row holds the SWEEP_COLUMNS (the summary_record fields
+    plus nu, learner, T, seed and max_iterate_dist_sq) and the CellResult
+    under "_cell"."""
     if not nus or not learners or not horizons or not seeds:
         raise ConfigError("sweep grid must be nonempty in every axis")
     for kind in learners:
@@ -449,7 +449,8 @@ def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=DEFAULT_SWEEP_LEARNERS,
     for nu, problem in zip(nus, problems):
         for kind in learners:
             record = {"kind": kind, "start_distance": distance, "step_scale": step_scale}
-            per_seed = [run_cells(problem, record, horizons, int(seed)) for seed in seeds]
+            per_seed = [run_cells(problem, resolve_learner_config(problem, record, int(seed)),
+                                  horizons, int(seed)) for seed in seeds]
             for _ in horizons:
                 # one cell at a time: a zip would hold every seed's cell of a horizon
                 for cells in per_seed:
@@ -471,9 +472,9 @@ def rate_experiment(nu: float, kind: str):
     family at DEFAULT_DIMENSION, started at RATE_FIT_DISTANCE with seed 0,
     across DEFAULT_HORIZONS; returns (summary records, RateFit)."""
     problem = PowerNorm(float(nu), DEFAULT_DIMENSION)
-    record = {"kind": kind, "start_distance": RATE_FIT_DISTANCE,
-              "step_scale": RATE_FIT_STEP_SCALES.get(kind, 1.0)}
-    summaries = [summary_record(cell) for cell in run_cells(problem, record, DEFAULT_HORIZONS, 0)]
+    config = resolve_learner_config(problem, {"kind": kind, "start_distance": RATE_FIT_DISTANCE,
+                                              "step_scale": RATE_FIT_STEP_SCALES[kind]}, 0)
+    summaries = [summary_record(cell) for cell in run_cells(problem, config, DEFAULT_HORIZONS, 0)]
     return summaries, rate_fit_from_records(summaries)
 
 
@@ -673,9 +674,9 @@ _CHAIN_HORIZONS = tuple(2 ** k for k in range(4, 13))
 def _chain_cells(problem: Problem, kind: str, seed: int):
     """The driver suites' cells of one family and learner kind: the learner
     started at DEFAULT_DISTANCE with the default step scale and wealth, at
-    every chain horizon."""
-    return run_cells(problem, {"kind": kind, "start_distance": DEFAULT_DISTANCE},
-                     _CHAIN_HORIZONS, seed)
+    every chain horizon (one config)."""
+    record = {"kind": kind, "start_distance": DEFAULT_DISTANCE}
+    return run_cells(problem, resolve_learner_config(problem, record, seed), _CHAIN_HORIZONS, seed)
 
 
 def _bounded_residuals(cell: CellResult):

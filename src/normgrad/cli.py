@@ -67,7 +67,7 @@ def cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     records = []
     violations = []
-    for cell in run_cells(exp.problem, exp.learner_record, exp.horizons, exp.seed,
+    for cell in run_cells(exp.problem, exp.learner, exp.horizons, exp.seed,
                           exp.eps_zero):
         _write_text(os.path.join(args.out, f"trajectory_T{cell.horizon}.csv"),
                     rows_to_csv(trajectory_rows(cell), TRAJECTORY_COLUMNS))

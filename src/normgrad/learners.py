@@ -7,15 +7,16 @@ and the fourth consumes raw gradients. `observe` checks neither: the driver
 normalized gradient at norm 1 up to rounding. A gradient above adagrad_da's
 bound G is reported by the driver, not raised here.
 
-kind            update for x_{t+1}                                  needs
---------------  --------------------------------------------------  --------
-ogd_const       x_t - (alpha / sqrt(T)) q_t                         horizon T
-da_sqrt         x_1 - (alpha / sqrt(t)) sum_{i<=t} q_i              -
+kind            update for x_{t+1}                                  reads
+--------------  --------------------------------------------------  ---------
+ogd_const       x_t - (alpha / sqrt(T)) q_t                         alpha, T
+da_sqrt         x_1 - (alpha / sqrt(t)) sum_{i<=t} q_i              alpha
 kt              x_1 - (sum q_i / (t+1)) (d0 - sum <q_i, x_i - x_1>)  wealth d0
-adagrad_da      x_1 - alpha sum g_i / sqrt(G^2 + sum ||g_i||^2)     bound G
+adagrad_da      x_1 - alpha sum g_i / sqrt(G^2 + sum ||g_i||^2)     alpha, G
 
-The last three are anytime: their steps never read T, so the run to T is
-the first T steps of any longer run (ANYTIME_KINDS).
+The horizon T is the run's, passed to `make_learner(config, horizon)`, not
+a config field. The other three are anytime: their steps never read T, so
+the run to T is the first T steps of any longer run (ANYTIME_KINDS).
 
 `regret_bound` returns the matching guarantee psi_T(D) on the cumulative
 linear loss against any comparator at distance D from the start.
@@ -35,6 +36,7 @@ __all__ = [
     "UNIT_NORM_KINDS",
     "LEARNER_KINDS",
     "ANYTIME_KINDS",
+    "RECORD_SCALES",
     "LearnerConfig",
     "make_learner",
     "regret_bound",
@@ -48,22 +50,27 @@ UNIT_NORM_KINDS = ("ogd_const", "da_sqrt", "kt")
 LEARNER_KINDS = UNIT_NORM_KINDS + ("adagrad_da",)
 ANYTIME_KINDS = ("da_sqrt", "kt", "adagrad_da")
 
+# The scales a kind's record writes, the only ones its reader takes. kt reads
+# no step_scale, but its records (and perfbench/reference/run_long.json) carry
+# one; whether kt's record drops it is still open.
+RECORD_SCALES = {"ogd_const": ("step_scale",), "da_sqrt": ("step_scale",),
+                 "kt": ("step_scale", "wealth_init"),
+                 "adagrad_da": ("step_scale", "grad_bound_init")}
+
 
 @dataclass
 class LearnerConfig:
-    """Configuration shared by all learner kinds.
+    """Configuration shared by all learner kinds; the horizon is the run's.
 
     step_scale is the learning-rate scale alpha (ogd_const, da_sqrt,
-    adagrad_da), horizon is required by ogd_const only and is >= 1 wherever
-    given, wealth_init is the KT initial wealth d0, and grad_bound_init is
-    the adagrad_da gradient bound G. The three scales must be positive and
-    finite.
+    adagrad_da), wealth_init is the KT initial wealth d0, and
+    grad_bound_init is the adagrad_da gradient bound G. The three scales
+    must be positive and finite.
     """
 
     kind: str
     start: np.ndarray
     step_scale: float = 1.0
-    horizon: int | None = None
     wealth_init: float = 1.0
     grad_bound_init: float = 1.0
 
@@ -76,19 +83,12 @@ class LearnerConfig:
             value = getattr(self, name)
             if not (0.0 < value < math.inf):
                 raise ContractViolation(f"{name} must be positive and finite, got {value}")
-        if not ((self.horizon or 0) >= 1 or self.horizon is None and self.kind != "ogd_const"):
-            raise ContractViolation(
-                f"horizon must be >= 1 (ogd_const requires one), got {self.horizon}")
 
     def config_record(self) -> dict:
-        """The learner record of this config, without the horizon: a summary
-        record's T holds it, so the written record replays as a config's."""
-        rec = {"kind": self.kind, "start": [float(c) for c in self.start],
-               "step_scale": self.step_scale}
-        if self.kind == "kt":
-            rec["wealth_init"] = self.wealth_init
-        if self.kind == "adagrad_da":
-            rec["grad_bound_init"] = self.grad_bound_init
+        """The learner record of this config: kind, start and the kind's
+        RECORD_SCALES, which replays as a config's learner record."""
+        rec = {"kind": self.kind, "start": [float(c) for c in self.start]}
+        rec.update((name, getattr(self, name)) for name in RECORD_SCALES[self.kind])
         return rec
 
 
@@ -97,9 +97,9 @@ class OgdConstLearner:
 
     kind = "ogd_const"
 
-    def __init__(self, config: LearnerConfig):
+    def __init__(self, config: LearnerConfig, horizon: int):
         self.config = config
-        self._eta = config.step_scale / math.sqrt(config.horizon)
+        self._eta = config.step_scale / math.sqrt(horizon)
         self._x = config.start
 
     def next_point(self) -> np.ndarray:
@@ -114,7 +114,7 @@ class DaSqrtLearner:
 
     kind = "da_sqrt"
 
-    def __init__(self, config: LearnerConfig):
+    def __init__(self, config: LearnerConfig, horizon: int):
         self.config = config
         self._sum = np.zeros_like(config.start)
         self.steps = 0
@@ -141,7 +141,7 @@ class KTLearner:
 
     kind = "kt"
 
-    def __init__(self, config: LearnerConfig):
+    def __init__(self, config: LearnerConfig, horizon: int):
         self.config = config
         self._sum = np.zeros_like(config.start)
         self._spent = 0.0  # sum of <q_i, x_i - x_1>
@@ -173,7 +173,7 @@ class AdaGradDaLearner:
 
     kind = "adagrad_da"
 
-    def __init__(self, config: LearnerConfig):
+    def __init__(self, config: LearnerConfig, horizon: int):
         self.config = config
         self._sum = np.zeros_like(config.start)
         self.grad_sq_sum = 0.0
@@ -191,17 +191,17 @@ _LEARNER_CLASSES = {cls.kind: cls for cls in (
     OgdConstLearner, DaSqrtLearner, KTLearner, AdaGradDaLearner)}
 
 
-def make_learner(config: LearnerConfig):
-    """Instantiate the learner for config.kind."""
-    return _LEARNER_CLASSES[config.kind](config)
+def make_learner(config: LearnerConfig, horizon: int):
+    """The learner for config.kind, driven for horizon steps (ogd_const's step reads it)."""
+    return _LEARNER_CLASSES[config.kind](config, horizon)
 
 
 def regret_bound(config: LearnerConfig, comparator_dist: float, horizon: int,
                  grad_sq_sum: float | None = None) -> float:
     """Closed-form bound psi_T(D) on sum_t <q_t, x_t - u> for ||u - x_1|| = D.
 
-    ogd_const   sqrt(T) D^2 / (2 alpha) + alpha sqrt(T) / 2   (valid only at
-                the configured horizon)
+    ogd_const   sqrt(T) D^2 / (2 alpha) + alpha sqrt(T) / 2   (T is the
+                horizon the learner was made for)
     da_sqrt     sqrt(T) (D^2 / (2 alpha) + alpha)
     kt          D sqrt(T ln(24 T^2 D^2 / d0^2 + 1)) + d0
     adagrad_da  (D^2 / (2 alpha) + alpha) (G + sqrt(V)) where V is the
@@ -218,10 +218,6 @@ def regret_bound(config: LearnerConfig, comparator_dist: float, horizon: int,
     alpha = config.step_scale
     kind = config.kind
     if kind == "ogd_const":
-        if horizon != config.horizon:
-            raise ContractViolation(
-                f"ogd_const bound is only valid at its configured horizon "
-                f"{config.horizon}, asked for {horizon}")
         rt = math.sqrt(horizon)
         return rt * d * d / (2.0 * alpha) + alpha * rt / 2.0
     if kind == "da_sqrt":
@@ -230,11 +226,9 @@ def regret_bound(config: LearnerConfig, comparator_dist: float, horizon: int,
         d0 = config.wealth_init
         log_arg = 24.0 * horizon * horizon * d * d / (d0 * d0) + 1.0
         return d * math.sqrt(horizon * math.log(log_arg)) + d0
-    if kind == "adagrad_da":
-        if grad_sq_sum is None or grad_sq_sum < 0.0:
-            raise ContractViolation(
-                "adagrad_da regret bound needs the realized sum of squared "
-                "gradient norms (grad_sq_sum >= 0)")
-        g = config.grad_bound_init
-        return (d * d / (2.0 * alpha) + alpha) * (g + math.sqrt(grad_sq_sum))
-    raise ContractViolation(f"unknown learner kind {kind!r}")
+    if grad_sq_sum is None or grad_sq_sum < 0.0:  # adagrad_da
+        raise ContractViolation(
+            "adagrad_da regret bound needs the realized sum of squared "
+            "gradient norms (grad_sq_sum >= 0)")
+    g = config.grad_bound_init
+    return (d * d / (2.0 * alpha) + alpha) * (g + math.sqrt(grad_sq_sum))

@@ -53,6 +53,7 @@ __all__ = [
     "problem_from_config",
     "config_count",
     "config_real",
+    "config_object",
     "refuse_unknown_keys",
     "finite_diff_grad",
     "DescentCheck",
@@ -345,8 +346,9 @@ def problem_from_config(record: dict) -> Problem:
     Schema: {"family": str, "dimension": int, "minimizer": [floats] | "random"
     (optional, default origin), "parameters": {...} (optional), "seed": int
     (optional, allowed only when minimizer == "random")}; any other key is
-    refused. A dimension or seed that is not an integer, or a coordinate or
-    parameter that is not an int or a float, raises ConfigError.
+    refused. A record or parameters that is not a JSON object, a dimension
+    or seed that is not an integer, or a coordinate or parameter that is
+    not an int or a float raises ConfigError.
     """
     refuse_unknown_keys(record, ("family", "dimension", "minimizer", "parameters", "seed"),
                         "problem record")
@@ -363,7 +365,8 @@ def problem_from_config(record: dict) -> Problem:
         minimizer = rng.standard_normal(dimension)
     elif minimizer is not None:
         minimizer = [config_real(c, "minimizer coordinate") for c in minimizer]
-    params = {k: config_real(v, k) for k, v in dict(record.get("parameters", {})).items()}
+    params = config_object(record.get("parameters", {}), "problem parameters")
+    params = {k: config_real(v, k) for k, v in params.items()}
     return make_problem(record["family"], dimension, minimizer, **params)
 
 
@@ -376,9 +379,16 @@ def config_count(value, name: str) -> int:
     return int(value)
 
 
+def config_object(value, what: str) -> dict:
+    """A config record level: a JSON object. Any other value raises ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def refuse_unknown_keys(record: dict, known, what: str) -> None:
     """Raise ContractViolation naming the first key of record not in known."""
-    for key in record:
+    for key in config_object(record, what):
         if key not in known:
             raise ContractViolation(f"{what}: unknown key {key!r}; expected one of {sorted(known)}")
 

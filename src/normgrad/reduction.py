@@ -199,7 +199,7 @@ def _drive(config: LearnerConfig, problem: Problem, horizon: int,
     if config.start.size != problem.dimension:
         raise ContractViolation(
             f"start has dimension {config.start.size}, problem wants {problem.dimension}")
-    learner = make_learner(config)
+    learner = make_learner(config, horizon)
     unit = config.kind in UNIT_NORM_KINDS
     d = problem.dimension
     iterates = np.empty((min(horizon, 16), d))
@@ -313,7 +313,7 @@ def regret_to_gap_bound(psi_at_xstar: float, steps: int, spec: HolderSpec,
 
 
 def closed_form_rate(problem: Problem, config: LearnerConfig, horizon: int) -> float:
-    """Deterministic worst-case bound on f(xbar_T) - f* for config's learner.
+    """Deterministic worst-case bound on f(xbar_T) - f* after T = horizon steps.
 
     With D = ||x_1 - x*||, C = L (1 + 1/nu)^nu (limit 1 at nu = 0, with L
     the nu = 0 gradient bound in that case), each kind gives a base B and
@@ -336,10 +336,6 @@ def closed_form_rate(problem: Problem, config: LearnerConfig, horizon: int) -> f
     alpha = config.step_scale
     rt = math.sqrt(horizon)
     if kind == "ogd_const":
-        if horizon != config.horizon:
-            raise ContractViolation(
-                f"ogd_const rate is only valid at its configured horizon "
-                f"{config.horizon}, asked for {horizon}")
         base = (d * d / alpha + alpha) / (2.0 * rt)
     elif kind == "da_sqrt":
         base = (d * d / (2.0 * alpha) + alpha) / rt
@@ -347,11 +343,9 @@ def closed_form_rate(problem: Problem, config: LearnerConfig, horizon: int) -> f
         d0 = config.wealth_init
         log_arg = 24.0 * horizon * horizon * d * d / (d0 * d0) + 1.0
         base = d * math.sqrt(math.log(log_arg)) / rt + d0 / horizon
-    elif kind == "adagrad_da":
+    else:  # adagrad_da
         c = d * d / alpha + 2.0 * alpha
         base = c / rt
-    else:
-        raise ContractViolation(f"unknown learner kind {kind!r}")
     smooth = l_rate * problem.spec.alpha_pow_nu * base ** (1.0 + nu)
     if kind == "adagrad_da":
         return max(smooth, config.grad_bound_init / horizon * c)
@@ -379,10 +373,10 @@ def bound_report(run: RunRecord, problem: Problem, config: LearnerConfig) -> Bou
     """Assemble the bound report for a run produced with (problem, config).
 
     The composed bounds use the number of loss-fed steps; the ogd_const
-    regret guarantee is always evaluated at its configured horizon (valid
-    for any prefix). The local constants are the run's own column, without
-    the steps at the optimum (NaN); adagrad_da's bound is its regret over
-    the steps, psi/steps, for both means.
+    regret guarantee is always evaluated at run.horizon, which its step
+    reads (valid for any prefix). The local constants are the run's own
+    column, without the steps at the optimum (NaN); adagrad_da's bound is
+    its regret over the steps, psi/steps, for both means.
     """
     d = l2_norm(config.start - problem.minimizer)
     measured = run.average_suboptimality
@@ -397,7 +391,7 @@ def bound_report(run: RunRecord, problem: Problem, config: LearnerConfig) -> Bou
         gap_bound = psi / steps
         return BoundReport(psi, gap_bound, gap_bound, closed, measured)
 
-    psi_horizon = config.horizon if config.kind == "ogd_const" else steps
+    psi_horizon = run.horizon if config.kind == "ogd_const" else steps
     psi = regret_bound(config, d, psi_horizon)
     local = run.local_constants[~np.isnan(run.local_constants)]
     gm, am = regret_to_gap_bound(psi, steps, problem.spec, local) if local.size else (0.0, 0.0)

@@ -22,6 +22,7 @@ from normgrad.bench import (
     SWEEP_COLUMNS,
     bound_violations,
     rate_experiment,
+    resolve_learner_config,
     rows_to_csv,
     run_cell,
     sweep_rows,
@@ -134,7 +135,7 @@ def test_criterion_5_oracle_traces():
     quad = Quadratic(1)
 
     run = run_normalized(
-        LearnerConfig(kind="ogd_const", start=np.array([1.0]), horizon=4), quad, 4)
+        LearnerConfig(kind="ogd_const", start=np.array([1.0])), quad, 4)
     check("ogd_const iterates", [x[0] for x in run.iterates], [1.0, 0.5])
     if not (run.terminated_early and run.stop_index == 3 and run.average_point[0] == 0.0):
         failures.append("ogd_const did not stop at the exact optimum at t=3")
@@ -168,12 +169,12 @@ def test_criterion_6_kt_parameter_free_adaptation():
     horizons = tuple(2 ** k for k in range(8, 15))
     quad = Quadratic(10)
     for distance in (1.0, 10.0, 100.0):
-        record = {"kind": "kt", "start_distance": distance}
+        config = resolve_learner_config(quad, {"kind": "kt", "start_distance": distance}, 0)
         gaps = []
         means = []
         stopped = []
         for horizon in horizons:
-            cell = run_cell(quad, record, horizon, seed=0)
+            cell = run_cell(quad, config, horizon, seed=0)
             for v in bound_violations(cell):
                 failures.append(f"D={distance}: {v}")
             gaps.append(cell.report.measured)
@@ -198,7 +199,8 @@ def test_criterion_6_kt_parameter_free_adaptation():
 def test_criterion_7_local_smoothness_advantage():
     failures = []
     problem = Huber(10, delta=1.0)
-    cell = run_cell(problem, {"kind": "da_sqrt", "start_distance": 10.0}, 1024, seed=0)
+    config = resolve_learner_config(problem, {"kind": "da_sqrt", "start_distance": 10.0}, 0)
+    cell = run_cell(problem, config, 1024, seed=0)
     rep = cell.report
     if not (rep.bound_gm < rep.bound_am):
         failures.append(f"geometric-mean bound {rep.bound_gm!r} not strictly below "

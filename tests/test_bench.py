@@ -52,7 +52,7 @@ from normgrad.bench import (
     trajectory_rows,
 )
 from normgrad.cli import main
-from normgrad.learners import ANYTIME_KINDS, LEARNER_KINDS
+from normgrad.learners import ANYTIME_KINDS, LEARNER_KINDS, RECORD_SCALES
 from normgrad.problems import FAMILIES
 
 from golden_diff import json_diff
@@ -118,7 +118,7 @@ def test_reported_sums_add_left_to_right_on_any_python(monkeypatch):
 
     # adagrad_da's psi reads the sum of squared gradient norms
     problem = Quadratic(10)
-    config = resolve_learner_config(problem, {"kind": "adagrad_da", "start_distance": 1.5}, 32, 0)
+    config = resolve_learner_config(problem, {"kind": "adagrad_da", "start_distance": 1.5}, 0)
     run = run_adagrad_warmup(config, problem, 32)
     squares = [g * g for g in run.grad_norms.tolist()]
     distance = normgrad.vectors.l2_norm(config.start - problem.minimizer)
@@ -192,20 +192,21 @@ def test_parse_experiment_config_validation():
 
 def test_resolve_learner_config_start_handling():
     p = Quadratic(4)
-    cfg = resolve_learner_config(p, {"kind": "kt", "start_distance": 2.0}, 16, seed=5)
+    cfg = resolve_learner_config(p, {"kind": "kt", "start_distance": 2.0}, seed=5)
     assert np.linalg.norm(cfg.start - p.minimizer) == pytest.approx(2.0, rel=1e-12)
-    cfg2 = resolve_learner_config(p, {"kind": "kt", "start_distance": 2.0}, 16, seed=5)
+    cfg2 = resolve_learner_config(p, {"kind": "kt", "start_distance": 2.0}, seed=5)
     assert np.array_equal(cfg.start, cfg2.start)
 
-    explicit = resolve_learner_config(p, {"kind": "da_sqrt", "start": [1, 0, 0, 0]}, 16, 0)
+    explicit = resolve_learner_config(p, {"kind": "da_sqrt", "start": [1, 0, 0, 0]}, 0)
     assert np.array_equal(explicit.start, np.array([1.0, 0, 0, 0]))
 
-    ogd = resolve_learner_config(p, {"kind": "ogd_const"}, 32, 0)
-    assert ogd.horizon == 32
+    # the horizon is the run's: an ogd_const record resolves without one
+    ogd = resolve_learner_config(p, {"kind": "ogd_const"}, 0)
+    assert (ogd.kind, ogd.step_scale) == ("ogd_const", 1.0) and not hasattr(ogd, "horizon")
 
-    ada = resolve_learner_config(p, {"kind": "adagrad_da", "start": [3.0, 0, 0, 0]}, 8, 0)
+    ada = resolve_learner_config(p, {"kind": "adagrad_da", "start": [3.0, 0, 0, 0]}, 0)
     assert ada.grad_bound_init == pytest.approx(3.0, rel=1e-12)
-    ada_small = resolve_learner_config(p, {"kind": "adagrad_da", "start": [0.1, 0, 0, 0]}, 8, 0)
+    ada_small = resolve_learner_config(p, {"kind": "adagrad_da", "start": [0.1, 0, 0, 0]}, 0)
     assert ada_small.grad_bound_init == 1.0
 
 
@@ -213,23 +214,33 @@ def test_resolve_learner_config_start_handling():
 def test_learner_config_record_round_trip(kind):
     # each kind's own scale off its default; the fields a kind does not read keep theirs
     cfg = LearnerConfig(kind=kind, start=np.array([0.5, -1.0, 2.0]), step_scale=1.5,
-                        horizon=32 if kind == "ogd_const" else None,
                         wealth_init=0.25 if kind == "kt" else 1.0,
                         grad_bound_init=3.0 if kind == "adagrad_da" else 1.0)
     record = cfg.config_record()
     assert "horizon" not in record  # a summary record's T holds it
-    back = resolve_learner_config(Quadratic(3), record, 32, 0)
+    back = resolve_learner_config(Quadratic(3), record, 0)
     assert vars(back).keys() == vars(cfg).keys()
     for name, value in vars(cfg).items():
         assert np.array_equal(getattr(back, name), value), name
+    # the reader takes exactly the scales the record writes
+    assert set(record) == {"kind", "start", *RECORD_SCALES[kind]}
+    for name in ("step_scale", "wealth_init", "grad_bound_init", "horizon"):
+        if name not in record:
+            with pytest.raises(ContractViolation, match=f"unknown key '{name}'"):
+                resolve_learner_config(Quadratic(3), {"kind": kind, name: 2.0}, 0)
 
 
 # --- cells, trajectories, summaries -------------------------------------------
 
 
+def _record_cell(problem, record, horizon, seed):
+    """run_cell of a learner record, resolved at seed."""
+    return run_cell(problem, resolve_learner_config(problem, record, seed), horizon, seed)
+
+
 def test_run_cell_trajectory_and_summary():
     p = Quadratic(1)
-    cell = run_cell(p, {"kind": "ogd_const", "start": [1.0]}, 4, seed=0)
+    cell = _record_cell(p, {"kind": "ogd_const", "start": [1.0]}, 4, seed=0)
     rows = list(trajectory_rows(cell))
     assert len(rows) == 2  # two loss-fed steps before the exact hit
     assert rows[0] == {"t": 1, "f_gap": 0.5, "grad_norm": 1.0, "weight": 1.0, "local_L": 1.0}
@@ -247,7 +258,7 @@ def test_run_cell_trajectory_and_summary():
 def test_quadratic_kt_bounds_at_two_horizons():
     p = Quadratic(10)
     for horizon in (16, 256):
-        cell = run_cell(p, {"kind": "kt", "start_distance": 1.0}, horizon, seed=0)
+        cell = _record_cell(p, {"kind": "kt", "start_distance": 1.0}, horizon, seed=0)
         assert cell.report.measured <= cell.report.bound_closed_form
         assert not bound_violations(cell)
 
@@ -277,7 +288,7 @@ def test_kt_closed_form_distance_ratio():
     (PowerNorm(0.5, 10), RATE_FIT_DISTANCE),
 ], ids=["lse_at_1e-8", "power_norm_0", "power_norm_0.5"])
 def test_run_columns_weights_and_local_constants(kind, problem, distance):
-    cell = run_cell(problem, {"kind": kind, "start_distance": distance}, 16, seed=0)
+    cell = _record_cell(problem, {"kind": kind, "start_distance": distance}, 16, seed=0)
     run = cell.run
     assert run.steps_taken == 16
     columns = (run.grad_norms, run.suboptimalities, run.weights, run.local_constants)
@@ -334,9 +345,11 @@ _RUN_CELLS_CASES = [
 @pytest.mark.parametrize("kind,family,record,horizons", _RUN_CELLS_CASES)
 def test_run_cells_equals_one_run_cell_per_horizon(kind, family, record, horizons):
     problem = canonical_problems()[family]
-    cells = list(run_cells(problem, record, horizons, seed=3))
+    config = resolve_learner_config(problem, record, seed=3)
+    cells = list(run_cells(problem, config, horizons, seed=3))
+    assert all(cell.config is config for cell in cells)  # resolved once, shared by every cell
     shared = [_cell_outputs(c) for c in cells]
-    alone = [_cell_outputs(run_cell(problem, record, h, seed=3)) for h in horizons]
+    alone = [_cell_outputs(_record_cell(problem, record, h, seed=3)) for h in horizons]
     assert [s["config"]["T"] for s, *_ in shared] == list(horizons)
     assert shared == alone
     if record.get("start_distance") == 1.0:
@@ -371,6 +384,23 @@ def test_sweep_runs_each_anytime_learner_once_per_seed(monkeypatch):
     # per seed, to the longest horizon; adagrad_da's default bound G takes
     # one more gradient, at the start
     assert len(calls) == len(seeds) * (sum(horizons) + 3 * max(horizons) + 1)
+
+
+def test_sweep_resolves_each_learner_record_once_per_seed(monkeypatch, capsys):
+    calls = []
+    resolve = normgrad.bench.resolve_learner_config
+
+    def counted(problem, record, seed):
+        calls.append((record["kind"], seed))
+        return resolve(problem, record, seed)
+
+    monkeypatch.setattr(normgrad.bench, "resolve_learner_config", counted)
+    argv = ["sweep", "--nu", "0.5", "--learner", "ogd_const", "--horizons", "4", "8", "16",
+            "--seeds", "0", "1"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 2
+    # once per seed, not once per (horizon, seed) cell
+    assert calls == [("ogd_const", 0), ("ogd_const", 1)]
 
 
 def test_sweep_rows_grid_shape_and_bounds():
@@ -445,21 +475,30 @@ def test_driver_suites_match_reference_report(default_check, kernel_note):
 
 def test_driver_suites_share_one_pass_of_ogd_const_runs(monkeypatch):
     calls = []
+    resolves = []
     run_normalized = normgrad.bench.run_normalized
+    resolve = normgrad.bench.resolve_learner_config
 
     def counted(config, *args):
         calls.append(config.kind)
         return run_normalized(config, *args)
 
+    def counted_resolve(problem, record, seed):
+        resolves.append(record["kind"])
+        return resolve(problem, record, seed)
+
     monkeypatch.setattr(normgrad.bench, "run_normalized", counted)
+    monkeypatch.setattr(normgrad.bench, "resolve_learner_config", counted_resolve)
     names = ["bounded_iterates", "reduction_chain"]
     together = run_suites(names, 10, 0)
     # 5 families x 9 horizons of ogd_const, run once for both suites, and
     # one run to the longest horizon per family for da_sqrt and for kt
     assert len(calls) == 55 and calls.count("ogd_const") == 45
-    del calls[:]
+    # one learner record resolved per family and kind, whatever the horizons
+    assert len(resolves) == 5 * 3 and resolves.count("ogd_const") == 5
+    del calls[:], resolves[:]
     alone = [SUITES[name](10, 0) for name in names]
-    assert len(calls) == 45 + 55
+    assert len(calls) == 45 + 55 and len(resolves) == 5 + 5 * 3
     assert [r.as_dict() for r in together] == [r.as_dict() for r in alone]
 
 
@@ -505,7 +544,7 @@ _LABEL = re.compile(r"\[learner=(\S+) problem=\w+\((.*)\) T=(\d+) seed=(-?\d+)\]
 
 
 def test_bound_violations_names_each_broken_link():
-    cell = run_cell(PowerNorm(0.5, 10), {"kind": "kt"}, 4, 0)
+    cell = _record_cell(PowerNorm(0.5, 10), {"kind": "kt"}, 4, 0)
     assert cell.label in _KT_LABEL and bound_violations(cell) == []
 
     def violations(measured, gm, am, closed_form):
@@ -705,7 +744,8 @@ def _bad_run_config(**learner):
     "nu_bool", "delta_bool", "step_scale_huge_int", "huber_unknown_parameter",
     "power_norm_extra_parameter", "learner_unknown_key", "ogd_const_horizon",
     "experiment_unknown_key", "problem_unknown_key", "problem_seed_without_minimizer",
-    "problem_seed_with_listed_minimizer",
+    "problem_seed_with_listed_minimizer", "kt_grad_bound_init", "ogd_const_wealth_init",
+    "learner_pairs", "parameters_pairs",
 ])
 def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
     out = tmp_path / "out"
@@ -759,12 +799,22 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
         # a problem seed is read only to draw a random minimizer
         "problem_seed_without_minimizer": _bad_problem_config(seed=7),
         "problem_seed_with_listed_minimizer": _bad_problem_config(minimizer=[0.0, 1.0], seed=7),
+        # a record gives only the scales its kind's record writes
+        "kt_grad_bound_init": _bad_run_config(kind="kt", grad_bound_init=5.0),
+        "ogd_const_wealth_init": _bad_run_config(wealth_init=2.0),
+        # a record level is a JSON object, not a list of key-value pairs
+        "learner_pairs": {**good_config(),
+                          "learner": [["kind", "kt"], ["start_distance", 2.0]]},
+        "parameters_pairs": _bad_problem_config(family="huber", parameters=[["delta", 2.0]]),
     }
     unknown_keys = {"huber_unknown_parameter": "'delat'", "power_norm_extra_parameter": "'delta'",
                     "learner_unknown_key": "'step-scale'", "ogd_const_horizon": "'horizon'",
                     "experiment_unknown_key": "'eps-zero'", "problem_unknown_key": "'parameter'",
                     "problem_seed_without_minimizer": "'seed'",
-                    "problem_seed_with_listed_minimizer": "'seed'"}
+                    "problem_seed_with_listed_minimizer": "'seed'",
+                    "kt_grad_bound_init": "'grad_bound_init'",
+                    "ogd_const_wealth_init": "'wealth_init'",
+                    "learner_pairs": "learner record", "parameters_pairs": "parameters"}
     payloads = {"ratefit_records_int": {"records": 5}, "ratefit_list": [1, 2, 3],
                 "ratefit_int": 5}
     overflow_sweep = ["sweep", "--learner", "da_sqrt", "--horizons", "4", "--seeds", "0",

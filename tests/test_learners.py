@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,18 +14,16 @@ from normgrad import (
 UNIT_KINDS = ("ogd_const", "da_sqrt", "kt")
 
 
-def unit_config(kind, start, horizon=None, **kw):
-    if kind == "ogd_const" and horizon is None:
-        horizon = 16
-    return LearnerConfig(kind=kind, start=np.asarray(start, float), horizon=horizon, **kw)
+def unit_config(kind, start, **kw):
+    return LearnerConfig(kind=kind, start=np.asarray(start, float), **kw)
 
 
 # --- hand-simulated traces -------------------------------------------------
 
 
 def test_ogd_const_trace():
-    cfg = unit_config("ogd_const", [1.0], horizon=4, step_scale=1.0)
-    learner = make_learner(cfg)
+    cfg = unit_config("ogd_const", [1.0], step_scale=1.0)
+    learner = make_learner(cfg, 4)
     assert learner.next_point()[0] == 1.0
     learner.observe(np.array([1.0]))
     # 1 - (1/sqrt(4)) * 1
@@ -35,7 +34,7 @@ def test_ogd_const_trace():
 
 def test_da_sqrt_trace():
     cfg = unit_config("da_sqrt", [1.0], step_scale=0.5)
-    learner = make_learner(cfg)
+    learner = make_learner(cfg, 2)
     assert learner.next_point()[0] == 1.0
     learner.observe(np.array([1.0]))
     assert learner.next_point()[0] == 0.5
@@ -47,7 +46,7 @@ def test_da_sqrt_trace():
 
 def test_kt_trace():
     cfg = unit_config("kt", [1.0], wealth_init=1.0)
-    learner = make_learner(cfg)
+    learner = make_learner(cfg, 2)
     assert learner.next_point()[0] == 1.0
     learner.observe(np.array([1.0]))        # w_1 = 0, wealth stays 1
     assert learner.next_point()[0] == 0.5   # 1 + (-1/2) * 1
@@ -58,7 +57,7 @@ def test_kt_trace():
 def test_adagrad_da_trace():
     cfg = LearnerConfig(kind="adagrad_da", start=np.array([1.0]),
                         step_scale=1.0, grad_bound_init=1.0)
-    learner = make_learner(cfg)
+    learner = make_learner(cfg, 2)
     assert learner.next_point()[0] == 1.0
     learner.observe(np.array([1.0]))
     x2 = 1.0 - 1.0 / math.sqrt(2.0)
@@ -76,38 +75,29 @@ def test_adagrad_observe_takes_gradients_above_bound():
     # the bound G is not checked here: the driver reports the first step
     # above it (RunRecord.exceeded_index)
     cfg = LearnerConfig(kind="adagrad_da", start=np.zeros(2), grad_bound_init=1.0)
-    learner = make_learner(cfg)
+    learner = make_learner(cfg, 1)
     learner.observe(np.array([2.0, 0.0]))
     assert learner.grad_sq_sum == 4.0
 
 
 def test_config_validation():
     with pytest.raises(ContractViolation):
-        LearnerConfig(kind="ogd_const", start=np.array([1.0]))  # missing horizon
-    with pytest.raises(ContractViolation):
         LearnerConfig(kind="da_sqrt", start=np.array([1.0]), step_scale=0.0)
     with pytest.raises(ContractViolation):
         LearnerConfig(kind="kt", start=np.array([1.0]), wealth_init=-1.0)
     with pytest.raises(ContractViolation):
         LearnerConfig(kind="mystery", start=np.array([1.0]))
-    with pytest.raises(ContractViolation, match="horizon must be >= 1"):
-        LearnerConfig(kind="kt", start=np.array([1.0]), horizon=0)
-    with pytest.raises(ContractViolation, match="horizon must be >= 1"):
-        LearnerConfig(kind="ogd_const", start=np.array([1.0]), horizon=0)
-    assert LearnerConfig(kind="kt", start=np.array([1.0]), horizon=3).horizon == 3
-
-
-def test_ogd_bound_requires_configured_horizon():
-    cfg = unit_config("ogd_const", [0.0], horizon=100)
-    with pytest.raises(ContractViolation):
-        regret_bound(cfg, 1.0, 64)
+    # the horizon belongs to the run: make_learner takes it, a config has none
+    assert "horizon" not in {f.name for f in fields(LearnerConfig)}
+    with pytest.raises(TypeError):
+        LearnerConfig(kind="ogd_const", start=np.array([1.0]), horizon=4)
 
 
 # --- regret bound formulas ---------------------------------------------------
 
 
 def test_regret_bound_values():
-    ogd = unit_config("ogd_const", [0.0], horizon=100, step_scale=1.0)
+    ogd = unit_config("ogd_const", [0.0], step_scale=1.0)
     assert regret_bound(ogd, 1.0, 100) == pytest.approx(10.0, rel=1e-15)
 
     da = unit_config("da_sqrt", [0.0], step_scale=0.7)
@@ -169,9 +159,9 @@ def test_measured_regret_never_exceeds_bound(kind):
         d = int(rng.integers(1, 9))
         horizon = int(rng.integers(1, 513))
         start = rng.standard_normal(d)
-        cfg = unit_config(kind, start, horizon=horizon)
+        cfg = unit_config(kind, start)
         stream = [_random_unit(rng, d) for _ in range(horizon)]
-        points = _play_stream(make_learner(cfg), stream)
+        points = _play_stream(make_learner(cfg, horizon), stream)
         comparators = [start.copy(),
                        start + rng.uniform(0, 10) * _random_unit(rng, d)]
         for u in comparators:
@@ -189,9 +179,9 @@ def test_ogd_const_regret_identity_with_iterate_term():
         horizon = int(rng.integers(1, 257))
         alpha = float(rng.uniform(0.2, 3.0))
         start = rng.standard_normal(d)
-        cfg = unit_config("ogd_const", start, horizon=horizon, step_scale=alpha)
+        cfg = unit_config("ogd_const", start, step_scale=alpha)
         stream = [_random_unit(rng, d) for _ in range(horizon)]
-        points = _play_stream(make_learner(cfg), stream)
+        points = _play_stream(make_learner(cfg, horizon), stream)
         u = start + rng.uniform(0, 5) * _random_unit(rng, d)
         dist_sq = float(np.dot(u - start, u - start))
         last_sq = float(np.dot(points[-1] - u, points[-1] - u))
@@ -205,10 +195,10 @@ def test_determinism_bitwise():
     rng = np.random.default_rng(3)
     stream = [_random_unit(rng, 4) for _ in range(64)]
     for kind in UNIT_KINDS:
-        cfg1 = unit_config(kind, np.arange(4.0), horizon=64)
-        cfg2 = unit_config(kind, np.arange(4.0), horizon=64)
-        pts1 = _play_stream(make_learner(cfg1), stream)
-        pts2 = _play_stream(make_learner(cfg2), stream)
+        cfg1 = unit_config(kind, np.arange(4.0))
+        cfg2 = unit_config(kind, np.arange(4.0))
+        pts1 = _play_stream(make_learner(cfg1, 64), stream)
+        pts2 = _play_stream(make_learner(cfg2, 64), stream)
         for a, b in zip(pts1, pts2):
             assert np.array_equal(a, b)
 
@@ -218,8 +208,8 @@ def test_kt_translation_invariance():
     stream = [_random_unit(rng, 3) for _ in range(100)]
     shift = np.array([10.0, -4.0, 2.5])
     start = rng.standard_normal(3)
-    pts = _play_stream(make_learner(unit_config("kt", start)), stream)
-    pts_shifted = _play_stream(make_learner(unit_config("kt", start + shift)), stream)
+    pts = _play_stream(make_learner(unit_config("kt", start), 100), stream)
+    pts_shifted = _play_stream(make_learner(unit_config("kt", start + shift), 100), stream)
     for a, b in zip(pts, pts_shifted):
         assert np.allclose(a + shift, b, rtol=0, atol=1e-12)
     u = start + np.array([1.0, 2.0, 3.0])
@@ -239,7 +229,7 @@ def test_adagrad_regret_bound_on_bounded_streams():
                             step_scale=float(rng.uniform(0.3, 2.0)),
                             grad_bound_init=g_bound)
         stream = [rng.uniform(0, g_bound) * _random_unit(rng, d) for _ in range(horizon)]
-        points = _play_stream(make_learner(cfg), stream)
+        points = _play_stream(make_learner(cfg, horizon), stream)
         u = start + rng.uniform(0, 8) * _random_unit(rng, d)
         v = sum(float(np.dot(q, q)) for q in stream)
         measured = _measured_regret(points, stream, u)
@@ -252,5 +242,5 @@ def test_config_record_round_trip_fields():
     rec = cfg.config_record()
     assert rec == {"kind": "kt", "start": [1.0, 2.0], "step_scale": 1.0,
                    "wealth_init": 0.5}
-    ogd = unit_config("ogd_const", [0.0], horizon=32)
+    ogd = unit_config("ogd_const", [0.0])
     assert ogd.config_record() == {"kind": "ogd_const", "start": [0.0], "step_scale": 1.0}

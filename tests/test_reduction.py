@@ -28,9 +28,8 @@ from normgrad.reduction import EPS_ZERO_FLOOR, _drive
 from normgrad.vectors import _CHUNK_ELEMENTS, chunk_rows, l2_norm
 
 
-def ogd_cfg(start, horizon, alpha=1.0):
-    return LearnerConfig(kind="ogd_const", start=np.asarray(start, float),
-                         horizon=horizon, step_scale=alpha)
+def ogd_cfg(start, alpha=1.0):
+    return LearnerConfig(kind="ogd_const", start=np.asarray(start, float), step_scale=alpha)
 
 
 # --- normalized driver -------------------------------------------------------
@@ -38,7 +37,7 @@ def ogd_cfg(start, horizon, alpha=1.0):
 
 def test_run_normalized_ogd_quadratic_trace():
     p = Quadratic(1)
-    run = run_normalized(ogd_cfg([1.0], 4), p, 4)
+    run = run_normalized(ogd_cfg([1.0]), p, 4)
     assert [x[0] for x in run.iterates] == [1.0, 0.5]
     assert run.grad_norms.tolist() == [1.0, 0.5]
     assert run.suboptimalities.tolist() == [0.5, 0.125]
@@ -135,7 +134,7 @@ def _counting(problem):
 
 def _drive_counted(problem, kind, horizon, distance):
     counted = _counting(problem)
-    cfg = resolve_learner_config(problem, {"kind": kind, "start_distance": distance}, horizon, 0)
+    cfg = resolve_learner_config(problem, {"kind": kind, "start_distance": distance}, 0)
     drive = run_adagrad_warmup if kind == "adagrad_da" else run_normalized
     return drive(cfg, counted, horizon), counted.calls
 
@@ -199,7 +198,7 @@ def test_unit_learners_are_fed_unit_losses(monkeypatch):
         p = Quadratic(10)
         scale = {"wealth_init" if kind == "kt" else "step_scale": 1e-3 * EPS_ZERO_FLOOR}
         cfg = LearnerConfig(kind=kind, start=start_at_distance(p, 1.5 * EPS_ZERO_FLOOR, 0),
-                            horizon=64, **scale)
+                            **scale)
         norms.clear()
         run = run_normalized(cfg, p, 64, eps_zero=EPS_ZERO_FLOOR)
         assert len(norms) == run.steps_taken > 0
@@ -207,7 +206,7 @@ def test_unit_learners_are_fed_unit_losses(monkeypatch):
         assert min(run.grad_norms) < 2.0 * EPS_ZERO_FLOOR
         # the floor is what keeps them: below it a loss misses norm 1
         norms.clear()
-        _drive(LearnerConfig(kind=kind, start=start_at_distance(p, 1e-160, 0), horizon=4),
+        _drive(LearnerConfig(kind=kind, start=start_at_distance(p, 1e-160, 0)),
                p, 4, eps_zero=1e-300)
         assert abs(norms[0] - 1.0) > 1e-6
 
@@ -381,19 +380,19 @@ def test_regret_to_gap_bound_validation():
 def test_closed_form_rate_examples():
     # ogd form at nu=1, L=1, D=1, alpha=1, T=100: 2 * ((1/20) * 2)^2 = 0.02
     p = Quadratic(1)
-    cfg = ogd_cfg([1.0], 100)
+    cfg = ogd_cfg([1.0])
     assert closed_form_rate(p, cfg, 100) == pytest.approx(0.02, rel=1e-14)
 
     # nu=0 with G=1 and alpha=D: bound = D/sqrt(T)
     p0 = PowerNorm(0.0, 1)
     for d, t in ((2.0, 64), (0.5, 256)):
-        cfg0 = ogd_cfg([d], t, alpha=d)
+        cfg0 = ogd_cfg([d], alpha=d)
         assert closed_form_rate(p0, cfg0, t) == pytest.approx(
             d / math.sqrt(t), rel=1e-14)
 
     # quadrupling T at nu=1 divides the constant-step bound by 4
-    b1 = closed_form_rate(p, ogd_cfg([1.0], 100), 100)
-    b4 = closed_form_rate(p, ogd_cfg([1.0], 400), 400)
+    b1 = closed_form_rate(p, ogd_cfg([1.0]), 100)
+    b4 = closed_form_rate(p, ogd_cfg([1.0]), 400)
     assert b1 / b4 == pytest.approx(4.0, rel=1e-12)
 
 
@@ -447,17 +446,14 @@ def test_closed_form_rate_bits(nu):
                           g / t * (d * d / alpha + 2.0 * alpha)),
     }
     for kind, value in expected.items():
-        cfg = LearnerConfig(kind=kind, start=start, horizon=t if kind == "ogd_const" else None,
-                            step_scale=alpha, wealth_init=d0, grad_bound_init=g)
+        cfg = LearnerConfig(kind=kind, start=start, step_scale=alpha, wealth_init=d0, grad_bound_init=g)
         got = closed_form_rate(p, cfg, t)
         assert type(got) is float and got == value, kind
 
 
 def test_closed_form_rate_contract_errors():
     p = Quadratic(1)
-    cfg = ogd_cfg([1.0], 100)
-    with pytest.raises(ContractViolation):
-        closed_form_rate(p, cfg, 64)
+    cfg = ogd_cfg([1.0])
     with pytest.raises(ContractViolation):
         closed_form_rate(p, cfg, 0)
     # a nu = 0 family without a gradient norm bound has no rate constant
@@ -472,7 +468,7 @@ def test_closed_form_rate_contract_errors():
 
 def test_bound_report_early_stopped_run():
     p = Quadratic(1)
-    cfg = ogd_cfg([1.0], 4)
+    cfg = ogd_cfg([1.0])
     run = run_normalized(cfg, p, 4)
     rep = bound_report(run, p, cfg)
     assert rep.measured == 0.0
@@ -482,6 +478,23 @@ def test_bound_report_early_stopped_run():
     # the report composes the run's own column
     assert (rep.bound_gm, rep.bound_am) == regret_to_gap_bound(
         rep.psi_at_xstar, run.steps_taken, p.spec, run.local_constants)
+
+
+def test_ogd_const_run_and_report_use_the_driven_horizon():
+    # one config driven for two horizons: each run steps alpha/sqrt(T) for
+    # its own T, and its report evaluates psi and the closed form at that T
+    p = Quadratic(3)
+    cfg = ogd_cfg(start_at_distance(p, 2.0, seed=0), alpha=0.7)
+    g = p.grad(cfg.start)
+    distance = l2_norm(cfg.start - p.minimizer)
+    for horizon in (32, 64):
+        run = run_normalized(cfg, p, horizon)
+        assert run.steps_taken == run.horizon == horizon
+        step = 0.7 / math.sqrt(horizon) * (g / l2_norm(g))
+        assert np.array_equal(run.iterates[1], cfg.start - step)
+        rep = bound_report(run, p, cfg)
+        assert rep.psi_at_xstar == learners.regret_bound(cfg, distance, horizon)
+        assert rep.bound_closed_form == closed_form_rate(p, cfg, horizon)
 
 
 def test_bound_report_zero_steps():
@@ -512,7 +525,7 @@ def test_jensen_and_regret_chain_on_runs():
     for problem in problems:
         start = start_at_distance(problem, 2.0, seed=1)
         for kind in ("ogd_const", "da_sqrt", "kt"):
-            cfg = LearnerConfig(kind=kind, start=start, horizon=128)
+            cfg = LearnerConfig(kind=kind, start=start)
             run = run_normalized(cfg, problem, 128)
             rep = bound_report(run, problem, cfg)
             # gap of the average never beats the weighted mean of gaps
@@ -542,8 +555,7 @@ def test_bounded_iterates_for_constant_step_runs():
         start = start_at_distance(problem, 3.0, seed=2)
         d_sq = l2_norm(start - problem.minimizer) ** 2
         for horizon in (16, 128, 1024):
-            cfg = LearnerConfig(kind="ogd_const", start=start, horizon=horizon,
-                                step_scale=1.0)
+            cfg = LearnerConfig(kind="ogd_const", start=start, step_scale=1.0)
             run = run_normalized(cfg, problem, horizon)
             pts = list(run.iterates)
             if run.terminated_early:
@@ -554,7 +566,7 @@ def test_bounded_iterates_for_constant_step_runs():
 
 def test_early_stop_point_has_zero_gradient():
     p = Quadratic(1)
-    run = run_normalized(ogd_cfg([1.0], 4), p, 4)
+    run = run_normalized(ogd_cfg([1.0]), p, 4)
     assert run.terminated_early
     assert l2_norm(p.grad(run.average_point)) <= 1e-12
 
