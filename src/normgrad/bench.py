@@ -15,7 +15,7 @@ phase generic at every default horizon.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import asdict, astuple, dataclass, replace
 
@@ -209,16 +209,20 @@ def resolve_learner_config(problem: Problem, record: dict, seed: int) -> Learner
     The other keys are the kind's RECORD_SCALES, passed to LearnerConfig
     by name (an omitted one keeps its default; adagrad_da's gradient bound
     defaults to the gradient norm at the start, floored at 1). An unknown
-    kind or key (such as "horizon", which the run gives), or a start of the
-    wrong dimension or at a distance that is not finite, raises
-    ContractViolation. Every number goes through config_real.
+    kind or key ("horizon" is the run's), both start keys, or a start that
+    is not a list, of the wrong dimension or at a distance that is not
+    finite, raises ContractViolation. Every number goes through config_real.
     """
     kind = config_object(record, "learner record")["kind"]
     if kind not in LEARNER_KINDS:
         raise ContractViolation(f"unknown learner kind {kind!r}; expected one of {LEARNER_KINDS}")
     refuse_unknown_keys(record, ("kind", "start", "start_distance") + RECORD_SCALES[kind],
                         f"{kind} learner record")
-    if record.get("start") is not None:
+    if {"start", "start_distance"} <= record.keys():
+        raise ContractViolation("learner record: give 'start' or 'start_distance', not both")
+    if "start" in record:
+        if not isinstance(record["start"], list):
+            raise ContractViolation(f"learner record: 'start' must be a list: {record['start']!r}")
         start = np.array([config_real(c, "start coordinate") for c in record["start"]])
     else:
         distance = config_real(record.get("start_distance", DEFAULT_DISTANCE), "start_distance")
@@ -679,14 +683,6 @@ def _chain_cells(problem: Problem, kind: str, seed: int):
     return run_cells(problem, resolve_learner_config(problem, record, seed), _CHAIN_HORIZONS, seed)
 
 
-def _bounded_residuals(cell: CellResult):
-    """Constant-step normalized runs keep every iterate within
-    ||x_1 - x*||^2 + alpha^2 of the minimizer (squared distances)."""
-    center = cell.problem.minimizer
-    limit = l2_norm(cell.config.start - center) ** 2 + cell.config.step_scale ** 2 + 1e-9
-    yield _visited_dist_sq(cell.run, center) - limit
-
-
 def _chain_residuals(cell: CellResult):
     """measured <= gm-bound <= am-bound <= closed form (relative slack 1e-9),
     the averaged point obeys the weighted mean of the per-step gaps (+1e-9),
@@ -706,52 +702,43 @@ def _chain_residuals(cell: CellResult):
         yield l2_norm(cell.problem.grad(run.average_point)) - DEFAULT_EPS_ZERO
 
 
-_OGD_CONST_RESIDUALS = {"bounded_iterates": _bounded_residuals,
-                        "reduction_chain": _chain_residuals}
-
-
-def _ogd_const_residuals(name: str, seed: int, shared) -> list:
-    """Per canonical family, the list of suite `name`'s residuals over its
-    ogd_const chain cells. Each cell gives both driver suites' residuals.
-    shared is None, or the dict that run_suites hands both driver suites:
-    there the first suite keeps the other's residuals (never a run), so the
-    cells run once per run_suites call."""
-    if shared is not None and name in shared:
-        return shared.pop(name)
-    problems = canonical_problems(DEFAULT_DIMENSION)
-    lists = {suite: [[] for _ in problems] for suite in _OGD_CONST_RESIDUALS}
-    for i, problem in enumerate(problems):
+def _ogd_const_residuals(seed: int) -> tuple:
+    """The one pass over the ogd_const chain cells of every canonical
+    family: the lists of bounded_iterates' and of reduction_chain's
+    residuals. Constant-step normalized runs keep every iterate within
+    ||x_1 - x*||^2 + alpha^2 of the minimizer (one array of squared
+    distances per cell); each cell's _chain_residuals follow in order."""
+    bounded, chain = [], []
+    for problem in canonical_problems(DEFAULT_DIMENSION):
+        center = problem.minimizer
         for cell in _chain_cells(problem, "ogd_const", seed):
-            for suite, residuals in _OGD_CONST_RESIDUALS.items():
-                lists[suite][i].extend(residuals(cell))
-    if shared is not None:
-        shared.update((suite, values) for suite, values in lists.items() if suite != name)
-    return lists[name]
+            limit = l2_norm(cell.config.start - center) ** 2 + cell.config.step_scale ** 2 + 1e-9
+            bounded.append(_visited_dist_sq(cell.run, center) - limit)
+            chain.extend(_chain_residuals(cell))
+    return bounded, chain
 
 
-def suite_bounded_iterates(samples: int, seed: int, shared=None) -> SuiteResult:
-    """_bounded_residuals on the ogd_const chain cells of every family;
-    shared as in _ogd_const_residuals."""
-    return _tally("bounded_iterates", itertools.chain.from_iterable(
-        _ogd_const_residuals("bounded_iterates", seed, shared)))
+def suite_bounded_iterates(samples: int, seed: int, ogd_const=_ogd_const_residuals) -> SuiteResult:
+    """The bounded_iterates residuals of ogd_const(seed), the pass above or
+    the memo of it that run_suites hands both driver suites."""
+    return _tally("bounded_iterates", ogd_const(seed)[0])
 
 
-def suite_reduction_chain(samples: int, seed: int, shared=None) -> SuiteResult:
+def suite_reduction_chain(samples: int, seed: int, ogd_const=_ogd_const_residuals) -> SuiteResult:
     """End-to-end chain (_chain_residuals) on the chain cells of every
-    family and unit-norm learner, in that order; shared as in
-    _ogd_const_residuals."""
+    family and unit-norm learner: first every family's ogd_const cells, read
+    from ogd_const(seed) as in suite_bounded_iterates, then the others."""
     def residuals():
-        ogd_const = _ogd_const_residuals("reduction_chain", seed, shared)
-        for problem, ogd_const_values in zip(canonical_problems(DEFAULT_DIMENSION), ogd_const):
+        yield from ogd_const(seed)[1]
+        for problem in canonical_problems(DEFAULT_DIMENSION):
             for kind in UNIT_NORM_KINDS:
-                if kind == "ogd_const":
-                    yield from ogd_const_values
-                    continue
-                for cell in _chain_cells(problem, kind, seed):
-                    yield from _chain_residuals(cell)
+                if kind != "ogd_const":
+                    for cell in _chain_cells(problem, kind, seed):
+                        yield from _chain_residuals(cell)
     return _tally("reduction_chain", residuals())
 
 
+_DRIVER_SUITES = ("bounded_iterates", "reduction_chain")
 SUITES = {suite.__name__.removeprefix("suite_"): suite for suite in (
     suite_descent, suite_descent_negative_control, suite_grad_bound, suite_gradient_check,
     suite_convexity, suite_holder_sampling, suite_local_constant, suite_means_ordering,
@@ -759,9 +746,9 @@ SUITES = {suite.__name__.removeprefix("suite_"): suite for suite in (
 
 
 def run_suites(names=None, samples: int = 10_000, seed: int = 0):
-    """Run the named suites (all by default); returns the result list.
-    When both driver suites are named, their ogd_const cells run once (see
-    _ogd_const_residuals)."""
+    """Run the named suites (all by default); returns the result list. The
+    driver suites share one functools.cache memo of _ogd_const_residuals per
+    call: the first of them named runs the pass, the other reads it."""
     if samples < 1 or seed < 0:
         raise ConfigError(f"samples must be >= 1 and seed >= 0, got {samples} and {seed}")
     if names is None:
@@ -769,6 +756,6 @@ def run_suites(names=None, samples: int = 10_000, seed: int = 0):
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
-    shared = {} if set(_OGD_CONST_RESIDUALS) <= set(names) else None
-    return [SUITES[name](samples, seed, shared=shared) if name in _OGD_CONST_RESIDUALS
+    ogd_const = functools.cache(_ogd_const_residuals)
+    return [SUITES[name](samples, seed, ogd_const) if name in _DRIVER_SUITES
             else SUITES[name](samples, seed) for name in names]

@@ -154,22 +154,20 @@ def summarize(run: RunRecord, horizon: int, problem: Problem) -> RunRecord:
         raise ContractViolation(
             f"cannot summarize {horizon} steps of a run that recorded {run.steps_taken}")
     weights, gaps = run.weights[:steps], run.suboptimalities[:steps]
-    point, mean_gap = run.average_point, None
+    point = run.average_point
     # an overflow shows as a gap that is not finite, which the caller checks
     with _overflow_unwarned():
-        if steps > 0:
-            if not stopped:
-                points = WeightedMeanAccumulator(problem.dimension)
-                points.push(run.iterates[:steps], weights)
-                point = points.finalize()
-            # left to right from 0.0, as the accumulator adds
-            mean_gap = left_sum(weights * gaps) / left_sum(weights)
+        if not stopped:
+            points = WeightedMeanAccumulator(problem.dimension)
+            points.push(run.iterates[:steps], weights)
+            point = points.finalize()
         gap = problem.gap(point)
+        # left to right from 0.0, as the accumulator adds
+        mean_gap = left_sum(weights * gaps) / left_sum(weights) if steps else gap
     exceeded = run.exceeded_index is not None and run.exceeded_index <= steps
     return RunRecord(horizon, run.iterates[:steps], run.grad_norms[:steps], gaps, weights,
                      run.local_constants[:steps], run.stop_index if stopped else None,
-                     run.exceeded_index if exceeded else None, point, gap,
-                     gap if mean_gap is None else mean_gap)
+                     run.exceeded_index if exceeded else None, point, gap, mean_gap)
 
 
 def _drive(config: LearnerConfig, problem: Problem, horizon: int,

@@ -512,6 +512,68 @@ def test_oracle_patched_between_run_suites_calls_changes_the_second(monkeypatch)
     assert all(a != b for a, b in zip(first, second))
 
 
+def test_each_suite_alone_equals_its_entry_in_run_suites():
+    together = run_suites(samples=10)
+    assert [r.as_dict() for r in together] == [SUITES[name](10, 0).as_dict() for name in SUITES]
+
+
+@pytest.mark.parametrize("names, runs", [
+    (["bounded_iterates", "reduction_chain"], [45, 10]),
+    (["reduction_chain", "bounded_iterates"], [55, 0]),
+])
+def test_first_driver_suite_named_runs_the_ogd_const_pass(names, runs, monkeypatch):
+    calls = []
+    run_normalized = normgrad.bench.run_normalized
+
+    def counted(*args):
+        calls.append(args[0].kind)
+        return run_normalized(*args)
+
+    monkeypatch.setattr(normgrad.bench, "run_normalized", counted)
+    per_suite = {}
+    for name in names:
+        def suite(*args, name=name, run=SUITES[name], **kwargs):
+            before = len(calls)
+            result = run(*args, **kwargs)
+            per_suite[name] = len(calls) - before
+            return result
+        monkeypatch.setitem(SUITES, name, suite)
+    run_suites(names, 10, 0)
+    # 45 ogd_const runs (5 families x 9 horizons) and one da_sqrt and one kt
+    # run per family, in the suite that needs them first
+    assert [per_suite[name] for name in names] == runs
+
+
+# Failures at 10^4 samples and seed 0 when one family declares 0.9 times its
+# constant. No suite catches log_sum_exp, whose declared L = 1 is loose at d = 3.
+_SCALED_CONSTANT_FAILURES = {
+    "quadratic": {"descent": 10_000, "grad_bound": 10_000, "holder_sampling": 10,
+                  "local_constant": 10_000},
+    "power_norm": {"descent": 11, "holder_sampling": 10},
+    "l2_norm": {"holder_sampling": 10},
+    "huber": {"grad_bound": 7, "local_constant": 7},
+}
+
+
+@pytest.mark.parametrize("family", list(_SCALED_CONSTANT_FAILURES))
+def test_suites_catch_a_constant_scaled_by_0_9_on_each_family(family, default_check,
+                                                              monkeypatch):
+    names = ("descent", "grad_bound", "holder_sampling", "local_constant")
+    assert all(r.failures == 0 for r in default_check if r.name in names)
+    canonical = normgrad.bench.canonical_problems
+
+    def corrupted(dimension=3):
+        problems = canonical(dimension)
+        for problem in problems:
+            if problem.family == family:
+                problem.spec = replace(problem.spec, l_nu=0.9 * problem.spec.l_nu)
+        return problems
+
+    monkeypatch.setattr(normgrad.bench, "canonical_problems", corrupted)
+    failures = {name: SUITES[name](10_000, 0).failures for name in names}
+    assert {name: n for name, n in failures.items() if n} == _SCALED_CONSTANT_FAILURES[family]
+
+
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_gradient_check_catches_a_bad_gradient_on_each_family(family, monkeypatch):
     n = 40
@@ -745,7 +807,7 @@ def _bad_run_config(**learner):
     "power_norm_extra_parameter", "learner_unknown_key", "ogd_const_horizon",
     "experiment_unknown_key", "problem_unknown_key", "problem_seed_without_minimizer",
     "problem_seed_with_listed_minimizer", "kt_grad_bound_init", "ogd_const_wealth_init",
-    "learner_pairs", "parameters_pairs",
+    "learner_pairs", "parameters_pairs", "start_and_start_distance", "start_null",
 ])
 def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
     out = tmp_path / "out"
@@ -806,6 +868,9 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
         "learner_pairs": {**good_config(),
                           "learner": [["kind", "kt"], ["start_distance", 2.0]]},
         "parameters_pairs": _bad_problem_config(family="huber", parameters=[["delta", 2.0]]),
+        # a start comes from one key: never both, and null is not "absent"
+        "start_and_start_distance": _bad_run_config(start_distance=0.5),
+        "start_null": _bad_run_config(start=None),
     }
     unknown_keys = {"huber_unknown_parameter": "'delat'", "power_norm_extra_parameter": "'delta'",
                     "learner_unknown_key": "'step-scale'", "ogd_const_horizon": "'horizon'",
@@ -814,7 +879,9 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
                     "problem_seed_with_listed_minimizer": "'seed'",
                     "kt_grad_bound_init": "'grad_bound_init'",
                     "ogd_const_wealth_init": "'wealth_init'",
-                    "learner_pairs": "learner record", "parameters_pairs": "parameters"}
+                    "learner_pairs": "learner record", "parameters_pairs": "parameters",
+                    "start_and_start_distance": "'start' or 'start_distance'",
+                    "start_null": "'start'"}
     payloads = {"ratefit_records_int": {"records": 5}, "ratefit_list": [1, 2, 3],
                 "ratefit_int": 5}
     overflow_sweep = ["sweep", "--learner", "da_sqrt", "--horizons", "4", "--seeds", "0",
