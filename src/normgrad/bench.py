@@ -34,7 +34,7 @@ from .problems import (
     check_descent_inequality,
     check_grad_bound,
     config_count,
-    config_object,
+    config_key,
     config_real,
     finite_diff_grad,
     local_holder_constant,
@@ -65,7 +65,6 @@ __all__ = [
     "DEFAULT_SEEDS",
     "DEFAULT_HORIZONS",
     "DEFAULT_SWEEP_NUS",
-    "DEFAULT_SWEEP_LEARNERS",
     "RATE_FIT_DISTANCE",
     "RATE_FIT_STEP_SCALES",
     "RateFit",
@@ -96,7 +95,6 @@ DEFAULT_DISTANCE = 1.0
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_HORIZONS = tuple(2 ** k for k in range(8, 15))
 DEFAULT_SWEEP_NUS = (0.0, 0.5, 1.0)
-DEFAULT_SWEEP_LEARNERS = ("ogd_const", "da_sqrt", "kt", "adagrad_da")
 
 # Start distance for rate-fit experiments; see the module docstring.
 RATE_FIT_DISTANCE = 1.3541320163922068
@@ -171,8 +169,10 @@ def parse_experiment_config(record: dict) -> ExperimentConfig:
 
     Counts (horizons, seeds, the problem's dimension) must be integers; a
     bool or a non-integral number raises ConfigError, as do a real that is
-    not an int or a float, a level that is not a JSON object and a key, at
-    any level, that the schema lacks. The learner record is resolved once
+    not an int or a float, horizons that are not a list, a level that is
+    not a JSON object, a required key missing (problem, learner, horizons;
+    a learner's kind) and a key, at any level, that the schema lacks. Every
+    refusal names its key. The learner record is resolved once
     here, into the config every horizon runs, so a malformed learner field
     raises ConfigError before anything runs. eps_zero must pass
     check_eps_zero, and the gradient norm at the start must be finite.
@@ -180,8 +180,11 @@ def parse_experiment_config(record: dict) -> ExperimentConfig:
     try:
         refuse_unknown_keys(record, ("problem", "learner", "horizons", "seed", "eps_zero"),
                             "experiment record")
-        problem = problem_from_config(record["problem"])
-        horizons = [config_count(t, "horizon") for t in record["horizons"]]
+        problem = problem_from_config(config_key(record, "problem", "experiment record"))
+        horizons = config_key(record, "horizons", "experiment record")
+        if not isinstance(horizons, list):
+            raise ConfigError(f"experiment record: 'horizons' must be a list, got {horizons!r}")
+        horizons = [config_count(t, "horizon") for t in horizons]
         seed = config_count(record.get("seed", 0), "seed")
         eps_zero = check_eps_zero(config_real(record.get("eps_zero", DEFAULT_EPS_ZERO), "eps_zero"))
         if not horizons:
@@ -190,7 +193,8 @@ def parse_experiment_config(record: dict) -> ExperimentConfig:
             raise ConfigError("horizons must be strictly increasing positives")
         if seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {seed}")
-        config = resolve_learner_config(problem, record["learner"], seed)
+        config = resolve_learner_config(problem, config_key(record, "learner", "experiment record"),
+                                        seed)
         # checked once here, not per cell: the start is the same at every horizon
         with _overflow_unwarned():
             grad_norm = l2_norm(problem.grad(config.start))
@@ -208,12 +212,13 @@ def resolve_learner_config(problem: Problem, record: dict, seed: int) -> Learner
     "start_distance" (direction drawn from the seed; default distance 1).
     The other keys are the kind's RECORD_SCALES, passed to LearnerConfig
     by name (an omitted one keeps its default; adagrad_da's gradient bound
-    defaults to the gradient norm at the start, floored at 1). An unknown
-    kind or key ("horizon" is the run's), both start keys, or a start that
-    is not a list, of the wrong dimension or at a distance that is not
-    finite, raises ContractViolation. Every number goes through config_real.
+    defaults to the gradient norm at the start, floored at 1). A missing
+    kind raises ConfigError; an unknown kind or key ("horizon" is the
+    run's), both start keys, or a start that is not a list, of the wrong
+    dimension or at a distance that is not finite, raises
+    ContractViolation. Every number goes through config_real.
     """
-    kind = config_object(record, "learner record")["kind"]
+    kind = config_key(record, "kind", "learner record")
     if kind not in LEARNER_KINDS:
         raise ContractViolation(f"unknown learner kind {kind!r}; expected one of {LEARNER_KINDS}")
     refuse_unknown_keys(record, ("kind", "start", "start_distance") + RECORD_SCALES[kind],
@@ -425,23 +430,38 @@ def rate_fit_from_records(records) -> RateFit:
 # sweeps
 
 
-def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=DEFAULT_SWEEP_LEARNERS,
+def _grid(problems, kinds, seeds, horizons, distance=DEFAULT_DISTANCE, step_scale=1.0):
+    """Yield the cell of every (problem, kind, horizon, seed), in that order,
+    the learner started at distance with step_scale. Each seed of a
+    (problem, kind) block gets one resolved config and one run_cells
+    generator: an anytime block runs all its seeds, each to the largest
+    horizon, at its first cell and keeps those runs until the block is
+    done; an ogd_const block runs one cell per cell requested."""
+    for problem in problems:
+        for kind in kinds:
+            record = {"kind": kind, "start_distance": distance, "step_scale": step_scale}
+            per_seed = [run_cells(problem, resolve_learner_config(problem, record, int(seed)),
+                                  horizons, int(seed)) for seed in seeds]
+            for _ in horizons:
+                # one cell at a time: a zip would hold every seed's cell of a horizon
+                for cells in per_seed:
+                    yield next(cells)
+
+
+def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=LEARNER_KINDS,
                horizons=DEFAULT_HORIZONS, seeds=DEFAULT_SEEDS,
                dimension=DEFAULT_DIMENSION, distance=DEFAULT_DISTANCE,
                step_scale=1.0):
     """Run the (nu x learner x horizon x seed) grid over the interpolation
     family and yield one row dict per cell, in deterministic grid order.
 
-    This is a generator: each cell runs when its row is requested, through
-    one resolved config and one run_cells generator per seed of a (nu,
-    learner) block. An anytime block therefore runs all its seeds, each to
-    the largest horizon, at its first row, and keeps those runs until the
-    block is done; an ogd_const block runs one cell per row. The whole grid
-    is checked at the first request, before any cell runs: an empty axis,
-    an unknown learner, a nu outside [0, 1], a horizon below 1 or a negative
-    seed raises. A row holds the SWEEP_COLUMNS (the summary_record fields
-    plus nu, learner, T, seed and max_iterate_dist_sq) and the CellResult
-    under "_cell"."""
+    This is a generator over _grid's cells: each cell runs when its row is
+    requested, and an anytime block's runs are made at its first row. The
+    whole grid is checked at the first request, before any cell runs: an
+    empty axis, an unknown learner, a nu outside [0, 1], a horizon below 1
+    or a negative seed raises. A row holds the SWEEP_COLUMNS (the
+    summary_record fields plus nu, learner, T, seed and
+    max_iterate_dist_sq) and the CellResult under "_cell"."""
     if not nus or not learners or not horizons or not seeds:
         raise ConfigError("sweep grid must be nonempty in every axis")
     for kind in learners:
@@ -450,35 +470,26 @@ def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=DEFAULT_SWEEP_LEARNERS,
     if min(horizons) < 1 or min(seeds) < 0:
         raise ConfigError("sweep horizons must be >= 1 and seeds >= 0")
     problems = [PowerNorm(float(nu), dimension) for nu in nus]
-    for nu, problem in zip(nus, problems):
-        for kind in learners:
-            record = {"kind": kind, "start_distance": distance, "step_scale": step_scale}
-            per_seed = [run_cells(problem, resolve_learner_config(problem, record, int(seed)),
-                                  horizons, int(seed)) for seed in seeds]
-            for _ in horizons:
-                # one cell at a time: a zip would hold every seed's cell of a horizon
-                for cells in per_seed:
-                    cell = next(cells)
-                    yield {
-                        **summary_record(cell),
-                        "nu": float(nu),
-                        "learner": kind,
-                        "T": cell.horizon,
-                        "seed": cell.seed,
-                        "max_iterate_dist_sq": float(_visited_dist_sq(
-                            cell.run, problem.minimizer).max(initial=0.0)),
-                        "_cell": cell,
-                    }
+    for cell in _grid(problems, learners, seeds, horizons, distance, step_scale):
+        yield {
+            **summary_record(cell),
+            "nu": cell.problem.nu,
+            "learner": cell.config.kind,
+            "T": cell.horizon,
+            "seed": cell.seed,
+            "max_iterate_dist_sq": float(_visited_dist_sq(
+                cell.run, cell.problem.minimizer).max(initial=0.0)),
+            "_cell": cell,
+        }
 
 
 def rate_experiment(nu: float, kind: str):
     """Canonical rate-fit experiment: one learner on the interpolation
     family at DEFAULT_DIMENSION, started at RATE_FIT_DISTANCE with seed 0,
     across DEFAULT_HORIZONS; returns (summary records, RateFit)."""
-    problem = PowerNorm(float(nu), DEFAULT_DIMENSION)
-    config = resolve_learner_config(problem, {"kind": kind, "start_distance": RATE_FIT_DISTANCE,
-                                              "step_scale": RATE_FIT_STEP_SCALES[kind]}, 0)
-    summaries = [summary_record(cell) for cell in run_cells(problem, config, DEFAULT_HORIZONS, 0)]
+    cells = _grid([PowerNorm(float(nu), DEFAULT_DIMENSION)], [kind], [0], DEFAULT_HORIZONS,
+                  RATE_FIT_DISTANCE, RATE_FIT_STEP_SCALES[kind])
+    summaries = [summary_record(cell) for cell in cells]
     return summaries, rate_fit_from_records(summaries)
 
 
@@ -675,14 +686,6 @@ def suite_means_ordering(samples: int, seed: int) -> SuiteResult:
 _CHAIN_HORIZONS = tuple(2 ** k for k in range(4, 13))
 
 
-def _chain_cells(problem: Problem, kind: str, seed: int):
-    """The driver suites' cells of one family and learner kind: the learner
-    started at DEFAULT_DISTANCE with the default step scale and wealth, at
-    every chain horizon (one config)."""
-    record = {"kind": kind, "start_distance": DEFAULT_DISTANCE}
-    return run_cells(problem, resolve_learner_config(problem, record, seed), _CHAIN_HORIZONS, seed)
-
-
 def _chain_residuals(cell: CellResult):
     """measured <= gm-bound <= am-bound <= closed form (relative slack 1e-9),
     the averaged point obeys the weighted mean of the per-step gaps (+1e-9),
@@ -702,40 +705,33 @@ def _chain_residuals(cell: CellResult):
         yield l2_norm(cell.problem.grad(run.average_point)) - DEFAULT_EPS_ZERO
 
 
-def _ogd_const_residuals(seed: int) -> tuple:
-    """The one pass over the ogd_const chain cells of every canonical
-    family: the lists of bounded_iterates' and of reduction_chain's
-    residuals. Constant-step normalized runs keep every iterate within
-    ||x_1 - x*||^2 + alpha^2 of the minimizer (one array of squared
-    distances per cell); each cell's _chain_residuals follow in order."""
+def _chain_pass(seed: int, kind: str) -> tuple:
+    """One pass over a unit-norm kind's chain cells (every canonical family
+    at every chain horizon): the lists of bounded_iterates' residuals, for
+    ogd_const only, and of the cells' _chain_residuals. Constant-step
+    normalized runs keep every iterate within ||x_1 - x*||^2 + alpha^2 of
+    the minimizer (one array of squared distances per cell)."""
     bounded, chain = [], []
-    for problem in canonical_problems(DEFAULT_DIMENSION):
-        center = problem.minimizer
-        for cell in _chain_cells(problem, "ogd_const", seed):
+    for cell in _grid(canonical_problems(DEFAULT_DIMENSION), [kind], [seed], _CHAIN_HORIZONS):
+        if kind == "ogd_const":
+            center = cell.problem.minimizer
             limit = l2_norm(cell.config.start - center) ** 2 + cell.config.step_scale ** 2 + 1e-9
             bounded.append(_visited_dist_sq(cell.run, center) - limit)
-            chain.extend(_chain_residuals(cell))
+        chain.extend(_chain_residuals(cell))
     return bounded, chain
 
 
-def suite_bounded_iterates(samples: int, seed: int, ogd_const=_ogd_const_residuals) -> SuiteResult:
-    """The bounded_iterates residuals of ogd_const(seed), the pass above or
-    the memo of it that run_suites hands both driver suites."""
-    return _tally("bounded_iterates", ogd_const(seed)[0])
+def suite_bounded_iterates(samples: int, seed: int, chain=_chain_pass) -> SuiteResult:
+    """The bounded_iterates residuals of chain(seed, "ogd_const"), the pass
+    above or the memo of it that run_suites hands both driver suites."""
+    return _tally("bounded_iterates", chain(seed, "ogd_const")[0])
 
 
-def suite_reduction_chain(samples: int, seed: int, ogd_const=_ogd_const_residuals) -> SuiteResult:
+def suite_reduction_chain(samples: int, seed: int, chain=_chain_pass) -> SuiteResult:
     """End-to-end chain (_chain_residuals) on the chain cells of every
-    family and unit-norm learner: first every family's ogd_const cells, read
-    from ogd_const(seed) as in suite_bounded_iterates, then the others."""
-    def residuals():
-        yield from ogd_const(seed)[1]
-        for problem in canonical_problems(DEFAULT_DIMENSION):
-            for kind in UNIT_NORM_KINDS:
-                if kind != "ogd_const":
-                    for cell in _chain_cells(problem, kind, seed):
-                        yield from _chain_residuals(cell)
-    return _tally("reduction_chain", residuals())
+    family and unit-norm learner, read kind by kind from chain(seed, kind)
+    as in suite_bounded_iterates."""
+    return _tally("reduction_chain", (chain(seed, kind)[1] for kind in UNIT_NORM_KINDS))
 
 
 _DRIVER_SUITES = ("bounded_iterates", "reduction_chain")
@@ -747,8 +743,10 @@ SUITES = {suite.__name__.removeprefix("suite_"): suite for suite in (
 
 def run_suites(names=None, samples: int = 10_000, seed: int = 0):
     """Run the named suites (all by default); returns the result list. The
-    driver suites share one functools.cache memo of _ogd_const_residuals per
-    call: the first of them named runs the pass, the other reads it."""
+    driver suites share one functools.cache memo of _chain_pass per call:
+    the first of them named runs each pass it reads (the ogd_const pass,
+    which both read, and for reduction_chain the da_sqrt and kt passes),
+    and the other reads what it finds there."""
     if samples < 1 or seed < 0:
         raise ConfigError(f"samples must be >= 1 and seed >= 0, got {samples} and {seed}")
     if names is None:
@@ -756,6 +754,6 @@ def run_suites(names=None, samples: int = 10_000, seed: int = 0):
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
-    ogd_const = functools.cache(_ogd_const_residuals)
-    return [SUITES[name](samples, seed, ogd_const) if name in _DRIVER_SUITES
+    chain = functools.cache(_chain_pass)
+    return [SUITES[name](samples, seed, chain) if name in _DRIVER_SUITES
             else SUITES[name](samples, seed) for name in names]

@@ -24,7 +24,6 @@ from .bench import (
     DEFAULT_DISTANCE,
     DEFAULT_HORIZONS,
     DEFAULT_SEEDS,
-    DEFAULT_SWEEP_LEARNERS,
     DEFAULT_SWEEP_NUS,
     InsufficientData,
     SUITES,
@@ -41,6 +40,7 @@ from .bench import (
     trajectory_rows,
 )
 from .errors import ContractViolation, NumericalFailure
+from .learners import LEARNER_KINDS
 
 __all__ = ["main"]
 
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="grid over nu x learner x horizon x seed")
     p_sweep.add_argument("--nu", nargs="+", default=list(DEFAULT_SWEEP_NUS), type=float)
-    p_sweep.add_argument("--learner", nargs="+", default=list(DEFAULT_SWEEP_LEARNERS))
+    p_sweep.add_argument("--learner", nargs="+", default=list(LEARNER_KINDS))
     p_sweep.add_argument("--horizons", nargs="+", default=list(DEFAULT_HORIZONS), type=int)
     p_sweep.add_argument("--seeds", nargs="+", default=list(DEFAULT_SEEDS), type=int)
     p_sweep.add_argument("--dimension", type=int, default=DEFAULT_DIMENSION)

@@ -55,6 +55,7 @@ __all__ = [
     "config_real",
     "config_object",
     "refuse_unknown_keys",
+    "config_key",
     "finite_diff_grad",
     "DescentCheck",
     "check_descent_inequality",
@@ -345,29 +346,36 @@ def problem_from_config(record: dict) -> Problem:
 
     Schema: {"family": str, "dimension": int, "minimizer": [floats] | "random"
     (optional, default origin), "parameters": {...} (optional), "seed": int
-    (optional, allowed only when minimizer == "random")}; any other key is
-    refused. A record or parameters that is not a JSON object, a dimension
-    or seed that is not an integer, or a coordinate or parameter that is
-    not an int or a float raises ConfigError.
+    (optional, >= 0, allowed only when minimizer == "random")}; any other
+    key is refused. A record or parameters that is not a JSON object, a
+    missing family or dimension, a family that is not a string, a dimension
+    or seed that is not an integer, a negative seed, a minimizer that is
+    neither a list nor "random", or a coordinate or parameter that is not
+    an int or a float raises ConfigError.
     """
     refuse_unknown_keys(record, ("family", "dimension", "minimizer", "parameters", "seed"),
                         "problem record")
-    if "family" not in record or "dimension" not in record:
-        raise ContractViolation("problem record requires 'family' and 'dimension'")
-    dimension = config_count(record["dimension"], "dimension")
+    family = config_key(record, "family", "problem record")
+    if not isinstance(family, str):
+        raise ConfigError(f"problem record: 'family' must be a string, got {family!r}")
+    dimension = config_count(config_key(record, "dimension", "problem record"), "dimension")
     minimizer = record.get("minimizer")
-    if "seed" in record and minimizer != "random":
+    drawn = isinstance(minimizer, str) and minimizer == "random"
+    if "seed" in record and not drawn:
         raise ContractViolation("problem record: key 'seed' is read only with minimizer 'random'")
-    if isinstance(minimizer, str):
-        if minimizer != "random":
-            raise ContractViolation(f"minimizer must be a list or 'random', got {minimizer!r}")
-        rng = np.random.default_rng(config_count(record.get("seed", 0), "problem seed"))
-        minimizer = rng.standard_normal(dimension)
+    if drawn:
+        seed = config_count(record.get("seed", 0), "problem seed")
+        if seed < 0:
+            raise ConfigError(f"problem record: 'seed' must be >= 0, got {seed}")
+        minimizer = np.random.default_rng(seed).standard_normal(dimension)
     elif minimizer is not None:
+        if not isinstance(minimizer, list):
+            raise ConfigError(
+                f"problem record: 'minimizer' must be a list or 'random', got {minimizer!r}")
         minimizer = [config_real(c, "minimizer coordinate") for c in minimizer]
     params = config_object(record.get("parameters", {}), "problem parameters")
     params = {k: config_real(v, k) for k, v in params.items()}
-    return make_problem(record["family"], dimension, minimizer, **params)
+    return make_problem(family, dimension, minimizer, **params)
 
 
 def config_count(value, name: str) -> int:
@@ -391,6 +399,14 @@ def refuse_unknown_keys(record: dict, known, what: str) -> None:
     for key in config_object(record, what):
         if key not in known:
             raise ContractViolation(f"{what}: unknown key {key!r}; expected one of {sorted(known)}")
+
+
+def config_key(record: dict, key: str, what: str):
+    """The value of a required key of a config record level; a level that
+    is not a JSON object, or that lacks key, raises ConfigError naming it."""
+    if key not in config_object(record, what):
+        raise ConfigError(f"{what}: missing key {key!r}")
+    return record[key]
 
 
 def config_real(value, name: str) -> float:

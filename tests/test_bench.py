@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -403,6 +404,24 @@ def test_sweep_resolves_each_learner_record_once_per_seed(monkeypatch, capsys):
     assert calls == [("ogd_const", 0), ("ogd_const", 1)]
 
 
+def test_only_grid_and_cmd_run_call_run_cells():
+    # every cell grid (sweep, rate experiment, driver suites) walks bench._grid;
+    # cmd_run drives one experiment config's horizons
+    def callers(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and "run_cells" in (getattr(node.func, "id", None),
+                                                          getattr(node.func, "attr", None)):
+            yield scope
+        for child in ast.iter_child_nodes(node):
+            yield from callers(child, scope)
+
+    package = Path(__file__).resolve().parents[1] / "src" / "normgrad"
+    found = [f"{module.stem}.{scope}" for module in sorted(package.glob("*.py"))
+             for scope in callers(ast.parse(module.read_text()), "<module>")]
+    assert found == ["bench._grid", "cli.cmd_run"]
+
+
 def test_sweep_rows_grid_shape_and_bounds():
     rows = list(sweep_rows(nus=(0.0, 1.0), learners=("ogd_const", "adagrad_da"),
                            horizons=(16, 64), seeds=(0,), dimension=4))
@@ -572,6 +591,41 @@ def test_suites_catch_a_constant_scaled_by_0_9_on_each_family(family, default_ch
     monkeypatch.setattr(normgrad.bench, "canonical_problems", corrupted)
     failures = {name: SUITES[name](10_000, 0).failures for name in names}
     assert {name: n for name, n in failures.items() if n} == _SCALED_CONSTANT_FAILURES[family]
+
+
+# Failures at 10^4 samples and seed 0 when one family declares its optimum
+# moved by shift. Only the suites that read the optimum run, and
+# reduction_chain only at -1e-3: the two gradient-norm suites catch nothing
+# there. At +1e-3 no sampling suite catches power_norm, l2_norm or log_sum_exp.
+_SHIFTED_OPTIMUM_FAILURES = {
+    ("quadratic", -1e-3): {"reduction_chain": 6},
+    ("power_norm", -1e-3): {"reduction_chain": 18},
+    ("l2_norm", -1e-3): {"reduction_chain": 11},
+    ("huber", -1e-3): {"reduction_chain": 6},
+    ("log_sum_exp", -1e-3): {"reduction_chain": 40},
+    ("quadratic", 1e-3): {"grad_bound": 10_000, "local_constant": 10_000},
+    ("huber", 1e-3): {"grad_bound": 6, "local_constant": 6},
+}
+
+
+@pytest.mark.parametrize("family, shift", list(_SHIFTED_OPTIMUM_FAILURES))
+def test_suites_catch_a_shifted_optimum_on_each_family(family, shift, default_check,
+                                                       monkeypatch):
+    names = ("grad_bound", "local_constant") + (("reduction_chain",) if shift < 0 else ())
+    assert all(r.failures == 0 for r in default_check if r.name in names)
+    canonical = normgrad.bench.canonical_problems
+
+    def corrupted(dimension=3):
+        problems = canonical(dimension)
+        for problem in problems:
+            if problem.family == family:
+                problem.optimum += shift
+        return problems
+
+    monkeypatch.setattr(normgrad.bench, "canonical_problems", corrupted)
+    failures = {name: SUITES[name](10_000, 0).failures for name in names}
+    assert {name: n for name, n in failures.items() if n} == _SHIFTED_OPTIMUM_FAILURES[
+        (family, shift)]
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
@@ -808,6 +862,9 @@ def _bad_run_config(**learner):
     "experiment_unknown_key", "problem_unknown_key", "problem_seed_without_minimizer",
     "problem_seed_with_listed_minimizer", "kt_grad_bound_init", "ogd_const_wealth_init",
     "learner_pairs", "parameters_pairs", "start_and_start_distance", "start_null",
+    "family_object", "family_list", "horizons_null", "horizons_int", "horizons_str",
+    "minimizer_int", "problem_seed_negative", "missing_problem", "missing_learner",
+    "missing_horizons", "missing_kind", "minimizer_wrong_length", "minimizer_word",
 ])
 def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
     out = tmp_path / "out"
@@ -871,6 +928,20 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
         # a start comes from one key: never both, and null is not "absent"
         "start_and_start_distance": _bad_run_config(start_distance=0.5),
         "start_null": _bad_run_config(start=None),
+        # each level's shape is checked where it is read, and the refusal names its key
+        "family_object": _bad_problem_config(family={}),
+        "family_list": _bad_problem_config(family=["huber"]),
+        "horizons_null": {**good_config(), "horizons": None},
+        "horizons_int": {**good_config(), "horizons": 5},
+        "horizons_str": {**good_config(), "horizons": "16"},
+        "minimizer_int": _bad_problem_config(minimizer=5),
+        "problem_seed_negative": _bad_problem_config(minimizer="random", seed=-1),
+        "missing_problem": {k: v for k, v in good_config().items() if k != "problem"},
+        "missing_learner": {k: v for k, v in good_config().items() if k != "learner"},
+        "missing_horizons": {k: v for k, v in good_config().items() if k != "horizons"},
+        "missing_kind": {**good_config(), "learner": {"start": [1.0]}},
+        "minimizer_wrong_length": _bad_problem_config(minimizer=[0.0, 1.0, 2.0]),
+        "minimizer_word": _bad_problem_config(minimizer="origin"),
     }
     unknown_keys = {"huber_unknown_parameter": "'delat'", "power_norm_extra_parameter": "'delta'",
                     "learner_unknown_key": "'step-scale'", "ogd_const_horizon": "'horizon'",
@@ -881,7 +952,16 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
                     "ogd_const_wealth_init": "'wealth_init'",
                     "learner_pairs": "learner record", "parameters_pairs": "parameters",
                     "start_and_start_distance": "'start' or 'start_distance'",
-                    "start_null": "'start'"}
+                    "start_null": "'start'", "family_object": "'family'",
+                    "family_list": "'family'", "horizons_null": "'horizons'",
+                    "horizons_int": "'horizons'", "horizons_str": "'horizons'",
+                    "minimizer_int": "'minimizer'", "problem_seed_negative": "'seed'",
+                    "missing_problem": "missing key 'problem'",
+                    "missing_learner": "missing key 'learner'",
+                    "missing_horizons": "missing key 'horizons'",
+                    "missing_kind": "missing key 'kind'",
+                    "minimizer_wrong_length": "minimizer has dimension 3",
+                    "minimizer_word": "'minimizer'"}
     payloads = {"ratefit_records_int": {"records": 5}, "ratefit_list": [1, 2, 3],
                 "ratefit_int": 5}
     overflow_sweep = ["sweep", "--learner", "da_sqrt", "--horizons", "4", "--seeds", "0",

@@ -1,14 +1,14 @@
 """Fuzz of the experiment-config reader: every JSON-shaped record either
 parses or raises an error that `normgrad run` reports as a config error,
-exit 2, without a traceback. Derandomized, so each run draws the same
-records."""
+exit 2, without a traceback, and no refusal comes from a bare KeyError or
+TypeError. Derandomized, so each run draws the same records."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normgrad.cli
-from normgrad.bench import parse_experiment_config
+from normgrad.bench import ConfigError, parse_experiment_config
 from normgrad.cli import main
 from normgrad.learners import LEARNER_KINDS, RECORD_SCALES
 from normgrad.problems import FAMILIES
@@ -70,10 +70,21 @@ def records(draw):
     return record
 
 
+def _parse(record) -> int:
+    """0 when record parses. A refusal raises ConfigError, never caused by a
+    bare KeyError or TypeError, whose messages do not say which key is
+    wrong."""
+    try:
+        return parse_experiment_config(record) and 0
+    except ConfigError as exc:
+        assert type(exc.__cause__) not in (KeyError, TypeError), repr(exc.__cause__)
+        raise
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(records())
 def test_any_json_record_parses_or_exits_2(record):
     with pytest.MonkeyPatch.context() as patch:
         # the run command reads only this record, and runs nothing
-        patch.setattr(normgrad.cli, "cmd_run", lambda args: parse_experiment_config(record) and 0)
+        patch.setattr(normgrad.cli, "cmd_run", lambda args: _parse(record))
         assert main(["run", "--config", "record.json", "--out", "out"]) in (0, 2)

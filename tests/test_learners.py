@@ -115,6 +115,14 @@ def test_regret_bound_values():
         regret_bound(ada, 2.0, 10)
 
 
+def test_regret_bound_refuses_negative_distance_and_zero_horizon():
+    da = unit_config("da_sqrt", [0.0])
+    with pytest.raises(ContractViolation):
+        regret_bound(da, -1.0, 10)
+    with pytest.raises(ContractViolation):
+        regret_bound(da, 1.0, 0)
+
+
 def test_regret_bound_monotone_in_distance_and_horizon():
     da = unit_config("da_sqrt", [0.0])
     kt = unit_config("kt", [0.0])

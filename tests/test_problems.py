@@ -97,6 +97,15 @@ def test_minimizer_shift():
         assert p.gap(center) == 0.0
 
 
+def test_holder_spec_and_sampler_refuse_bad_arguments():
+    with pytest.raises(ContractViolation):
+        HolderSpec(1.5, 1.0)  # nu outside [0, 1]
+    with pytest.raises(ContractViolation):
+        HolderSpec(0.5, 0.0)  # a constant that is not positive
+    with pytest.raises(ContractViolation):
+        sample_holder_constant(Quadratic(2), 0, 0)
+
+
 def test_dimension_mismatch_raises():
     p = Quadratic(3)
     with pytest.raises(ContractViolation):

@@ -67,6 +67,8 @@ def test_weighted_mean_single_point_and_midpoint():
 
 
 def test_weighted_mean_errors():
+    with pytest.raises(ContractViolation):
+        WeightedMeanAccumulator(0)
     acc = WeightedMeanAccumulator(2)
     with pytest.raises(ContractViolation):
         acc.finalize()
