@@ -21,7 +21,7 @@ from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, InsufficientData, NumericalFailure
+from .errors import ConfigError, InsufficientData, NumericalFailure
 from .learners import ANYTIME_KINDS, LEARNER_KINDS, RECORD_SCALES, UNIT_NORM_KINDS, LearnerConfig
 from .problems import (
     SAMPLE_RADIUS,
@@ -34,12 +34,11 @@ from .problems import (
     check_descent_inequality,
     check_grad_bound,
     config_count,
-    config_key,
+    config_level,
     config_real,
     finite_diff_grad,
     local_holder_constant,
     problem_from_config,
-    refuse_unknown_keys,
     sample_holder_constant,
 )
 from .reduction import (
@@ -124,16 +123,17 @@ class RateFit:
 
 def fit_rate(horizons, gaps, predicted_slope: float) -> RateFit:
     """Fit log(gap) against log(T). Horizons with nonpositive gap (early
-    stops at the optimum) are excluded; fewer than 3 usable points raise
-    InsufficientData. Every sum is a left_sum."""
+    stops at the optimum) are excluded; fewer than 3 distinct usable
+    horizons (distinct as log T, so the fit's spread in log T is not 0)
+    raise InsufficientData. Every sum is a left_sum."""
     horizons = list(horizons)
     pts = [(t, g) for t, g in zip(horizons, gaps) if g is not None and g > 0.0]
     excluded = len(horizons) - len(pts)
-    if len(pts) < 3:
-        raise InsufficientData(
-            f"insufficient data: rate fit needs >= 3 horizons with positive "
-            f"suboptimality, got {len(pts)}")
     lx = [math.log(t) for t, _ in pts]
+    if len(set(lx)) < 3:
+        raise InsufficientData(
+            f"insufficient data: rate fit needs >= 3 distinct horizons with positive "
+            f"suboptimality, got {len(set(lx))}")
     ly = [math.log(g) for _, g in pts]
     n = len(pts)
     mx, my = left_sum(lx) / n, left_sum(ly) / n
@@ -175,32 +175,28 @@ def parse_experiment_config(record: dict) -> ExperimentConfig:
     refusal names its key. The learner record is resolved once
     here, into the config every horizon runs, so a malformed learner field
     raises ConfigError before anything runs. eps_zero must pass
-    check_eps_zero, and the gradient norm at the start must be finite.
+    check_eps_zero, and the gradient norm and the gap at the start must be
+    finite.
     """
     try:
-        refuse_unknown_keys(record, ("problem", "learner", "horizons", "seed", "eps_zero"),
-                            "experiment record")
-        problem = problem_from_config(config_key(record, "problem", "experiment record"))
-        horizons = config_key(record, "horizons", "experiment record")
+        config_level(record, "experiment record", ("problem", "learner", "horizons"),
+                     ("seed", "eps_zero"))
+        problem = problem_from_config(record["problem"])
+        horizons = record["horizons"]
         if not isinstance(horizons, list):
             raise ConfigError(f"experiment record: 'horizons' must be a list, got {horizons!r}")
-        horizons = [config_count(t, "horizon") for t in horizons]
-        seed = config_count(record.get("seed", 0), "seed")
+        horizons = [config_count(t, "horizon", 1) for t in horizons]
+        seed = config_count(record.get("seed", 0), "seed", 0)
         eps_zero = check_eps_zero(config_real(record.get("eps_zero", DEFAULT_EPS_ZERO), "eps_zero"))
-        if not horizons:
-            raise ConfigError("horizons must be nonempty")
-        if any(b <= a for a, b in zip(horizons, horizons[1:])) or horizons[0] < 1:
-            raise ConfigError("horizons must be strictly increasing positives")
-        if seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {seed}")
-        config = resolve_learner_config(problem, config_key(record, "learner", "experiment record"),
-                                        seed)
+        if not horizons or any(b <= a for a, b in zip(horizons, horizons[1:])):
+            raise ConfigError("horizons must be nonempty and strictly increasing")
+        config = resolve_learner_config(problem, record["learner"], seed)
         # checked once here, not per cell: the start is the same at every horizon
         with _overflow_unwarned():
-            grad_norm = l2_norm(problem.grad(config.start))
-        if not math.isfinite(grad_norm):
-            raise ConfigError("the gradient norm at the start is not finite")
-    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
+            at_start = (l2_norm(problem.grad(config.start)), problem.gap(config.start))
+        if not all(map(math.isfinite, at_start)):
+            raise ConfigError("the gradient norm or the gap at the start is not finite")
+    except (ValueError, OverflowError, ConfigError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
     return ExperimentConfig(problem, config, horizons, seed, eps_zero)
 
@@ -212,36 +208,36 @@ def resolve_learner_config(problem: Problem, record: dict, seed: int) -> Learner
     "start_distance" (direction drawn from the seed; default distance 1).
     The other keys are the kind's RECORD_SCALES, passed to LearnerConfig
     by name (an omitted one keeps its default; adagrad_da's gradient bound
-    defaults to the gradient norm at the start, floored at 1). A missing
-    kind raises ConfigError; an unknown kind or key ("horizon" is the
-    run's), both start keys, or a start that is not a list, of the wrong
-    dimension or at a distance that is not finite, raises
-    ContractViolation. Every number goes through config_real.
+    defaults to the gradient norm at the start, floored at 1). A record
+    that is not a JSON object, a missing or unknown kind, an unknown key
+    ("horizon" is the run's), both start keys, or a start that is not a
+    list, of the wrong dimension or at a distance that is not finite
+    raises ConfigError. Every number goes through config_real.
     """
-    kind = config_key(record, "kind", "learner record")
+    kind = config_level(record, "learner record", ("kind",))["kind"]
     if kind not in LEARNER_KINDS:
-        raise ContractViolation(f"unknown learner kind {kind!r}; expected one of {LEARNER_KINDS}")
-    refuse_unknown_keys(record, ("kind", "start", "start_distance") + RECORD_SCALES[kind],
-                        f"{kind} learner record")
+        raise ConfigError(f"unknown learner kind {kind!r}; expected one of {LEARNER_KINDS}")
+    config_level(record, f"{kind} learner record", ("kind",),
+                 ("start", "start_distance") + RECORD_SCALES[kind])
     if {"start", "start_distance"} <= record.keys():
-        raise ContractViolation("learner record: give 'start' or 'start_distance', not both")
+        raise ConfigError("learner record: give 'start' or 'start_distance', not both")
     if "start" in record:
         if not isinstance(record["start"], list):
-            raise ContractViolation(f"learner record: 'start' must be a list: {record['start']!r}")
+            raise ConfigError(f"learner record: 'start' must be a list: {record['start']!r}")
         start = np.array([config_real(c, "start coordinate") for c in record["start"]])
     else:
         distance = config_real(record.get("start_distance", DEFAULT_DISTANCE), "start_distance")
         start = start_at_distance(problem, distance, seed)
     if start.shape != (problem.dimension,):
-        raise ContractViolation(
+        raise ConfigError(
             f"start has shape {start.shape}, problem wants ({problem.dimension},)")
-    with _overflow_unwarned():  # the overflow is what this checks for
-        distance = l2_norm(start - problem.minimizer)
-    if not math.isfinite(distance):
-        raise ContractViolation("the start's distance from the minimizer is not finite")
     scales = {k: config_real(record[k], k) for k in RECORD_SCALES[kind] if k in record}
-    if kind == "adagrad_da" and "grad_bound_init" not in scales:
-        scales["grad_bound_init"] = max(1.0, l2_norm(problem.grad(start)))
+    with _overflow_unwarned():  # an overflow is what the checks below report
+        distance = l2_norm(start - problem.minimizer)
+        if kind == "adagrad_da" and "grad_bound_init" not in scales:
+            scales["grad_bound_init"] = max(1.0, l2_norm(problem.grad(start)))
+    if not math.isfinite(distance):
+        raise ConfigError("the start's distance from the minimizer is not finite")
     return LearnerConfig(kind, start, **scales)
 
 
@@ -263,19 +259,20 @@ class CellResult:
 
 def _cell(problem: Problem, config: LearnerConfig, horizon: int, seed: int,
           run: RunRecord, eps_zero: float) -> CellResult:
-    """The cell of a run, with its bound report. A measured gap, psi or
-    bound that is not finite, or that overflows while it is computed,
-    raises NumericalFailure naming the cell: it says nothing about the
-    bound chain."""
+    """The cell of a run, with its bound report. A measured or mean gap,
+    psi or bound that is not finite, or that overflows while it is
+    computed, raises NumericalFailure naming the cell: it says nothing
+    about the bound chain."""
     cell = CellResult(problem, config, horizon, seed, run, None, eps_zero)
     try:
-        cell.report = bound_report(run, problem, config)
-        finite = all(math.isfinite(v) for v in astuple(cell.report))
+        with _overflow_unwarned():
+            cell.report = bound_report(run, problem, config)
+        finite = all(math.isfinite(v) for v in (*astuple(cell.report), run.mean_suboptimality))
     except OverflowError:
         finite = False
     if not finite:
         raise NumericalFailure(
-            f"the measured gap, psi or a bound is not finite [{cell.label}]")
+            f"the measured or mean gap, psi or a bound is not finite [{cell.label}]")
     return cell
 
 
@@ -407,23 +404,35 @@ def rate_fit_from_records(records) -> RateFit:
     """Fit the convergence rate from summary records (one per horizon).
 
     Uses f_gap_mean of runs that did not stop early; all records must share
-    the same smoothness exponent. A malformed record raises ConfigError,
-    too few usable horizons InsufficientData."""
+    the same smoothness exponent. Each record needs config.problem, config.T
+    (a count >= 1), terminated_early (a bool) and f_gap_mean (a finite
+    real); its other keys are not read. A malformed record raises
+    ConfigError naming its key, too few usable horizons InsufficientData."""
     if not records:
         raise InsufficientData("insufficient data: no summary records")
     try:
-        nus = {problem_from_config(rec["config"]["problem"]).spec.nu for rec in records}
-        if len(nus) != 1:
-            raise ConfigError(f"rate fit needs a single nu, got {sorted(nus)}")
-        nu = nus.pop()
-        horizons = []
-        gaps = []
-        for rec in sorted(records, key=lambda r: r["config"]["T"]):
-            horizons.append(rec["config"]["T"])
-            gaps.append(None if rec["terminated_early"] else rec["f_gap_mean"])
-        return fit_rate(horizons, gaps, predicted_slope=-(1.0 + nu) / 2.0)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad summary record: {exc!r}") from exc
+        points = sorted((_summary_point(rec) for rec in records), key=lambda p: p[0])
+    except (ValueError, OverflowError, ConfigError) as exc:
+        raise ConfigError(f"bad summary record: {exc}") from exc
+    nus = {nu for _, nu, _ in points}
+    if len(nus) != 1:
+        raise ConfigError(f"rate fit needs a single nu, got {sorted(nus)}")
+    return fit_rate([t for t, _, _ in points], [g for _, _, g in points],
+                    predicted_slope=-(1.0 + nus.pop()) / 2.0)
+
+
+def _summary_point(record) -> tuple:
+    """(T, nu, f_gap_mean or None for an early stop) of a summary record."""
+    config_level(record, "summary record", ("config", "terminated_early", "f_gap_mean"))
+    config = config_level(record["config"], "summary config", ("problem", "T"))
+    early = record["terminated_early"]
+    if not isinstance(early, bool):
+        raise ConfigError(f"terminated_early must be a bool, got {early!r}")
+    gap = config_real(record["f_gap_mean"], "f_gap_mean")
+    if not math.isfinite(gap):
+        raise ConfigError(f"f_gap_mean must be finite, got {gap!r}")
+    return (config_count(config["T"], "T", 1), problem_from_config(config["problem"]).spec.nu,
+            None if early else gap)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +470,9 @@ def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=LEARNER_KINDS,
     empty axis, an unknown learner, a nu outside [0, 1], a horizon below 1
     or a negative seed raises. A row holds the SWEEP_COLUMNS (the
     summary_record fields plus nu, learner, T, seed and
-    max_iterate_dist_sq) and the CellResult under "_cell"."""
+    max_iterate_dist_sq) and the CellResult under "_cell"; a
+    max_iterate_dist_sq that overflows raises NumericalFailure naming the
+    cell."""
     if not nus or not learners or not horizons or not seeds:
         raise ConfigError("sweep grid must be nonempty in every axis")
     for kind in learners:
@@ -471,14 +482,17 @@ def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=LEARNER_KINDS,
         raise ConfigError("sweep horizons must be >= 1 and seeds >= 0")
     problems = [PowerNorm(float(nu), dimension) for nu in nus]
     for cell in _grid(problems, learners, seeds, horizons, distance, step_scale):
+        with _overflow_unwarned():
+            dist_sq = float(_visited_dist_sq(cell.run, cell.problem.minimizer).max(initial=0.0))
+        if not math.isfinite(dist_sq):
+            raise NumericalFailure(f"max_iterate_dist_sq is not finite [{cell.label}]")
         yield {
             **summary_record(cell),
             "nu": cell.problem.nu,
             "learner": cell.config.kind,
             "T": cell.horizon,
             "seed": cell.seed,
-            "max_iterate_dist_sq": float(_visited_dist_sq(
-                cell.run, cell.problem.minimizer).max(initial=0.0)),
+            "max_iterate_dist_sq": dist_sq,
             "_cell": cell,
         }
 

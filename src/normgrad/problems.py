@@ -53,9 +53,7 @@ __all__ = [
     "problem_from_config",
     "config_count",
     "config_real",
-    "config_object",
-    "refuse_unknown_keys",
-    "config_key",
+    "config_level",
     "finite_diff_grad",
     "DescentCheck",
     "check_descent_inequality",
@@ -349,64 +347,61 @@ def problem_from_config(record: dict) -> Problem:
     (optional, >= 0, allowed only when minimizer == "random")}; any other
     key is refused. A record or parameters that is not a JSON object, a
     missing family or dimension, a family that is not a string, a dimension
-    or seed that is not an integer, a negative seed, a minimizer that is
+    or seed that is not an integer or is below 1 or 0, a minimizer that is
     neither a list nor "random", or a coordinate or parameter that is not
     an int or a float raises ConfigError.
     """
-    refuse_unknown_keys(record, ("family", "dimension", "minimizer", "parameters", "seed"),
-                        "problem record")
-    family = config_key(record, "family", "problem record")
+    config_level(record, "problem record", ("family", "dimension"),
+                 ("minimizer", "parameters", "seed"))
+    family = record["family"]
     if not isinstance(family, str):
         raise ConfigError(f"problem record: 'family' must be a string, got {family!r}")
-    dimension = config_count(config_key(record, "dimension", "problem record"), "dimension")
+    dimension = config_count(record["dimension"], "dimension", 1)
     minimizer = record.get("minimizer")
     drawn = isinstance(minimizer, str) and minimizer == "random"
     if "seed" in record and not drawn:
-        raise ContractViolation("problem record: key 'seed' is read only with minimizer 'random'")
+        raise ConfigError("problem record: key 'seed' is read only with minimizer 'random'")
     if drawn:
-        seed = config_count(record.get("seed", 0), "problem seed")
-        if seed < 0:
-            raise ConfigError(f"problem record: 'seed' must be >= 0, got {seed}")
+        seed = config_count(record.get("seed", 0), "problem record: 'seed'", 0)
         minimizer = np.random.default_rng(seed).standard_normal(dimension)
     elif minimizer is not None:
         if not isinstance(minimizer, list):
             raise ConfigError(
                 f"problem record: 'minimizer' must be a list or 'random', got {minimizer!r}")
         minimizer = [config_real(c, "minimizer coordinate") for c in minimizer]
-    params = config_object(record.get("parameters", {}), "problem parameters")
+    params = config_level(record.get("parameters", {}), "problem parameters")
     params = {k: config_real(v, k) for k, v in params.items()}
     return make_problem(family, dimension, minimizer, **params)
 
 
-def config_count(value, name: str) -> int:
+def config_level(record, what: str, required=(), optional=None) -> dict:
+    """One level of a config record, checked and returned: a JSON object
+    with every key of required and no key outside required + optional
+    (optional None allows any other key). Anything else raises ConfigError
+    naming the level or the key."""
+    if not isinstance(record, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {record!r}")
+    if optional is not None:
+        known = required + optional
+        for key in record:
+            if key not in known:
+                raise ConfigError(f"{what}: unknown key {key!r}; expected one of {sorted(known)}")
+    for key in required:
+        if key not in record:
+            raise ConfigError(f"{what}: missing key {key!r}")
+    return record
+
+
+def config_count(value, name: str, floor: int) -> int:
     """A count read from a config record: an integer, or a float with an
-    integral value. A bool or any other value raises ConfigError."""
+    integral value, at least floor. A bool or any other value raises
+    ConfigError."""
     if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
             isinstance(value, float) and value.is_integer())):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < floor:
+        raise ConfigError(f"{name} must be >= {floor}, got {value!r}")
     return int(value)
-
-
-def config_object(value, what: str) -> dict:
-    """A config record level: a JSON object. Any other value raises ConfigError."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
-    return value
-
-
-def refuse_unknown_keys(record: dict, known, what: str) -> None:
-    """Raise ContractViolation naming the first key of record not in known."""
-    for key in config_object(record, what):
-        if key not in known:
-            raise ContractViolation(f"{what}: unknown key {key!r}; expected one of {sorted(known)}")
-
-
-def config_key(record: dict, key: str, what: str):
-    """The value of a required key of a config record level; a level that
-    is not a JSON object, or that lacks key, raises ConfigError naming it."""
-    if key not in config_object(record, what):
-        raise ConfigError(f"{what}: missing key {key!r}")
-    return record[key]
 
 
 def config_real(value, name: str) -> float:

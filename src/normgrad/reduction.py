@@ -71,8 +71,12 @@ def check_eps_zero(eps_zero: float) -> float:
     squared norm is a normal float and no coordinate's rounding swamps it.
     g / ||g|| then has norm 1 within about d * 2^-53 (at most 2.3e-14 found
     for d = 1 to 10^5), which is why the learners do not re-check it. Below
-    the floor the squared norm can go subnormal: a start at distance 1e-160
-    of a d = 10 quadratic gives a loss of norm 1.00025.
+    the floor the squared norm can go subnormal, and l2_norm's scaled path
+    keeps the loss at norm 1 there too. The floor still keeps each weight
+    1/||g_t|| below 6.7e153: a norm below about 5.6e-309 gives an infinite
+    weight, which summarize refuses. It also keeps every fed gradient off
+    the scaled path, which costs about 6 us a call at d = 10 where the dot
+    product costs 1 us (2-vCPU Xeon host).
     """
     if not (EPS_ZERO_FLOOR <= eps_zero < math.inf):
         raise ContractViolation(
@@ -90,10 +94,11 @@ class RunRecord:
     suboptimalities (f(x_t) - f*) are computed from the iterates after it.
     weights are 1/||g_t|| for a unit-norm learner and 1.0 for adagrad_da;
     local_constants come from local_constant_from_parts, NaN at a nu > 0
-    step whose gap is 0. stop_index is the step whose gradient norm fell to
-    eps_zero (its point becomes average_point), exceeded_index the first
-    step whose raw gradient norm exceeded G + 1e-9; steps_taken,
-    terminated_early and grad_bound_exceeded derive from them and the columns.
+    step whose gap is 0 or overflowed. stop_index is the step whose
+    gradient norm fell to eps_zero (its point becomes average_point),
+    exceeded_index the first step whose raw gradient norm exceeded G +
+    1e-9; steps_taken, terminated_early and grad_bound_exceeded derive from
+    them and the columns.
 
     average_suboptimality is f(average_point) - f*. mean_suboptimality is
     the same weighting applied to the per-step suboptimalities; it
@@ -177,7 +182,8 @@ def _drive(config: LearnerConfig, problem: Problem, horizon: int,
 
     Each round serves x_t and makes its one oracle call, g_t = grad f(x_t).
     A gradient norm that is not finite (a NaN or inf coordinate, or an
-    overflow) raises NumericalFailure naming the step; numpy's overflow
+    overflow), or a learner's point whose computation overflows, raises
+    NumericalFailure naming the step; numpy's overflow
     warnings are off, as that check and the caller's check of the bounds
     report an overflow. A unit-norm learner stops returning x_t if
     ||g_t|| <= eps_zero; otherwise the round records (x_t, ||g_t||) and feeds
@@ -206,7 +212,10 @@ def _drive(config: LearnerConfig, problem: Problem, horizon: int,
 
     with _overflow_unwarned():
         for t in range(1, horizon + 1):
-            x = learner.next_point()
+            try:
+                x = learner.next_point()
+            except OverflowError as exc:  # adagrad_da's G ** 2, for a G above about 1.3e154
+                raise NumericalFailure(f"the learner's point at step {t} overflows") from exc
             g = problem.grad(x)
             gn = l2_norm(g)
             if not math.isfinite(gn):
@@ -227,7 +236,7 @@ def _drive(config: LearnerConfig, problem: Problem, horizon: int,
         for lo in range(0, len(gaps), chunk):
             gaps[lo:lo + chunk] = problem.gap(iterates[lo:lo + chunk])
         weights = 1.0 / grad_norms if unit else np.ones_like(grad_norms)
-        live = (gaps > 0.0) | (problem.spec.nu == 0.0)
+        live = ((gaps > 0.0) & (gaps < math.inf)) | (problem.spec.nu == 0.0)
         local = np.full_like(gaps, np.nan)
         local[live] = local_constant_from_parts(problem.spec, grad_norms[live], gaps[live])
     over = np.flatnonzero(grad_norms > config.grad_bound_init + 1e-9)

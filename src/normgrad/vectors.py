@@ -16,6 +16,7 @@ checks, so compensated summation is not used.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -54,12 +55,39 @@ def dot(a: np.ndarray, b: np.ndarray):
     return np.vecdot(a, b)
 
 
+# The smallest positive normal float: a dot below it has lost bits to underflow.
+_NORMAL_MIN = sys.float_info.min
+
+
 def l2_norm(v: np.ndarray):
     """Euclidean norm over the last axis: a float for a (d,) vector, an (n,)
     array for an (n, d) block, each block row equal to the vector call bit
-    for bit (np.sqrt equals math.sqrt). It is 0 for the zero vector, and
-    also when the squares underflow (every coordinate below about 1e-154)."""
-    return math.sqrt(dot(v, v)) if v.ndim == 1 else np.sqrt(dot(v, v))
+    for bit. It is sqrt(dot(v, v)) where that dot is a normal finite float
+    (np.sqrt equals math.sqrt); where the squares underflow or overflow it
+    is _scaled_norm, for a vector and for each such block row alike. So the
+    norm is 0 only for the zero vector and inf only past the largest float.
+    numpy may warn of the overflow in the first dot; a caller that expects
+    one silences it."""
+    sq = dot(v, v)
+    if v.ndim == 1:
+        return math.sqrt(sq) if _NORMAL_MIN <= sq < math.inf else _scaled_norm(v)
+    norms = np.sqrt(sq)
+    scaled = ~((sq >= _NORMAL_MIN) & (sq < math.inf))
+    if scaled.any():
+        norms[scaled] = [_scaled_norm(row) for row in v[scaled]]
+    return norms
+
+
+def _scaled_norm(v: np.ndarray) -> float:
+    """m * ||v / m|| with m = max |v_i| (Anderson 2017, Algorithm 978: Safe
+    Scaling in the Level 1 BLAS): the squares of v / m lie in [0, 1] and
+    one is 1, so their dot is a normal float. 0 for the zero vector; m
+    itself where m is inf or NaN."""
+    m = float(np.abs(v).max())
+    if m == 0.0 or not math.isfinite(m):
+        return m
+    u = v / m
+    return m * math.sqrt(dot(u, u))
 
 
 # Powers and logarithms go through libm (Python's float ** and math.log),
@@ -71,10 +99,20 @@ def l2_norm(v: np.ndarray):
 
 def power(base, exponent: float):
     """base ** exponent by libm: a float for a Python float, else an array
-    of base's shape."""
+    of base's shape. A result too large for a float is inf, as libm's pow
+    gives it (Python's ** raises OverflowError there); every base here is
+    a norm or a gap, so it is never negative."""
     if isinstance(base, float):
-        return base ** exponent
-    return np.array([b ** exponent for b in base.ravel().tolist()]).reshape(base.shape)
+        try:
+            return base ** exponent
+        except OverflowError:
+            return math.inf
+    values = base.ravel().tolist()
+    try:
+        powers = [b ** exponent for b in values]
+    except OverflowError:
+        powers = [power(b, exponent) for b in values]
+    return np.array(powers).reshape(base.shape)
 
 
 def log(values):

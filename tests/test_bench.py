@@ -227,7 +227,7 @@ def test_learner_config_record_round_trip(kind):
     assert set(record) == {"kind", "start", *RECORD_SCALES[kind]}
     for name in ("step_scale", "wealth_init", "grad_bound_init", "horizon"):
         if name not in record:
-            with pytest.raises(ContractViolation, match=f"unknown key '{name}'"):
+            with pytest.raises(ConfigError, match=f"unknown key '{name}'"):
                 resolve_learner_config(Quadratic(3), {"kind": kind, name: 2.0}, 0)
 
 
@@ -865,6 +865,7 @@ def _bad_run_config(**learner):
     "family_object", "family_list", "horizons_null", "horizons_int", "horizons_str",
     "minimizer_int", "problem_seed_negative", "missing_problem", "missing_learner",
     "missing_horizons", "missing_kind", "minimizer_wrong_length", "minimizer_word",
+    "learner_unknown_kind_with_scale", "grad_bound_init_huge", "sweep_adagrad_overflow_nu1",
 ])
 def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
     out = tmp_path / "out"
@@ -880,7 +881,7 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
         "start_distance_overflow": {**good_config(),
                                     "learner": {"kind": "ogd_const", "start_distance": 1e308}},
         "eps_zero_inf": {**good_config(), "eps_zero": 1e400},  # JSON reads 1e400 as inf too
-        # below sqrt(smallest normal float) a normalized gradient can miss norm 1
+        # the floor, about 1.49e-154, keeps each weight 1/||g|| below 6.7e153
         "eps_zero_below_floor": {**good_config(), "eps_zero": 1e-300},
         "horizons_float": {**good_config(), "horizons": [4.9, 8.2]},
         "horizons_bool": {**good_config(), "horizons": [True, 4]},
@@ -942,6 +943,10 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
         "missing_kind": {**good_config(), "learner": {"start": [1.0]}},
         "minimizer_wrong_length": _bad_problem_config(minimizer=[0.0, 1.0, 2.0]),
         "minimizer_word": _bad_problem_config(minimizer="origin"),
+        # the kind is checked before the keys it allows, so the refusal names the kind
+        "learner_unknown_kind_with_scale": _bad_run_config(kind="adagrad", step_scale=2.0),
+        # finite, but adagrad_da's G ** 2 overflows at step 1
+        "grad_bound_init_huge": _bad_run_config(kind="adagrad_da", grad_bound_init=1e200),
     }
     unknown_keys = {"huber_unknown_parameter": "'delat'", "power_norm_extra_parameter": "'delta'",
                     "learner_unknown_key": "'step-scale'", "ogd_const_horizon": "'horizon'",
@@ -961,7 +966,10 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
                     "missing_horizons": "missing key 'horizons'",
                     "missing_kind": "missing key 'kind'",
                     "minimizer_wrong_length": "minimizer has dimension 3",
-                    "minimizer_word": "'minimizer'"}
+                    "minimizer_word": "'minimizer'",
+                    "learner_unknown_kind_with_scale": "unknown learner kind 'adagrad'",
+                    "grad_bound_init_huge": "step 1 overflows",
+                    "sweep_adagrad_overflow_nu1": "step 1 overflows"}
     payloads = {"ratefit_records_int": {"records": 5}, "ratefit_list": [1, 2, 3],
                 "ratefit_int": 5}
     overflow_sweep = ["sweep", "--learner", "da_sqrt", "--horizons", "4", "--seeds", "0",
@@ -990,10 +998,14 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
                           "--out", str(tmp_path / "missing" / "x.json")],
             "sweep_dimension_huge": ["sweep", "--dimension", str(10**15), "--out", str(out)],
             "sweep_step_scale_inf": ["sweep", "--step-scale", "inf", "--out", str(out)],
-            # the closed form overflows; then, a norm overflows and the run stops early
+            # the closed form overflows; then, an iterate's squared distance overflows
             "sweep_closed_form_overflow": overflow_sweep + ["--nu", "0.5", "--step-scale", "1e250"],
             "sweep_norm_overflow_nu0": overflow_sweep + ["--nu", "0", "--step-scale", "1e200"],
             "sweep_norm_overflow_nu05": overflow_sweep + ["--nu", "0.5", "--step-scale", "1e160"],
+            # a finite start whose default G, its gradient norm, is about 1e200
+            "sweep_adagrad_overflow_nu1": ["sweep", "--learner", "adagrad_da", "--nu", "1",
+                                           "--horizons", "4", "--seeds", "0",
+                                           "--distance", "1e200", "--out", str(out)],
         }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -1002,8 +1014,10 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
         assert err.count("\n") == 1 and unknown_keys[case] in err
     overflows = ("sweep_closed_form_overflow", "sweep_norm_overflow_nu0",
                  "sweep_norm_overflow_nu05")
-    if case in configs or case in ("binary_config", "sweep_dimension_huge",
-                                   "sweep_step_scale_inf") + overflows:
+    # a run that fails at a step, as grad_bound_init_huge does, may have made --out
+    if (case in configs and case != "grad_bound_init_huge") or case in (
+            "binary_config", "sweep_dimension_huge", "sweep_step_scale_inf",
+            "sweep_adagrad_overflow_nu1") + overflows:
         assert not out.exists()
     if case in overflows:  # one line naming the cell, not a bound violation
         assert err.count("\n") == 1 and "not finite [learner=da_sqrt" in err
@@ -1013,7 +1027,10 @@ def test_cli_gradient_overflow_gives_one_stderr_line(capsys):
     argv = ["sweep", "--learner", "da_sqrt", "--nu", "1", "--horizons", "4", "--seeds", "0",
             "--step-scale", "1e308"]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "config error: the gradient norm at step 2 is not finite\n"
+    # step 2's gradient norm, 1e308, is finite; the cell's mean gap and closed form are not
+    assert capsys.readouterr().err == (
+        "config error: the measured or mean gap, psi or a bound is not finite "
+        "[learner=da_sqrt problem=PowerNorm(dimension=10, nu=1.0) T=4 seed=0]\n")
 
 
 def test_cli_nonfinite_gradient_exit_2(tmp_path, capsys, monkeypatch):
@@ -1088,26 +1105,50 @@ def test_cli_ratefit_insufficient_data_exit_1(tmp_path, capsys):
     capsys.readouterr()
     assert main(["ratefit", "--in", str(empty)]) == 1
     assert capsys.readouterr().err == "insufficient data: no summary records\n"
+    # three records at one horizon give log T no spread to fit against
+    same_t = tmp_path / "same_t.json"
+    same_t.write_text(json.dumps([{"config": {"problem": {"family": "quadratic", "dimension": 2},
+                                              "T": 16},
+                                   "terminated_early": False, "f_gap_mean": gap}
+                                  for gap in (0.5, 0.25, 0.125)]))
+    assert main(["ratefit", "--in", str(same_t)]) == 1
+    assert capsys.readouterr().err == ("insufficient data: rate fit needs >= 3 distinct "
+                                       "horizons with positive suboptimality, got 1\n")
 
 
-def test_cli_ratefit_malformed_record_exit_2(tmp_path):
+def test_cli_ratefit_malformed_record_exit_2(tmp_path, capsys):
     def record(t, problem):
         return {"config": {"problem": problem, "T": t},
                 "terminated_early": False, "f_gap_mean": 1.0 / t}
 
+    def with_field(**field):
+        records = [record(t, power) for t in (4, 16, 64)]
+        records[1].update(field)
+        return records
+
     power = {"family": "power_norm", "dimension": 2, "parameters": {"nu": 1.0}}
     no_t = [record(t, power) for t in (4, 16, 64)]
     del no_t[1]["config"]["T"]
+    t_float = [record(t, power) for t in (4, 16.5, 64)]
     cases = {
         "cubic": [record(t, {"family": "cubic", "dimension": 2}) for t in (4, 16, 64)],
         "no_parameters": [record(t, {"family": "power_norm", "dimension": 2})
                           for t in (4, 16, 64)],
         "no_t": no_t,
+        # each field the fit reads has one type: no NaN fit, no traceback
+        "t_float": t_float,
+        "f_gap_mean_inf": with_field(f_gap_mean=1e400),  # JSON reads 1e400 as inf
+        "f_gap_mean_bool": with_field(f_gap_mean=True),
+        "terminated_early_str": with_field(terminated_early="no"),
     }
+    keys = {"no_t": "'T'", "t_float": "T must be", "f_gap_mean_inf": "f_gap_mean",
+            "f_gap_mean_bool": "f_gap_mean", "terminated_early_str": "terminated_early"}
     for name, records in cases.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({"records": records}))
         assert main(["ratefit", "--in", str(path)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and keys.get(name, "bad summary record") in err, err
         with pytest.raises(ConfigError, match="bad summary record"):
             rate_fit_from_records(records)
 

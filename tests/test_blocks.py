@@ -37,8 +37,9 @@ def same_bits(a, b) -> bool:
 
 def block_points(problem, seed: int = 0) -> np.ndarray:
     """Random points plus the hard rows: x* itself, ||z|| from 1e-100 to
-    1e100 (and one whose squares underflow), both sides of the huber radius,
-    and log-sum-exp rows with ||z||_inf < 1e-8."""
+    1e100, rows whose squared norm is 0 or subnormal (the scaled norm's
+    rows), both sides of the huber radius, and log-sum-exp rows with
+    ||z||_inf < 1e-8."""
     d = problem.dimension
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(d)
@@ -46,7 +47,7 @@ def block_points(problem, seed: int = 0) -> np.ndarray:
     rows = [np.zeros(d)]
     rows += [s * u for s in (1e-100, 1e-50, 1e-8, 1e-3, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12,
                              2.0, 1e3, 1e50, 1e100)]
-    rows += [1e-170 * u, np.full(d, 3e-9), -np.full(d, 1e-10)]
+    rows += [1e-170 * u, 1e-155 * u, 5e-324 * np.eye(d)[0], np.full(d, 3e-9), -np.full(d, 1e-10)]
     rows += list(rng.uniform(-10.0, 10.0, (24, d)))
     return problem.minimizer + np.array(rows)
 
@@ -62,6 +63,17 @@ def test_vector_helpers_rows_equal_one_point_calls():
         norms = l2_norm(z)
         assert all(type(l2_norm(row)) is float and same_bits(n, l2_norm(row))
                    for n, row in zip(norms, z))
+    # rows whose squares underflow or overflow take the scaled norm: within
+    # an ulp or two of the true norm, 0 only for the zero row, and inf only
+    # past the largest float
+    u = rng.standard_normal(10)
+    edge = np.array([s * u for s in (1e-300, 1e-170, 1e-155, 1e155, 1e200, 1e300)]
+                    + [np.zeros(10), 5e-324 * np.eye(10)[0], np.full(10, 1e308)])
+    with np.errstate(over="ignore"):
+        norms = l2_norm(edge)
+        assert all(same_bits(n, l2_norm(row)) for n, row in zip(norms, edge))
+    assert all(n == pytest.approx(math.hypot(*row), rel=4e-16) for n, row in zip(norms, edge))
+    assert norms[-1] == math.inf and norms[-3] == 0.0 and norms[-2] == 5e-324
     values = np.exp(rng.uniform(-30.0, 30.0, 200))
     for exponent in (0.0, 0.5, 1.5, -0.5, 3.0):
         block = power(values.reshape(20, 10), exponent)
@@ -69,6 +81,9 @@ def test_vector_helpers_rows_equal_one_point_calls():
         assert all(same_bits(b, v ** exponent) for b, v in zip(block.ravel(), values.tolist()))
     assert all(same_bits(b, math.log(v)) for b, v in zip(log(values), values.tolist()))
     assert type(power(2.0, 0.5)) is float and type(log(2.0)) is float
+    # an overflow gives inf, as libm's pow does, for a float and in a block
+    assert power(1e200, 2.0) == math.inf
+    assert same_bits(power(np.array([1e200, 2.0]), 2.0), [math.inf, 4.0])
 
 
 @pytest.mark.parametrize("d,index", FAMILY_CASES)

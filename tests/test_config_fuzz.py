@@ -1,14 +1,25 @@
-"""Fuzz of the experiment-config reader: every JSON-shaped record either
+"""Fuzz of the record readers. Every JSON-shaped experiment record either
 parses or raises an error that `normgrad run` reports as a config error,
-exit 2, without a traceback, and no refusal comes from a bare KeyError or
-TypeError. Derandomized, so each run draws the same records."""
+exit 2, without a traceback; every JSON-shaped list of summary records
+either fits with finite fields, or raises InsufficientData (exit 1) or
+ConfigError (exit 2). No refusal comes from a bare KeyError or TypeError.
+Derandomized, so each run draws the same records."""
+
+import copy
+import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normgrad.cli
-from normgrad.bench import ConfigError, parse_experiment_config
+from normgrad.bench import (
+    ConfigError,
+    InsufficientData,
+    parse_experiment_config,
+    rate_fit_from_records,
+)
 from normgrad.cli import main
 from normgrad.learners import LEARNER_KINDS, RECORD_SCALES
 from normgrad.problems import FAMILIES
@@ -88,3 +99,51 @@ def test_any_json_record_parses_or_exits_2(record):
         # the run command reads only this record, and runs nothing
         patch.setattr(normgrad.cli, "cmd_run", lambda args: _parse(record))
         assert main(["run", "--config", "record.json", "--out", "out"]) in (0, 2)
+
+
+# valid values at the schema's edges; horizons repeat often, so that a list
+# can have too few distinct ones
+SUMMARY_HORIZONS = st.sampled_from([4, 16, 64, 256]) | st.integers(1, 2 ** 70) | st.just(16.0)
+GAPS = (st.floats(1e-300, 1.0) | st.floats(1e-300, 1e308)
+        | st.sampled_from([0.0, -1.0, 5e-324, 1.7e308, 3]))
+# what a corruption writes: any JSON value, and the ones a summary must refuse
+BAD_FIELDS = JSON | st.sampled_from([10 ** 400, 16.5, 1e400, -4, "no"])
+
+
+@st.composite
+def summaries(draw):
+    """A list of summary records of one problem, with values at the
+    schema's edges, then up to two corruptions: a value replaced or a key
+    added at some level, as one of BAD_FIELDS (a dimension as one of
+    BAD_DIMENSIONS)."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    problem = {"family": family, "dimension": draw(st.integers(1, 4))}
+    if family == "power_norm":
+        problem["parameters"] = {"nu": draw(st.sampled_from([0.0, 0.5, 1.0]))}
+    summary = [{"config": {"problem": copy.deepcopy(problem), "T": draw(SUMMARY_HORIZONS)},
+                "terminated_early": draw(st.just(False) | st.booleans()),
+                "f_gap_mean": draw(GAPS)}
+               for _ in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.integers(0, 2)) if summary else 0):
+        record = draw(st.sampled_from(summary))
+        config = record["config"]
+        levels = (record, config, config.get("problem") if isinstance(config, dict) else None)
+        level = draw(st.sampled_from([v for v in levels if isinstance(v, dict)]))
+        key = draw(st.sampled_from(sorted(level) or ["extra"]) | st.just("extra"))
+        level[key] = draw(BAD_DIMENSIONS if key == "dimension" else BAD_FIELDS)
+    return summary
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(summaries())
+def test_any_json_summary_fits_or_refuses(summary):
+    try:
+        fit = rate_fit_from_records(summary).as_dict()
+    except InsufficientData:
+        return
+    except ConfigError as exc:
+        assert type(exc.__cause__) not in (KeyError, TypeError, ZeroDivisionError), repr(
+            exc.__cause__)
+        return
+    assert all(math.isfinite(v) for v in fit.values()), fit
+    json.dumps(fit, allow_nan=False)  # ratefit prints valid JSON

@@ -312,3 +312,35 @@ def test_make_problem_and_config_round_trip():
     p4 = problem_from_config({"family": "quadratic", "dimension": 3,
                               "minimizer": "random", "seed": 11})
     assert np.array_equal(p3.minimizer, p4.minimizer)
+
+
+def _optimum_witness(problem) -> list:
+    """What a witness near x* finds wrong with the declared optimum: f(x*)
+    must equal it bit for bit, and the gap must be positive at radii 1e-4
+    to 1e-1 from x*. There a raised optimum of 1e-3 is most of the gap,
+    and points drawn from [-10, 10]^d almost never come that close."""
+    found = []
+    if problem.eval(problem.minimizer) != problem.optimum:
+        found.append("f(x*) is not the optimum")
+    d = problem.dimension
+    directions = np.array([np.eye(d)[0], -np.ones(d),
+                           np.random.default_rng(d).standard_normal(d)])
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = np.logspace(-4.0, -1.0, 7)
+    points = problem.minimizer + (radii[:, None, None] * directions).reshape(-1, d)
+    if not np.all(problem.gap(points) > 0.0):
+        found.append("a gap near x* is not positive")
+    return found
+
+
+@pytest.mark.parametrize("dimension", [3, 10])
+def test_declared_optimum_holds_near_the_minimizer(dimension):
+    for index, problem in enumerate(canonical_problems(dimension)):
+        assert _optimum_witness(problem) == [], problem
+        # the shifts of the optimum that no sampling suite catches on some families
+        for shift, found in ((-1e-3, ["f(x*) is not the optimum"]),
+                             (1e-3, ["f(x*) is not the optimum",
+                                     "a gap near x* is not positive"])):
+            shifted = canonical_problems(dimension)[index]
+            shifted.optimum += shift
+            assert _optimum_witness(shifted) == found, (problem, shift)

@@ -204,11 +204,12 @@ def test_unit_learners_are_fed_unit_losses(monkeypatch):
         assert len(norms) == run.steps_taken > 0
         assert max(abs(n - 1.0) for n in norms) <= 1e-9
         assert min(run.grad_norms) < 2.0 * EPS_ZERO_FLOOR
-        # the floor is what keeps them: below it a loss misses norm 1
+        # below the floor the squared norm is subnormal, and the scaled norm
+        # still gives a loss of norm 1
         norms.clear()
         _drive(LearnerConfig(kind=kind, start=start_at_distance(p, 1e-160, 0)),
                p, 4, eps_zero=1e-300)
-        assert abs(norms[0] - 1.0) > 1e-6
+        assert norms and max(abs(n - 1.0) for n in norms) <= 1e-9
 
 
 def test_run_normalized_weighted_average_matches_reference():
@@ -259,12 +260,17 @@ def test_nonfinite_gradient_reports_step():
 
 
 def test_gradient_norm_overflow_reports_step():
-    # step 2 sits about 1e308 from x*: every coordinate of g is finite, but
-    # its squared norm overflows
+    # step 2 sits about 1e308 from x*: the squared norm of g overflows but
+    # its norm does not, so the run goes on and records the gap that overflows
     p = PowerNorm(1.0, 3)
     cfg = LearnerConfig(kind="da_sqrt", start=start_at_distance(p, 1.0, seed=0),
                         step_scale=1e308)
-    with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match="step 2"):
+    run = run_normalized(cfg, p, 4)
+    assert run.steps_taken == 4 and run.grad_norms[1] == pytest.approx(1e308, rel=1e-12)
+    assert run.suboptimalities[1] == math.inf and math.isnan(run.local_constants[1])
+    # every coordinate of g is finite, but its norm is above the largest float
+    cfg = LearnerConfig(kind="da_sqrt", start=np.full(3, 1.5e308))
+    with pytest.raises(NumericalFailure, match="step 1"):
         run_normalized(cfg, p, 4)
 
 
