@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
@@ -253,8 +254,11 @@ class CellResult:
 
     @property
     def label(self) -> str:
-        return (f"learner={self.config.kind} problem={self.problem!r} "
-                f"T={self.horizon} seed={self.seed}")
+        return _cell_label(self.problem, self.config, self.horizon, self.seed)
+
+
+def _cell_label(problem: Problem, config: LearnerConfig, horizon: int, seed: int) -> str:
+    return f"learner={config.kind} problem={problem!r} T={horizon} seed={seed}"
 
 
 def _cell(problem: Problem, config: LearnerConfig, horizon: int, seed: int,
@@ -278,11 +282,16 @@ def _cell(problem: Problem, config: LearnerConfig, horizon: int, seed: int,
 
 def run_cell(problem: Problem, config: LearnerConfig, horizon: int, seed: int,
              eps_zero: float = DEFAULT_EPS_ZERO) -> CellResult:
-    """Run one (problem, config, horizon, seed) cell with its bound report."""
-    if config.kind == "adagrad_da":
-        run = run_adagrad_warmup(config, problem, horizon)
-    else:
-        run = run_normalized(config, problem, horizon, eps_zero)
+    """Run one (problem, config, horizon, seed) cell with its bound report.
+    The driver's NumericalFailure (a step whose gradient norm is not finite
+    or whose learner point overflows) is raised again naming the cell."""
+    try:
+        if config.kind == "adagrad_da":
+            run = run_adagrad_warmup(config, problem, horizon)
+        else:
+            run = run_normalized(config, problem, horizon, eps_zero)
+    except NumericalFailure as exc:
+        raise NumericalFailure(f"{exc} [{_cell_label(problem, config, horizon, seed)}]") from exc
     return _cell(problem, config, horizon, seed, run, eps_zero)
 
 
@@ -457,6 +466,49 @@ def _grid(problems, kinds, seeds, horizons, distance=DEFAULT_DISTANCE, step_scal
                     yield next(cells)
 
 
+def _sweep_block(block: tuple) -> list:
+    """The finished rows of one (problem, kind, seeds, horizons, distance,
+    step_scale) block of the sweep, in _grid's order: each row holds the
+    SWEEP_COLUMNS values and its cell's bound_violations under
+    "_violations", so no CellResult leaves the block. A
+    max_iterate_dist_sq that overflows raises NumericalFailure naming the
+    cell."""
+    problem, kind, *walk = block
+    rows = []
+    for cell in _grid([problem], [kind], *walk):
+        with _overflow_unwarned():
+            dist_sq = float(_visited_dist_sq(cell.run, problem.minimizer).max(initial=0.0))
+        if not math.isfinite(dist_sq):
+            raise NumericalFailure(f"max_iterate_dist_sq is not finite [{cell.label}]")
+        fields = {**summary_record(cell), "nu": problem.nu, "learner": kind,
+                  "T": cell.horizon, "seed": cell.seed, "max_iterate_dist_sq": dist_sq}
+        rows.append({**{c: fields[c] for c in SWEEP_COLUMNS},
+                     "_violations": bound_violations(cell)})
+    return rows
+
+
+def _in_order(fn, items: list):
+    """Yield fn(item) for every item, in order: from a fork pool of
+    min(usable CPUs, len(items)) workers, whose imap keeps the order (so
+    the first error raised is the first failing item's) and which is
+    terminated and joined before this generator returns, raises or is
+    closed; or in this process, with one worker, no CPU affinity call or no
+    fork start method. multiprocessing is imported only to make a pool."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(items))
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = multiprocessing.get_context("fork").Pool(workers)
+            try:
+                yield from pool.imap(fn, items)
+            finally:
+                pool.terminate()
+                pool.join()
+            return
+    yield from map(fn, items)
+
+
 def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=LEARNER_KINDS,
                horizons=DEFAULT_HORIZONS, seeds=DEFAULT_SEEDS,
                dimension=DEFAULT_DIMENSION, distance=DEFAULT_DISTANCE,
@@ -464,15 +516,12 @@ def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=LEARNER_KINDS,
     """Run the (nu x learner x horizon x seed) grid over the interpolation
     family and yield one row dict per cell, in deterministic grid order.
 
-    This is a generator over _grid's cells: each cell runs when its row is
-    requested, and an anytime block's runs are made at its first row. The
-    whole grid is checked at the first request, before any cell runs: an
-    empty axis, an unknown learner, a nu outside [0, 1], a horizon below 1
-    or a negative seed raises. A row holds the SWEEP_COLUMNS (the
-    summary_record fields plus nu, learner, T, seed and
-    max_iterate_dist_sq) and the CellResult under "_cell"; a
-    max_iterate_dist_sq that overflows raises NumericalFailure naming the
-    cell."""
+    The whole grid is checked at the first request, before any cell runs:
+    an empty axis, an unknown learner, a nu outside [0, 1], a horizon below
+    1 or a negative seed raises. Each (nu, learner) block is then one
+    _sweep_block call, mapped over every usable CPU by _in_order, so the
+    rows (the SWEEP_COLUMNS and "_violations"), their order and the first
+    error raised do not depend on the worker count."""
     if not nus or not learners or not horizons or not seeds:
         raise ConfigError("sweep grid must be nonempty in every axis")
     for kind in learners:
@@ -481,20 +530,10 @@ def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=LEARNER_KINDS,
     if min(horizons) < 1 or min(seeds) < 0:
         raise ConfigError("sweep horizons must be >= 1 and seeds >= 0")
     problems = [PowerNorm(float(nu), dimension) for nu in nus]
-    for cell in _grid(problems, learners, seeds, horizons, distance, step_scale):
-        with _overflow_unwarned():
-            dist_sq = float(_visited_dist_sq(cell.run, cell.problem.minimizer).max(initial=0.0))
-        if not math.isfinite(dist_sq):
-            raise NumericalFailure(f"max_iterate_dist_sq is not finite [{cell.label}]")
-        yield {
-            **summary_record(cell),
-            "nu": cell.problem.nu,
-            "learner": cell.config.kind,
-            "T": cell.horizon,
-            "seed": cell.seed,
-            "max_iterate_dist_sq": dist_sq,
-            "_cell": cell,
-        }
+    blocks = [(problem, kind, tuple(seeds), tuple(horizons), distance, step_scale)
+              for problem in problems for kind in learners]
+    for rows in _in_order(_sweep_block, blocks):
+        yield from rows
 
 
 def rate_experiment(nu: float, kind: str):

@@ -94,8 +94,7 @@ def cmd_sweep(args) -> int:
     for row in sweep_rows(nus=args.nu, learners=args.learner, horizons=args.horizons,
                           seeds=args.seeds, dimension=args.dimension,
                           distance=args.distance, step_scale=args.step_scale):
-        # check each cell as it arrives and keep only its row
-        violations.extend(bound_violations(row.pop("_cell")))
+        violations.extend(row.pop("_violations"))
         rows.append(row)
 
     lines = rows_to_csv(rows, SWEEP_COLUMNS)

@@ -14,11 +14,14 @@ import pytest
 from normgrad import (
     Huber,
     LearnerConfig,
+    PowerNorm,
     Quadratic,
     run_adagrad_warmup,
     run_normalized,
 )
 from normgrad.bench import (
+    DEFAULT_DIMENSION,
+    DEFAULT_DISTANCE,
     SWEEP_COLUMNS,
     bound_violations,
     rate_experiment,
@@ -78,7 +81,7 @@ def test_criterion_1_rate_interpolation():
 def test_criterion_2_bound_validity(default_sweep):
     failures = []
     for row in default_sweep:
-        failures.extend(bound_violations(row["_cell"]))
+        failures.extend(row["_violations"])
     _report(2, f"bound validity on {len(default_sweep)} sweep cells", failures)
 
 
@@ -89,9 +92,13 @@ def test_criterion_3_bounded_iterates(default_sweep):
         if row["learner"] != "ogd_const":
             continue
         cells += 1
-        cell = row["_cell"]
-        d_sq = l2_norm(cell.config.start - cell.problem.minimizer) ** 2
-        limit = d_sq + cell.config.step_scale ** 2 + 1e-9
+        # the start and step scale of the row's cell, resolved as bench._grid does
+        problem = PowerNorm(row["nu"], DEFAULT_DIMENSION)
+        config = resolve_learner_config(
+            problem, {"kind": "ogd_const", "start_distance": DEFAULT_DISTANCE, "step_scale": 1.0},
+            row["seed"])
+        d_sq = l2_norm(config.start - problem.minimizer) ** 2
+        limit = d_sq + config.step_scale ** 2 + 1e-9
         if row["max_iterate_dist_sq"] > limit:
             failures.append(
                 f"nu={row['nu']} T={row['T']} seed={row['seed']}: "

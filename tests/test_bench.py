@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -33,6 +34,7 @@ from normgrad import (
 from normgrad.bench import (
     ConfigError,
     InsufficientData,
+    DEFAULT_DISTANCE,
     RATE_FIT_DISTANCE,
     SUITES,
     SWEEP_COLUMNS,
@@ -44,6 +46,7 @@ from normgrad.bench import (
     rate_fit_from_records,
     resolve_learner_config,
     rows_to_csv,
+    _sweep_block,
     _visited_dist_sq,
     run_cell,
     run_cells,
@@ -377,14 +380,19 @@ def test_sweep_runs_each_anytime_learner_once_per_seed(monkeypatch):
 
     monkeypatch.setattr(PowerNorm, "grad", counted)
     horizons, seeds = (8, 32, 16), (0, 1)
-    rows = list(sweep_rows(nus=(0.5,), horizons=horizons, seeds=seeds, dimension=3,
-                           distance=RATE_FIT_DISTANCE))
-    assert len(rows) == 4 * 3 * 2
-    assert all(row["steps_taken"] == row["T"] for row in rows)  # no early stop
-    # ogd_const runs every horizon; da_sqrt, kt and adagrad_da each run once
-    # per seed, to the longest horizon; adagrad_da's default bound G takes
-    # one more gradient, at the start
-    assert len(calls) == len(seeds) * (sum(horizons) + 3 * max(horizons) + 1)
+    problem = PowerNorm(0.5, 3)
+    # a sweep's blocks may run in forked workers, whose counts stay there,
+    # so each block is counted here, in this process
+    for kind, grads in (("ogd_const", sum(horizons)), ("da_sqrt", max(horizons)),
+                        ("kt", max(horizons)), ("adagrad_da", max(horizons) + 1)):
+        calls.clear()
+        rows = _sweep_block((problem, kind, seeds, horizons, RATE_FIT_DISTANCE, 1.0))
+        assert len(rows) == 3 * 2
+        assert all(row["steps_taken"] == row["T"] for row in rows)  # no early stop
+        # ogd_const runs every horizon; da_sqrt, kt and adagrad_da each run
+        # once per seed, to the longest horizon; adagrad_da's default bound G
+        # takes one more gradient, at the start
+        assert len(calls) == len(seeds) * grads, kind
 
 
 def test_sweep_resolves_each_learner_record_once_per_seed(monkeypatch, capsys):
@@ -427,9 +435,8 @@ def test_sweep_rows_grid_shape_and_bounds():
                            horizons=(16, 64), seeds=(0,), dimension=4))
     assert len(rows) == 2 * 2 * 2
     for row in rows:
-        cell = row.pop("_cell")
-        assert not bound_violations(cell)
-        assert set(SWEEP_COLUMNS) <= set(row)
+        assert row.pop("_violations") == []
+        assert list(row) == list(SWEEP_COLUMNS)
         assert not row["grad_bound_exceeded"]
     with pytest.raises(ConfigError):
         list(sweep_rows(nus=(), learners=("kt",), horizons=(4,), seeds=(0,)))
@@ -442,16 +449,70 @@ def test_sweep_rows_grid_shape_and_bounds():
         next(sweep_rows(nus=(0.5,), learners=("kt",), horizons=(4,), seeds=(0, -1)))
 
 
+def _usable_cpus(monkeypatch, cpus):
+    """Make the sweep see cpus as the CPUs the process may use."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def test_pooled_sweep_equals_its_blocks_run_in_process(monkeypatch):
+    nus, horizons, seeds = (0.0, 0.5), (16, 64), (0, 1)
+    expected = [row for nu in nus for kind in LEARNER_KINDS for row in _sweep_block(
+        (PowerNorm(nu, 3), kind, seeds, horizons, DEFAULT_DISTANCE, 1.0))]
+    _usable_cpus(monkeypatch, 2)
+    rows = sweep_rows(nus=nus, horizons=horizons, seeds=seeds, dimension=3)
+    first = next(rows)
+    assert len(multiprocessing.active_children()) == 2  # the blocks run in a pool
+    pooled = [first, *rows]
+    # bit for bit: the repr of a float round-trips, and a dict's repr keeps its order
+    assert [repr(row) for row in pooled] == [repr(row) for row in expected]
+    assert len(pooled) == 2 * 4 * 2 * 2
+
+
+def test_no_sweep_worker_outlives_its_sweep(monkeypatch, capsys):
+    _usable_cpus(monkeypatch, 2)
+    grid = {"nus": (0.0, 0.5), "learners": ("kt", "ogd_const"), "horizons": (16,),
+            "seeds": (0,), "dimension": 3}
+    assert len(list(sweep_rows(**grid))) == 4
+    assert not multiprocessing.active_children()
+    rows = sweep_rows(**grid)
+    next(rows)
+    assert multiprocessing.active_children()
+    rows.close()
+    assert not multiprocessing.active_children()
+    # the kt block fails after its 16384-step run, the adagrad_da block at
+    # its first step: a pool, like the serial walk, reports the kt block
+    argv = ["sweep", "--learner", "kt", "adagrad_da", "--nu", "1", "--horizons", "4", "16384",
+            "--seeds", "0", "--distance", "1e200"]
+    errors = []
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+        assert not multiprocessing.active_children()
+    assert errors[0] == errors[1] == (
+        "config error: the measured or mean gap, psi or a bound is not finite "
+        "[learner=kt problem=PowerNorm(dimension=10, nu=1.0) T=16384 seed=0]\n")
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # setup stays lean: the sweep imports multiprocessing only to make a pool
+    probe = "import sys, normgrad.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         check=True, text=True).stdout
+    assert out == "False\n"
+
+
 def test_rows_to_csv_deterministic():
     rows = list(sweep_rows(nus=(0.5,), learners=("kt",), horizons=(16, 32), seeds=(0, 1),
                            dimension=3))
     for row in rows:
-        row.pop("_cell")
+        row.pop("_violations")
     body1 = "".join(rows_to_csv(rows, SWEEP_COLUMNS))
     rows2 = list(sweep_rows(nus=(0.5,), learners=("kt",), horizons=(16, 32), seeds=(0, 1),
                             dimension=3))
     for row in rows2:
-        row.pop("_cell")
+        row.pop("_violations")
     body2 = "".join(rows_to_csv(rows2, SWEEP_COLUMNS))
     assert body1 == body2
     assert body1.splitlines()[0] == ",".join(SWEEP_COLUMNS)
@@ -1021,6 +1082,9 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
         assert not out.exists()
     if case in overflows:  # one line naming the cell, not a bound violation
         assert err.count("\n") == 1 and "not finite [learner=da_sqrt" in err
+    if case == "sweep_adagrad_overflow_nu1":  # the step's failure names its cell
+        assert err.endswith("step 1 overflows [learner=adagrad_da "
+                            "problem=PowerNorm(dimension=10, nu=1.0) T=4 seed=0]\n")
 
 
 def test_cli_gradient_overflow_gives_one_stderr_line(capsys):
