@@ -448,43 +448,37 @@ def _summary_point(record) -> tuple:
 # sweeps
 
 
-def _grid(problems, kinds, seeds, horizons, distance=DEFAULT_DISTANCE, step_scale=1.0):
-    """Yield the cell of every (problem, kind, horizon, seed), in that order,
-    the learner started at distance with step_scale. Each seed of a
-    (problem, kind) block gets one resolved config and one run_cells
-    generator: an anytime block runs all its seeds, each to the largest
-    horizon, at its first cell and keeps those runs until the block is
-    done; an ogd_const block runs one cell per cell requested."""
-    for problem in problems:
-        for kind in kinds:
-            record = {"kind": kind, "start_distance": distance, "step_scale": step_scale}
-            per_seed = [run_cells(problem, resolve_learner_config(problem, record, int(seed)),
-                                  horizons, int(seed)) for seed in seeds]
-            for _ in horizons:
-                # one cell at a time: a zip would hold every seed's cell of a horizon
-                for cells in per_seed:
-                    yield next(cells)
+def _grid(problem, kind, seeds, horizons, distance=DEFAULT_DISTANCE, step_scale=1.0):
+    """Yield the cells of one (problem, kind) block seed by seed, each seed's
+    in the order of horizons, the learner started at distance with
+    step_scale: one resolved config and one run_cells walk per seed, done
+    before the next seed's starts, so a block holds one seed's run."""
+    record = {"kind": kind, "start_distance": distance, "step_scale": step_scale}
+    for seed in map(int, seeds):
+        yield from run_cells(problem, resolve_learner_config(problem, record, seed), horizons, seed)
+
+
+def _sweep_row(cell: CellResult) -> dict:
+    """A cell's SWEEP_COLUMNS values and its bound_violations under
+    "_violations"; a max_iterate_dist_sq that overflows raises
+    NumericalFailure naming the cell."""
+    with _overflow_unwarned():
+        dist_sq = float(_visited_dist_sq(cell.run, cell.problem.minimizer).max(initial=0.0))
+    if not math.isfinite(dist_sq):
+        raise NumericalFailure(f"max_iterate_dist_sq is not finite [{cell.label}]")
+    fields = {**summary_record(cell), "nu": cell.problem.nu, "learner": cell.config.kind,
+              "T": cell.horizon, "seed": cell.seed, "max_iterate_dist_sq": dist_sq}
+    return {**{c: fields[c] for c in SWEEP_COLUMNS}, "_violations": bound_violations(cell)}
 
 
 def _sweep_block(block: tuple) -> list:
-    """The finished rows of one (problem, kind, seeds, horizons, distance,
-    step_scale) block of the sweep, in _grid's order: each row holds the
-    SWEEP_COLUMNS values and its cell's bound_violations under
-    "_violations", so no CellResult leaves the block. A
-    max_iterate_dist_sq that overflows raises NumericalFailure naming the
-    cell."""
-    problem, kind, *walk = block
-    rows = []
-    for cell in _grid([problem], [kind], *walk):
-        with _overflow_unwarned():
-            dist_sq = float(_visited_dist_sq(cell.run, problem.minimizer).max(initial=0.0))
-        if not math.isfinite(dist_sq):
-            raise NumericalFailure(f"max_iterate_dist_sq is not finite [{cell.label}]")
-        fields = {**summary_record(cell), "nu": problem.nu, "learner": kind,
-                  "T": cell.horizon, "seed": cell.seed, "max_iterate_dist_sq": dist_sq}
-        rows.append({**{c: fields[c] for c in SWEEP_COLUMNS},
-                     "_violations": bound_violations(cell)})
-    return rows
+    """The _sweep_rows of one (problem, kind, seeds, horizons, distance,
+    step_scale) block, never a CellResult, in grid order: horizon by
+    horizon, seed by seed within one. _grid walks the seeds first, and map
+    drops each cell once its row is built."""
+    rows = list(map(_sweep_row, _grid(*block)))
+    n = len(block[3])
+    return [row for h in range(n) for row in rows[h::n]]
 
 
 def _in_order(fn, items: list):
@@ -521,7 +515,9 @@ def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=LEARNER_KINDS,
     1 or a negative seed raises. Each (nu, learner) block is then one
     _sweep_block call, mapped over every usable CPU by _in_order, so the
     rows (the SWEEP_COLUMNS and "_violations"), their order and the first
-    error raised do not depend on the worker count."""
+    error raised do not depend on the worker count. That error is the
+    first failing block's, and within the block the first failing cell's
+    in seed order (all of seed 0's horizons before seed 1's)."""
     if not nus or not learners or not horizons or not seeds:
         raise ConfigError("sweep grid must be nonempty in every axis")
     for kind in learners:
@@ -540,7 +536,7 @@ def rate_experiment(nu: float, kind: str):
     """Canonical rate-fit experiment: one learner on the interpolation
     family at DEFAULT_DIMENSION, started at RATE_FIT_DISTANCE with seed 0,
     across DEFAULT_HORIZONS; returns (summary records, RateFit)."""
-    cells = _grid([PowerNorm(float(nu), DEFAULT_DIMENSION)], [kind], [0], DEFAULT_HORIZONS,
+    cells = _grid(PowerNorm(float(nu), DEFAULT_DIMENSION), kind, [0], DEFAULT_HORIZONS,
                   RATE_FIT_DISTANCE, RATE_FIT_STEP_SCALES[kind])
     summaries = [summary_record(cell) for cell in cells]
     return summaries, rate_fit_from_records(summaries)
@@ -765,12 +761,14 @@ def _chain_pass(seed: int, kind: str) -> tuple:
     normalized runs keep every iterate within ||x_1 - x*||^2 + alpha^2 of
     the minimizer (one array of squared distances per cell)."""
     bounded, chain = [], []
-    for cell in _grid(canonical_problems(DEFAULT_DIMENSION), [kind], [seed], _CHAIN_HORIZONS):
-        if kind == "ogd_const":
-            center = cell.problem.minimizer
-            limit = l2_norm(cell.config.start - center) ** 2 + cell.config.step_scale ** 2 + 1e-9
-            bounded.append(_visited_dist_sq(cell.run, center) - limit)
-        chain.extend(_chain_residuals(cell))
+    for problem in canonical_problems(DEFAULT_DIMENSION):
+        for cell in _grid(problem, kind, [seed], _CHAIN_HORIZONS):
+            if kind == "ogd_const":
+                center = problem.minimizer
+                start, alpha = cell.config.start, cell.config.step_scale
+                limit = l2_norm(start - center) ** 2 + alpha ** 2 + 1e-9
+                bounded.append(_visited_dist_sq(cell.run, center) - limit)
+            chain.extend(_chain_residuals(cell))
     return bounded, chain
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -90,8 +91,9 @@ class HolderSpec:
 
     @property
     def alpha_pow_nu(self) -> float:
-        """(1 + 1/nu)^nu with the nu -> 0 limit value 1."""
-        if self.nu == 0.0:
+        """(1 + 1/nu)^nu with the nu -> 0 limit value 1, which is also the
+        value rounded at a subnormal nu, where 1/nu may overflow."""
+        if self.nu < sys.float_info.min:
             return 1.0
         return (1.0 + 1.0 / self.nu) ** self.nu
 

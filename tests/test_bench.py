@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -379,20 +380,56 @@ def test_sweep_runs_each_anytime_learner_once_per_seed(monkeypatch):
         return grad(self, x)
 
     monkeypatch.setattr(PowerNorm, "grad", counted)
-    horizons, seeds = (8, 32, 16), (0, 1)
+    # unsorted, with a repeated horizon
+    horizons, seeds = (8, 32, 16, 32), (0, 1)
     problem = PowerNorm(0.5, 3)
+    blocks = {}
     # a sweep's blocks may run in forked workers, whose counts stay there,
     # so each block is counted here, in this process
     for kind, grads in (("ogd_const", sum(horizons)), ("da_sqrt", max(horizons)),
                         ("kt", max(horizons)), ("adagrad_da", max(horizons) + 1)):
         calls.clear()
-        rows = _sweep_block((problem, kind, seeds, horizons, RATE_FIT_DISTANCE, 1.0))
-        assert len(rows) == 3 * 2
+        block = (problem, kind, seeds, horizons, RATE_FIT_DISTANCE, 1.0)
+        rows = blocks[block] = _sweep_block(block)
+        assert len(rows) == len(horizons) * len(seeds)
         assert all(row["steps_taken"] == row["T"] for row in rows)  # no early stop
         # ogd_const runs every horizon; da_sqrt, kt and adagrad_da each run
         # once per seed, to the longest horizon; adagrad_da's default bound G
         # takes one more gradient, at the start
         assert len(calls) == len(seeds) * grads, kind
+    # dual averaging at distance 1 with alpha 1 lands on x* at step 2 from
+    # seed 1; from seed 0 rounding keeps it off, so the two seeds' rows differ
+    block = (problem, "da_sqrt", seeds, horizons, 1.0, 1.0)
+    rows = blocks[block] = _sweep_block(block)
+    assert [row["steps_taken"] for row in rows] == [8, 1, 32, 1, 16, 1, 32, 1]
+    # each row sits at its cell's grid position, horizon by horizon and seed
+    # by seed within one, and equals the row of that cell run alone
+    for (_, kind, _, _, *start), rows in blocks.items():
+        alone = [_sweep_block((problem, kind, (seed,), (horizon,), *start))[0]
+                 for horizon in horizons for seed in seeds]
+        assert [repr(row) for row in rows] == [repr(row) for row in alone], kind
+
+
+def test_a_sweep_block_holds_one_seeds_run_at_a_time(monkeypatch):
+    # when a run starts, no run of an earlier seed (or an earlier
+    # ogd_const horizon) is still alive
+    runs, alive = [], []
+    run_cell = normgrad.bench.run_cell
+
+    def watched(*args):
+        alive.append(sum(run() is not None for run in runs))
+        cell = run_cell(*args)
+        runs.append(weakref.ref(cell.run))
+        return cell
+
+    monkeypatch.setattr(normgrad.bench, "run_cell", watched)
+    for kind in LEARNER_KINDS:
+        runs.clear()
+        alive.clear()
+        seeds, horizons = (0, 1, 2), (256, 1024, 4096)
+        _sweep_block((PowerNorm(0.5, 3), kind, seeds, horizons, DEFAULT_DISTANCE, 1.0))
+        calls = len(seeds) * (len(horizons) if kind == "ogd_const" else 1)
+        assert alive == [0] * calls, kind
 
 
 def test_sweep_resolves_each_learner_record_once_per_seed(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from normgrad import (
     check_descent_inequality,
     check_grad_bound,
     finite_diff_grad,
+    local_constant_from_parts,
     local_holder_constant,
     make_problem,
     problem_from_config,
@@ -104,6 +106,18 @@ def test_holder_spec_and_sampler_refuse_bad_arguments():
         HolderSpec(0.5, 0.0)  # a constant that is not positive
     with pytest.raises(ContractViolation):
         sample_holder_constant(Quadratic(2), 0, 0)
+
+
+def test_alpha_pow_nu_at_a_subnormal_nu_is_its_rounded_value():
+    # (1 + 1/nu)^nu rounds to 1.0 for every nu below the smallest normal
+    # float, where 1/nu may overflow; inf ** nu would make every local
+    # constant 0, which the bound chain refuses
+    tiny = sys.float_info.min
+    for nu in (5e-324, 2.2250738585e-313, tiny / 2.0):
+        spec = HolderSpec(nu, 2.0)
+        assert spec.alpha_pow_nu == 1.0
+        assert local_constant_from_parts(spec, 1.0, 0.5) == 1.0
+    assert HolderSpec(tiny, 2.0).alpha_pow_nu == (1.0 + 1.0 / tiny) ** tiny == 1.0
 
 
 def test_dimension_mismatch_raises():

@@ -23,8 +23,8 @@ from normgrad import (
 from normgrad import learners
 from normgrad.bench import canonical_problems, resolve_learner_config
 from normgrad.learners import LEARNER_KINDS, UNIT_NORM_KINDS
-from normgrad.problems import HolderSpec
-from normgrad.reduction import EPS_ZERO_FLOOR, _drive
+from normgrad.problems import HolderSpec, Problem
+from normgrad.reduction import DEFAULT_EPS_ZERO, EPS_ZERO_FLOOR, _drive
 from normgrad.vectors import _CHUNK_ELEMENTS, chunk_rows, l2_norm
 
 
@@ -575,6 +575,44 @@ def test_early_stop_point_has_zero_gradient():
     run = run_normalized(ogd_cfg([1.0]), p, 4)
     assert run.terminated_early
     assert l2_norm(p.grad(run.average_point)) <= 1e-12
+
+
+class _Scaled(Problem):
+    """c f for a family f: eval, grad, the optimum and the constant c times
+    the family's, at the same minimizer."""
+
+    def __init__(self, base: Problem, c: float):
+        super().__init__(base.dimension, base.minimizer)
+        self.base, self.c = base, c
+        self.spec = HolderSpec(base.spec.nu, c * base.spec.l_nu)
+        self.optimum = c * base.optimum
+
+    def eval(self, x):
+        return self.c * self.base.eval(x)
+
+    def grad(self, x):
+        return self.c * self.base.grad(x)
+
+
+@pytest.mark.parametrize("dimension", [3, 10])
+@pytest.mark.parametrize("family", range(5), ids=[p.family for p in canonical_problems()])
+def test_scaling_f_leaves_a_unit_norm_run_unchanged(family, dimension):
+    # a unit-norm learner sees only g / ||g||, which scaling f by a power of
+    # two leaves bit for bit; the stop threshold eps_zero scales with f
+    base = canonical_problems(dimension)[family]
+    for kind in UNIT_NORM_KINDS:
+        for distance in (1.0, 1.3):
+            for seed in range(3):
+                record = {"kind": kind, "start_distance": distance}
+                config = resolve_learner_config(base, record, seed)
+                plain = run_normalized(config, base, 512)
+                for c in (4.0, 2.0 ** -20, 2.0 ** 40):
+                    scaled = run_normalized(config, _Scaled(base, c), 512, DEFAULT_EPS_ZERO * c)
+                    case = (kind, distance, seed, c)
+                    assert scaled.stop_index == plain.stop_index, case
+                    assert scaled.iterates.tobytes() == plain.iterates.tobytes(), case
+                    assert scaled.average_point.tobytes() == plain.average_point.tobytes(), case
+                    assert scaled.grad_norms.tobytes() == (c * plain.grad_norms).tobytes(), case
 
 
 def test_start_at_distance_properties():
