@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -117,9 +117,6 @@ class RateFit:
     predicted_slope: float
     n_points: int
     n_excluded: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def fit_rate(horizons, gaps, predicted_slope: float) -> RateFit:
@@ -493,12 +490,8 @@ def _in_order(fn, items: list):
     if workers > 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
-            pool = multiprocessing.get_context("fork").Pool(workers)
-            try:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
                 yield from pool.imap(fn, items)
-            finally:
-                pool.terminate()
-                pool.join()
             return
     yield from map(fn, items)
 
@@ -554,9 +547,6 @@ class SuiteResult:
     worst_slack: float
     passed: bool
     note: str = ""
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def canonical_problems(dimension: int = 3) -> list:

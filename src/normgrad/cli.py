@@ -8,7 +8,8 @@
 Exit codes: 0 all checks pass, 1 a property or bound failed (or ratefit found
 too few usable horizons), 2 bad usage, configuration or file (including a
 problem too large to allocate, or a run whose gradient norm is not finite).
-`main` is the only place that maps an error to an exit code.
+Every command ends with `_finish`, the only place that returns 1; `main` is
+the only place that maps an error (to 2).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .bench import (
     ConfigError,
@@ -60,6 +62,21 @@ def _write_text(path: str, chunks) -> None:
             os.remove(tmp)
 
 
+def _finish(path, chunks, failures, wrote="") -> int:
+    """End a command: write chunks to path through _write_text and print
+    wrote, or without a path write them to stdout; print each failure line
+    to stderr. The only place that returns 1, when there is a failure."""
+    if path:
+        _write_text(path, chunks)
+        if wrote:
+            print(wrote)
+    else:
+        sys.stdout.writelines(chunks)
+    for line in failures:
+        print(line, file=sys.stderr)
+    return 1 if failures else 0
+
+
 def cmd_run(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         exp = parse_experiment_config(json.load(fh))
@@ -72,20 +89,16 @@ def cmd_run(args) -> int:
         _write_text(os.path.join(args.out, f"trajectory_T{cell.horizon}.csv"),
                     rows_to_csv(trajectory_rows(cell), TRAJECTORY_COLUMNS))
         records.append(summary_record(cell))
-        violations.extend(bound_violations(cell))
+        violations.extend(f"bound violation: {v}" for v in bound_violations(cell))
 
     try:
-        rate_fit = rate_fit_from_records(records).as_dict()
+        rate_fit = asdict(rate_fit_from_records(records))
     except InsufficientData:
         rate_fit = None
     summary = {"records": records, "rate_fit": rate_fit}
-    _write_text(os.path.join(args.out, "summary.json"),
-                (json.dumps(summary, indent=2) + "\n",))
-
-    for v in violations:
-        print(f"bound violation: {v}", file=sys.stderr)
-    print(f"wrote {len(records)} summaries to {args.out}")
-    return 1 if violations else 0
+    return _finish(os.path.join(args.out, "summary.json"),
+                   (json.dumps(summary, indent=2) + "\n",), violations,
+                   f"wrote {len(records)} summaries to {args.out}")
 
 
 def cmd_sweep(args) -> int:
@@ -94,18 +107,10 @@ def cmd_sweep(args) -> int:
     for row in sweep_rows(nus=args.nu, learners=args.learner, horizons=args.horizons,
                           seeds=args.seeds, dimension=args.dimension,
                           distance=args.distance, step_scale=args.step_scale):
-        violations.extend(row.pop("_violations"))
+        violations.extend(f"bound violation: {v}" for v in row.pop("_violations"))
         rows.append(row)
-
-    lines = rows_to_csv(rows, SWEEP_COLUMNS)
-    if args.out:
-        _write_text(args.out, lines)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        sys.stdout.writelines(lines)
-    for v in violations:
-        print(f"bound violation: {v}", file=sys.stderr)
-    return 1 if violations else 0
+    return _finish(args.out, rows_to_csv(rows, SWEEP_COLUMNS), violations,
+                   f"wrote {len(rows)} rows to {args.out}")
 
 
 def cmd_ratefit(args) -> int:
@@ -118,30 +123,24 @@ def cmd_ratefit(args) -> int:
         if not isinstance(recs, list):
             raise ConfigError(f"{path}: not a summary: expected a list of records")
         records.extend(recs)
-    fit = rate_fit_from_records(records)
-    print(json.dumps(fit.as_dict(), indent=2))
-    return 0
+    try:
+        fit = asdict(rate_fit_from_records(records))
+    except InsufficientData as exc:
+        return _finish(None, (), [str(exc)])
+    return _finish(None, (json.dumps(fit, indent=2) + "\n",), [])
 
 
 def cmd_check(args) -> int:
     results = run_suites(args.suite or None, samples=args.samples, seed=args.seed)
-    passed = all(r.passed for r in results)
     report = {
         "samples": args.samples,
         "seed": args.seed,
-        "passed": passed,
-        "suites": [r.as_dict() for r in results],
+        "passed": all(r.passed for r in results),
+        "suites": [asdict(r) for r in results],
     }
-    body = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        _write_text(args.out, (body,))
-    else:
-        sys.stdout.write(body)
-    for r in results:
-        if not r.passed:
-            print(f"suite failed: {r.name} ({r.failures} failures, "
-                  f"worst slack {r.worst_slack!r})", file=sys.stderr)
-    return 0 if passed else 1
+    return _finish(args.out, (json.dumps(report, indent=2) + "\n",),
+                   [f"suite failed: {r.name} ({r.failures} failures, "
+                    f"worst slack {r.worst_slack!r})" for r in results if not r.passed])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,9 +185,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InsufficientData as exc:
-        print(exc, file=sys.stderr)
-        return 1
     except (ConfigError, ContractViolation, NumericalFailure, OSError,
             json.JSONDecodeError, UnicodeDecodeError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

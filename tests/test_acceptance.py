@@ -6,6 +6,7 @@ captured output of failing tests)."""
 import json
 import math
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -116,14 +117,14 @@ def test_criterion_4_inequality_suites(default_check, kernel_note):
         if not res.passed:
             failures.append(f"{name}: {res.failures} failures over {res.samples} samples "
                             f"(worst slack {res.worst_slack!r})")
-        if res.as_dict() != expected[name]:
-            failures.append(f"{name}: {res.as_dict()} differs from the reference report "
+        if asdict(res) != expected[name]:
+            failures.append(f"{name}: {asdict(res)} differs from the reference report "
                             f"({kernel_note})")
     control = results["descent_negative_control"]
     if not control.passed:
         failures.append("halved-constant negative control was not caught")
-    if control.as_dict() != expected[control.name]:
-        failures.append(f"{control.name}: {control.as_dict()} differs from the reference "
+    if asdict(control) != expected[control.name]:
+        failures.append(f"{control.name}: {asdict(control)} differs from the reference "
                         f"report ({kernel_note})")
     _report(4, "descent / gradient-bound / means suites at 10^4 samples", failures)
 

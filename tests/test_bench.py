@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -467,6 +467,28 @@ def test_only_grid_and_cmd_run_call_run_cells():
     assert found == ["bench._grid", "cli.cmd_run"]
 
 
+def test_only_finish_returns_1_and_only_main_returns_2():
+    # exit code 1 means "a bound or property failed", and _finish alone decides it;
+    # main alone maps an error to 2. A constant counts where the return can
+    # evaluate to it, so not inside a call's arguments (json.dumps(..., indent=2))
+    def constants(node):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            yield node.value
+        if not isinstance(node, ast.Call):
+            for child in ast.iter_child_nodes(node):
+                yield from constants(child)
+
+    source = Path(normgrad.cli.__file__).read_text()
+    returns = {1: set(), 2: set()}
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Return) and node.value is not None:
+                    for value in set(constants(node.value)) & returns.keys():
+                        returns[value].add(func.name)
+    assert returns == {1: {"_finish"}, 2: {"main"}}
+
+
 def test_sweep_rows_grid_shape_and_bounds():
     rows = list(sweep_rows(nus=(0.0, 1.0), learners=("ogd_const", "adagrad_da"),
                            horizons=(16, 64), seeds=(0,), dimension=4))
@@ -586,7 +608,7 @@ def test_driver_suites_match_reference_report(default_check, kernel_note):
         (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
          / "check_default.json").read_text())
     report = {"samples": 10_000, "seed": 0, "passed": all(r.passed for r in default_check),
-              "suites": [r.as_dict() for r in default_check]}
+              "suites": [asdict(r) for r in default_check]}
     assert report == reference, f"{kernel_note}\n{json_diff(report, reference)}"
 
 
@@ -616,22 +638,22 @@ def test_driver_suites_share_one_pass_of_ogd_const_runs(monkeypatch):
     del calls[:], resolves[:]
     alone = [SUITES[name](10, 0) for name in names]
     assert len(calls) == 45 + 55 and len(resolves) == 5 + 5 * 3
-    assert [r.as_dict() for r in together] == [r.as_dict() for r in alone]
+    assert [asdict(r) for r in together] == [asdict(r) for r in alone]
 
 
 def test_oracle_patched_between_run_suites_calls_changes_the_second(monkeypatch):
     names = ["bounded_iterates", "reduction_chain"]
-    first = [r.as_dict() for r in run_suites(names, 10, 0)]
+    first = [asdict(r) for r in run_suites(names, 10, 0)]
     grad = Huber.grad
     # a gradient off by 0.1 in every coordinate moves every huber run
     monkeypatch.setattr(Huber, "grad", lambda self, x: grad(self, x) + 0.1)
-    second = [r.as_dict() for r in run_suites(names, 10, 0)]
+    second = [asdict(r) for r in run_suites(names, 10, 0)]
     assert all(a != b for a, b in zip(first, second))
 
 
 def test_each_suite_alone_equals_its_entry_in_run_suites():
     together = run_suites(samples=10)
-    assert [r.as_dict() for r in together] == [SUITES[name](10, 0).as_dict() for name in SUITES]
+    assert [asdict(r) for r in together] == [asdict(SUITES[name](10, 0)) for name in SUITES]
 
 
 @pytest.mark.parametrize("names, runs", [
@@ -964,6 +986,7 @@ def _bad_run_config(**learner):
     "minimizer_int", "problem_seed_negative", "missing_problem", "missing_learner",
     "missing_horizons", "missing_kind", "minimizer_wrong_length", "minimizer_word",
     "learner_unknown_kind_with_scale", "grad_bound_init_huge", "sweep_adagrad_overflow_nu1",
+    "start_distance_not_finite", "sweep_distance_inf",
 ])
 def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
     out = tmp_path / "out"
@@ -1045,6 +1068,9 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
         "learner_unknown_kind_with_scale": _bad_run_config(kind="adagrad", step_scale=2.0),
         # finite, but adagrad_da's G ** 2 overflows at step 1
         "grad_bound_init_huge": _bad_run_config(kind="adagrad_da", grad_bound_init=1e200),
+        # finite coordinates, but the start's norm is past the largest float
+        "start_distance_not_finite": _bad_problem_config(
+            learner={"kind": "ogd_const", "start": [1.7e308, 1.7e308]}),
     }
     unknown_keys = {"huber_unknown_parameter": "'delat'", "power_norm_extra_parameter": "'delta'",
                     "learner_unknown_key": "'step-scale'", "ogd_const_horizon": "'horizon'",
@@ -1067,7 +1093,9 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
                     "minimizer_word": "'minimizer'",
                     "learner_unknown_kind_with_scale": "unknown learner kind 'adagrad'",
                     "grad_bound_init_huge": "step 1 overflows",
-                    "sweep_adagrad_overflow_nu1": "step 1 overflows"}
+                    "sweep_adagrad_overflow_nu1": "step 1 overflows",
+                    "start_distance_not_finite": "distance from the minimizer is not finite",
+                    "sweep_distance_inf": "distance from the minimizer is not finite"}
     payloads = {"ratefit_records_int": {"records": 5}, "ratefit_list": [1, 2, 3],
                 "ratefit_int": 5}
     overflow_sweep = ["sweep", "--learner", "da_sqrt", "--horizons", "4", "--seeds", "0",
@@ -1104,6 +1132,7 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
             "sweep_adagrad_overflow_nu1": ["sweep", "--learner", "adagrad_da", "--nu", "1",
                                            "--horizons", "4", "--seeds", "0",
                                            "--distance", "1e200", "--out", str(out)],
+            "sweep_distance_inf": overflow_sweep + ["--nu", "1", "--distance", "inf"],
         }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -1115,7 +1144,7 @@ def test_cli_bad_input_exit_2_without_traceback(case, tmp_path, capsys):
     # a run that fails at a step, as grad_bound_init_huge does, may have made --out
     if (case in configs and case != "grad_bound_init_huge") or case in (
             "binary_config", "sweep_dimension_huge", "sweep_step_scale_inf",
-            "sweep_adagrad_overflow_nu1") + overflows:
+            "sweep_adagrad_overflow_nu1", "sweep_distance_inf") + overflows:
         assert not out.exists()
     if case in overflows:  # one line naming the cell, not a bound violation
         assert err.count("\n") == 1 and "not finite [learner=da_sqrt" in err

@@ -4,6 +4,7 @@ per-point loops, which this file keeps as the reference implementation."""
 
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -326,7 +327,7 @@ def test_chunked_suite_equals_its_per_point_loop(name, size):
     loop, past_chunk = LOOPS[name]
     samples = {"1": 1, "7": 7, "chunk+1": past_chunk}[size]
     for seed in range(5):
-        assert SUITES[name](samples, seed).as_dict() == loop(samples, seed).as_dict()
+        assert asdict(SUITES[name](samples, seed)) == asdict(loop(samples, seed))
 
 
 @pytest.mark.parametrize("min_smooth_dist", [1e-3, 5.0])

@@ -8,6 +8,7 @@ Derandomized, so each run draws the same records."""
 import copy
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -138,7 +139,7 @@ def summaries(draw):
 @given(summaries())
 def test_any_json_summary_fits_or_refuses(summary):
     try:
-        fit = rate_fit_from_records(summary).as_dict()
+        fit = asdict(rate_fit_from_records(summary))
     except InsufficientData:
         return
     except ConfigError as exc:

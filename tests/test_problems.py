@@ -126,6 +126,9 @@ def test_dimension_mismatch_raises():
         p.eval(np.zeros(2))
     with pytest.raises(ContractViolation):
         p.grad(np.zeros(4))
+    for canonical in canonical_problems():
+        with pytest.raises(ContractViolation, match="dimension must be >= 1"):
+            make_problem(canonical.family, 0, **canonical.params)
 
 
 def test_finite_diff_matches_analytic_examples():

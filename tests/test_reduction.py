@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from normgrad import (
     summarize,
 )
 from normgrad import learners
-from normgrad.bench import canonical_problems, resolve_learner_config
+from normgrad.bench import canonical_problems, resolve_learner_config, run_cells
 from normgrad.learners import LEARNER_KINDS, UNIT_NORM_KINDS
 from normgrad.problems import HolderSpec, Problem
 from normgrad.reduction import DEFAULT_EPS_ZERO, EPS_ZERO_FLOOR, _drive
@@ -613,6 +614,71 @@ def test_scaling_f_leaves_a_unit_norm_run_unchanged(family, dimension):
                     assert scaled.iterates.tobytes() == plain.iterates.tobytes(), case
                     assert scaled.average_point.tobytes() == plain.average_point.tobytes(), case
                     assert scaled.grad_norms.tobytes() == (c * plain.grad_norms).tobytes(), case
+
+
+
+def _bits(a) -> bytes:
+    """The bytes of a float64 array, or of a float, with -0.0 read as +0.0:
+    x - x is +0.0 on either side of a reflection, so a zero's sign is the
+    one bit that a reflected run may change."""
+    return (np.asarray(a, dtype=np.float64) + 0.0).tobytes()
+
+
+def _assert_reflected(plain, flipped, sign, case):
+    """flipped is plain's cell with every point multiplied by sign (-1, or a
+    vector of +-1): its points are plain's times sign, and every per-step
+    column, stop, exceeded step, mean gap and bound field keeps its bits."""
+    a, b = plain.run, flipped.run
+    assert _bits(b.iterates) == _bits(sign * a.iterates), case
+    assert _bits(b.average_point) == _bits(sign * a.average_point), case
+    for column in ("grad_norms", "suboptimalities", "weights", "local_constants"):
+        assert _bits(getattr(b, column)) == _bits(getattr(a, column)), (column, case)
+    assert (b.stop_index, b.exceeded_index) == (a.stop_index, a.exceeded_index), case
+    assert _bits([b.mean_suboptimality, b.average_suboptimality, *astuple(flipped.report)]) \
+        == _bits([a.mean_suboptimality, a.average_suboptimality, *astuple(plain.report)]), case
+
+
+@pytest.mark.parametrize("family", range(5), ids=[p.family for p in canonical_problems()])
+def test_reflecting_the_start_reflects_the_run(family):
+    # every canonical family has x* = 0 and f(-x) = f(x) computed in the same
+    # order, so a run from -start is the run from start, negated. A radial
+    # family reads z only through its norm, so a flipped coordinate flips the
+    # run's too. log_sum_exp is left out of that part: flipping z_i moves
+    # exp(z_i) from one of its two exp sums to the other, which changes how
+    # the sums round (55 of its 64 flipped cells differ); a full reflection
+    # swaps the two sums, which is exact
+    for dimension in (1, 3, 10):
+        problem = canonical_problems(dimension)[family]
+        coordinate = np.ones(dimension)
+        coordinate[dimension // 2] = -1.0
+        signs = [-1.0] if problem.family == "log_sum_exp" else [-1.0, coordinate]
+        for kind in LEARNER_KINDS:
+            for distance in (1.0, 1.3):
+                for seed in range(2):
+                    config = resolve_learner_config(
+                        problem, {"kind": kind, "start_distance": distance}, seed)
+                    plain = list(run_cells(problem, config, (7, 256), seed))
+                    for sign in signs:
+                        record = {"kind": kind, "start": (sign * config.start).tolist()}
+                        flipped = resolve_learner_config(problem, record, seed)
+                        case = (dimension, kind, distance, seed, np.ndim(sign))
+                        for a, b in zip(plain, run_cells(problem, flipped, (7, 256), seed)):
+                            _assert_reflected(a, b, sign, case + (a.horizon,))
+
+
+def test_kt_wealth_does_not_depend_on_the_start():
+    # KT bets on iterates centered at its start: fed the same unit losses,
+    # two starts spend the same wealth, bit for bit, at every step
+    problem = Huber(3)
+    config = resolve_learner_config(problem, {"kind": "kt", "start_distance": 1.3}, 0)
+    moved = resolve_learner_config(problem, {"kind": "kt", "start": [-5.0, 0.25, 3.0]}, 0)
+    a, b = learners.make_learner(config, 256), learners.make_learner(moved, 256)
+    for _ in range(256):
+        g = problem.grad(a.next_point())
+        b.next_point()
+        a.observe(g / l2_norm(g))
+        b.observe(g / l2_norm(g))
+        assert a.wealth.hex() == b.wealth.hex()
 
 
 def test_start_at_distance_properties():
