@@ -15,7 +15,6 @@ phase generic at every default horizon.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import astuple, dataclass, replace
@@ -744,27 +743,42 @@ def _chain_residuals(cell: CellResult):
         yield l2_norm(cell.problem.grad(run.average_point)) - DEFAULT_EPS_ZERO
 
 
-def _chain_pass(seed: int, kind: str) -> tuple:
-    """One pass over a unit-norm kind's chain cells (every canonical family
-    at every chain horizon): the lists of bounded_iterates' residuals, for
-    ogd_const only, and of the cells' _chain_residuals. Constant-step
-    normalized runs keep every iterate within ||x_1 - x*||^2 + alpha^2 of
-    the minimizer (one array of squared distances per cell)."""
+def _family_pass(seed: int, kind: str, problem: Problem) -> tuple:
+    """One pass over a unit-norm kind's chain cells on one family (every
+    chain horizon): the lists of bounded_iterates' residuals, for ogd_const
+    only, and of the cells' _chain_residuals. Constant-step normalized runs
+    keep every iterate within ||x_1 - x*||^2 + alpha^2 of the minimizer
+    (one array of squared distances per cell)."""
     bounded, chain = [], []
-    for problem in canonical_problems(DEFAULT_DIMENSION):
-        for cell in _grid(problem, kind, [seed], _CHAIN_HORIZONS):
-            if kind == "ogd_const":
-                center = problem.minimizer
-                start, alpha = cell.config.start, cell.config.step_scale
-                limit = l2_norm(start - center) ** 2 + alpha ** 2 + 1e-9
-                bounded.append(_visited_dist_sq(cell.run, center) - limit)
-            chain.extend(_chain_residuals(cell))
+    for cell in _grid(problem, kind, [seed], _CHAIN_HORIZONS):
+        if kind == "ogd_const":
+            center = problem.minimizer
+            start, alpha = cell.config.start, cell.config.step_scale
+            limit = l2_norm(start - center) ** 2 + alpha ** 2 + 1e-9
+            bounded.append(_visited_dist_sq(cell.run, center) - limit)
+        chain.extend(_chain_residuals(cell))
     return bounded, chain
 
 
+def _joined(passes) -> tuple:
+    """The family passes of one kind, concatenated in family order."""
+    bounded, chain = [], []
+    for b, c in passes:
+        bounded += b
+        chain += c
+    return bounded, chain
+
+
+def _chain_pass(seed: int, kind: str) -> tuple:
+    """One pass over a unit-norm kind's chain cells: the _family_pass of
+    every canonical family at DEFAULT_DIMENSION, concatenated."""
+    return _joined(_family_pass(seed, kind, problem)
+                   for problem in canonical_problems(DEFAULT_DIMENSION))
+
+
 def suite_bounded_iterates(samples: int, seed: int, chain=_chain_pass) -> SuiteResult:
-    """The bounded_iterates residuals of chain(seed, "ogd_const"), the pass
-    above or the memo of it that run_suites hands both driver suites."""
+    """The bounded_iterates residuals of chain(seed, "ogd_const"): the pass
+    above, or the one run_suites has already run."""
     return _tally("bounded_iterates", chain(seed, "ogd_const")[0])
 
 
@@ -775,19 +789,38 @@ def suite_reduction_chain(samples: int, seed: int, chain=_chain_pass) -> SuiteRe
     return _tally("reduction_chain", (chain(seed, kind)[1] for kind in UNIT_NORM_KINDS))
 
 
-_DRIVER_SUITES = ("bounded_iterates", "reduction_chain")
+# the kinds whose passes each driver suite reads
+_DRIVER_SUITES = {"bounded_iterates": ("ogd_const",), "reduction_chain": UNIT_NORM_KINDS}
 SUITES = {suite.__name__.removeprefix("suite_"): suite for suite in (
     suite_descent, suite_descent_negative_control, suite_grad_bound, suite_gradient_check,
     suite_convexity, suite_holder_sampling, suite_local_constant, suite_means_ordering,
     suite_bounded_iterates, suite_reduction_chain)}
 
 
+def _check_task(task: tuple):
+    """One task of run_suites: (name, samples, seed) gives a suite's
+    SUITES[name](samples, seed), and (kind, problem, seed) that kind's
+    _family_pass on that family."""
+    first, second, seed = task
+    if first in SUITES:
+        return SUITES[first](second, seed)
+    return _family_pass(seed, first, second)
+
+
 def run_suites(names=None, samples: int = 10_000, seed: int = 0):
-    """Run the named suites (all by default); returns the result list. The
-    driver suites share one functools.cache memo of _chain_pass per call:
-    the first of them named runs each pass it reads (the ogd_const pass,
-    which both read, and for reduction_chain the da_sqrt and kt passes),
-    and the other reads what it finds there."""
+    """Run the named suites (all by default); returns one result per name,
+    in the order named (a repeated name is reported once per mention).
+
+    The work is one task list, mapped over every usable CPU by _in_order:
+    each distinct non-driver suite named, in the order named, then one
+    _family_pass per (kind, family) that the named driver suites read
+    (ogd_const for bounded_iterates; ogd_const, da_sqrt and kt for
+    reduction_chain), kind by kind and each kind in family order. The
+    driver suites then tally those passes, joined per kind as _chain_pass
+    joins them, through their chain argument, so each pass runs once per
+    call and all ten suites make 55 driver calls. The results, their bits
+    and the first error raised (the first failing task's, in task order)
+    do not depend on the worker count."""
     if samples < 1 or seed < 0:
         raise ConfigError(f"samples must be >= 1 and seed >= 0, got {samples} and {seed}")
     if names is None:
@@ -795,6 +828,14 @@ def run_suites(names=None, samples: int = 10_000, seed: int = 0):
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}")
-    chain = functools.cache(_chain_pass)
-    return [SUITES[name](samples, seed, chain) if name in _DRIVER_SUITES
-            else SUITES[name](samples, seed) for name in names]
+    others = list(dict.fromkeys(name for name in names if name not in _DRIVER_SUITES))
+    kinds = [kind for kind in UNIT_NORM_KINDS
+             if any(kind in _DRIVER_SUITES.get(name, ()) for name in names)]
+    problems = canonical_problems(DEFAULT_DIMENSION)
+    tasks = [(name, samples, seed) for name in others] + [
+        (kind, problem, seed) for kind in kinds for problem in problems]
+    results = iter(list(_in_order(_check_task, tasks)))  # list: the pool ends here
+    done = {name: next(results) for name in others}
+    passes = {kind: _joined(next(results) for _ in problems) for kind in kinds}
+    return [SUITES[name](samples, seed, lambda _, kind: passes[kind])
+            if name in _DRIVER_SUITES else done[name] for name in names]

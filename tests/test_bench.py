@@ -449,22 +449,51 @@ def test_sweep_resolves_each_learner_record_once_per_seed(monkeypatch, capsys):
     assert calls == [("ogd_const", 0), ("ogd_const", 1)]
 
 
+def _package_nodes():
+    """(module.function, node) for every AST node of the package, the
+    function being the innermost one that holds the node."""
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        yield scope, node
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope)
+
+    package = Path(__file__).resolve().parents[1] / "src" / "normgrad"
+    for module in sorted(package.glob("*.py")):
+        for scope, node in walk(ast.parse(module.read_text()), "<module>"):
+            yield f"{module.stem}.{scope}", node
+
+
+def _calls_of(name: str) -> list:
+    """Where the package calls a function or method named name, in order."""
+    return [where for where, node in _package_nodes() if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
 def test_only_grid_and_cmd_run_call_run_cells():
     # every cell grid (sweep, rate experiment, driver suites) walks bench._grid;
     # cmd_run drives one experiment config's horizons
-    def callers(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = node.name
-        if isinstance(node, ast.Call) and "run_cells" in (getattr(node.func, "id", None),
-                                                          getattr(node.func, "attr", None)):
-            yield scope
-        for child in ast.iter_child_nodes(node):
-            yield from callers(child, scope)
+    assert _calls_of("run_cells") == ["bench._grid", "cli.cmd_run"]
 
-    package = Path(__file__).resolve().parents[1] / "src" / "normgrad"
-    found = [f"{module.stem}.{scope}" for module in sorted(package.glob("*.py"))
-             for scope in callers(ast.parse(module.read_text()), "<module>")]
-    assert found == ["bench._grid", "cli.cmd_run"]
+
+def test_only_in_order_makes_a_pool_for_the_sweep_and_the_check():
+    # one pool helper: multiprocessing is named (imported or read) only in
+    # bench._in_order, and only sweep_rows and run_suites map work through it
+    def names(node):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+
+    named = {where for where, node in _package_nodes()
+             if any(name.split(".")[0] == "multiprocessing" for name in names(node))}
+    assert named == {"bench._in_order"}
+    assert _calls_of("_in_order") == ["bench.sweep_rows", "bench.run_suites"]
 
 
 def test_only_finish_returns_1_and_only_main_returns_2():
@@ -509,7 +538,7 @@ def test_sweep_rows_grid_shape_and_bounds():
 
 
 def _usable_cpus(monkeypatch, cpus):
-    """Make the sweep see cpus as the CPUs the process may use."""
+    """Make the sweep and check see cpus as the CPUs the process may use."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
@@ -554,7 +583,7 @@ def test_no_sweep_worker_outlives_its_sweep(monkeypatch, capsys):
 
 
 def test_importing_the_cli_leaves_multiprocessing_out():
-    # setup stays lean: the sweep imports multiprocessing only to make a pool
+    # setup stays lean: the sweep and check import multiprocessing only to make a pool
     probe = "import sys, normgrad.cli; print('multiprocessing' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
@@ -612,33 +641,46 @@ def test_driver_suites_match_reference_report(default_check, kernel_note):
     assert report == reference, f"{kernel_note}\n{json_diff(report, reference)}"
 
 
-def test_driver_suites_share_one_pass_of_ogd_const_runs(monkeypatch):
-    calls = []
-    resolves = []
-    run_normalized = normgrad.bench.run_normalized
-    resolve = normgrad.bench.resolve_learner_config
+def _count_calls(monkeypatch, path, name, key):
+    """Patch normgrad.bench.<name> to append key(*args) to the file at path,
+    one line per call, so that the calls a forked worker makes count too;
+    returns a function that reads the lines and empties the file."""
+    fn = getattr(normgrad.bench, name)
 
-    def counted(config, *args):
-        calls.append(config.kind)
-        return run_normalized(config, *args)
+    def counted(*args):
+        with open(path, "a") as f:
+            f.write(key(*args) + "\n")
+        return fn(*args)
 
-    def counted_resolve(problem, record, seed):
-        resolves.append(record["kind"])
-        return resolve(problem, record, seed)
+    def taken():
+        lines = path.read_text().splitlines() if path.exists() else []
+        path.unlink(missing_ok=True)
+        return lines
 
-    monkeypatch.setattr(normgrad.bench, "run_normalized", counted)
-    monkeypatch.setattr(normgrad.bench, "resolve_learner_config", counted_resolve)
+    monkeypatch.setattr(normgrad.bench, name, counted)
+    return taken
+
+
+def test_driver_suites_share_one_pass_of_ogd_const_runs(monkeypatch, tmp_path):
+    calls = _count_calls(monkeypatch, tmp_path / "runs", "run_normalized",
+                         lambda config, *args: config.kind)
+    resolves = _count_calls(monkeypatch, tmp_path / "resolves", "resolve_learner_config",
+                            lambda problem, record, seed: record["kind"])
     names = ["bounded_iterates", "reduction_chain"]
-    together = run_suites(names, 10, 0)
-    # 5 families x 9 horizons of ogd_const, run once for both suites, and
-    # one run to the longest horizon per family for da_sqrt and for kt
-    assert len(calls) == 55 and calls.count("ogd_const") == 45
-    # one learner record resolved per family and kind, whatever the horizons
-    assert len(resolves) == 5 * 3 and resolves.count("ogd_const") == 5
-    del calls[:], resolves[:]
-    alone = [SUITES[name](10, 0) for name in names]
-    assert len(calls) == 45 + 55 and len(resolves) == 5 + 5 * 3
-    assert [asdict(r) for r in together] == [asdict(r) for r in alone]
+    alone = [asdict(SUITES[name](10, 0)) for name in names]
+    ran, resolved = calls(), resolves()
+    assert len(ran) == 45 + 55 and len(resolved) == 5 + 5 * 3
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        for order in (names, names[::-1]):
+            together = run_suites(order, 10, 0)
+            ran, resolved = calls(), resolves()
+            # 5 families x 9 horizons of ogd_const, run once for both suites, and
+            # one run to the longest horizon per family for da_sqrt and for kt
+            assert len(ran) == 55 and ran.count("ogd_const") == 45
+            # one learner record resolved per family and kind, whatever the horizons
+            assert len(resolved) == 5 * 3 and resolved.count("ogd_const") == 5
+            assert [asdict(r) for r in together] == [alone[names.index(n)] for n in order]
 
 
 def test_oracle_patched_between_run_suites_calls_changes_the_second(monkeypatch):
@@ -656,31 +698,58 @@ def test_each_suite_alone_equals_its_entry_in_run_suites():
     assert [asdict(r) for r in together] == [asdict(SUITES[name](10, 0)) for name in SUITES]
 
 
-@pytest.mark.parametrize("names, runs", [
-    (["bounded_iterates", "reduction_chain"], [45, 10]),
-    (["reduction_chain", "bounded_iterates"], [55, 0]),
+@pytest.mark.parametrize("names", [
+    ["bounded_iterates", "reduction_chain"],
+    ["reduction_chain", "bounded_iterates"],
+    ["bounded_iterates", "descent"],
 ])
-def test_first_driver_suite_named_runs_the_ogd_const_pass(names, runs, monkeypatch):
-    calls = []
-    run_normalized = normgrad.bench.run_normalized
+def test_each_chain_pass_runs_once_per_call(names, monkeypatch, tmp_path):
+    passes = _count_calls(
+        monkeypatch, tmp_path / "passes", "resolve_learner_config",
+        lambda problem, record, seed: f"{record['kind']} {problem.family} {os.getpid()}")
+    kinds = ("ogd_const", "da_sqrt", "kt") if "reduction_chain" in names else ("ogd_const",)
+    expected = sorted(f"{kind} {family}" for kind in kinds for family in FAMILIES)
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        run_suites(names, 10, 0)
+        ran = [line.rsplit(" ", 1) for line in passes()]
+        # each (kind, family) pass resolves its record once: in this process
+        # on one CPU, in the pool's workers on two
+        assert sorted(kind_family for kind_family, _ in ran) == expected
+        assert {pid == str(os.getpid()) for _, pid in ran} == {cpus == 1}
 
-    def counted(*args):
-        calls.append(args[0].kind)
-        return run_normalized(*args)
 
-    monkeypatch.setattr(normgrad.bench, "run_normalized", counted)
-    per_suite = {}
-    for name in names:
-        def suite(*args, name=name, run=SUITES[name], **kwargs):
-            before = len(calls)
-            result = run(*args, **kwargs)
-            per_suite[name] = len(calls) - before
-            return result
-        monkeypatch.setitem(SUITES, name, suite)
-    run_suites(names, 10, 0)
-    # 45 ogd_const runs (5 families x 9 horizons) and one da_sqrt and one kt
-    # run per family, in the suite that needs them first
-    assert [per_suite[name] for name in names] == runs
+def test_pooled_check_equals_the_in_process_check(monkeypatch, tmp_path, capsys):
+    names = [None, ["bounded_iterates"], ["reduction_chain", "bounded_iterates"],
+             ["means_ordering", "descent"], ["descent", "descent"]]
+
+    def raising(samples, seed):
+        raise NumericalFailure("convexity broke")
+
+    runs = []
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        results = []
+        for chosen in names:
+            results.append([asdict(r) for r in run_suites(chosen, 10, 0)])
+            assert not multiprocessing.active_children()
+        out = tmp_path / f"check_{cpus}.json"
+        assert main(["check", "--samples", "300", "--out", str(out)]) == 0
+        assert not multiprocessing.active_children()
+        capsys.readouterr()
+        with monkeypatch.context() as patched:
+            patched.setitem(SUITES, "convexity", raising)
+            assert main(["check", "--samples", "300"]) == 2
+            assert not multiprocessing.active_children()
+            with pytest.raises(NumericalFailure):
+                run_suites(None, 10, 0)
+            assert not multiprocessing.active_children()
+        runs.append((results, out.read_bytes(), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    results, report, (out, err) = runs[0]
+    assert [len(r) for r in results] == [10, 1, 2, 2, 2] and results[4][0] == results[4][1]
+    assert json.loads(report)["passed"] and out == ""
+    assert err == "config error: convexity broke\n"
 
 
 # Failures at 10^4 samples and seed 0 when one family declares 0.9 times its
