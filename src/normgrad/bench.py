@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, InsufficientData, NumericalFailure
-from .learners import ANYTIME_KINDS, LEARNER_KINDS, RECORD_SCALES, UNIT_NORM_KINDS, LearnerConfig
+from .learners import LEARNER_KINDS, RECORD_SCALES, UNIT_NORM_KINDS, LearnerConfig
 from .problems import (
     SAMPLE_RADIUS,
     Huber,
@@ -50,6 +50,7 @@ from .reduction import (
     check_eps_zero,
     hm_gm_am,
     run_adagrad_warmup,
+    run_lockstep,
     run_normalized,
     start_at_distance,
     summarize,
@@ -294,17 +295,17 @@ def run_cell(problem: Problem, config: LearnerConfig, horizon: int, seed: int,
 def run_cells(problem: Problem, config: LearnerConfig, horizons, seed: int,
               eps_zero: float = DEFAULT_EPS_ZERO):
     """Yield the cell of every horizon, in the order given (horizons may be
-    unsorted or repeated); each equals run_cell at that horizon with config.
+    unsorted or repeated); each equals run_cell at that horizon with config,
+    bit for bit, except that an ogd_const record keeps no iterates.
 
     An anytime learner (ANYTIME_KINDS) runs once, to the largest horizon,
     at the first request. Each shorter horizon's record is summarized from
     the first T rows of that run when it is requested, so the run stays
     alive until the generator is done. ogd_const, whose step depends on the
-    horizon, runs once per horizon."""
+    horizon, runs every horizon as one _lockstep at the first request."""
     horizons = [int(h) for h in horizons]
-    if config.kind not in ANYTIME_KINDS:
-        for horizon in horizons:
-            yield run_cell(problem, config, horizon, seed, eps_zero)
+    if config.kind == "ogd_const":
+        yield from _lockstep(problem, [(config, h, seed) for h in horizons], eps_zero, _same)
         return
     full = run_cell(problem, config, max(horizons), seed, eps_zero)
     for horizon in horizons:
@@ -313,6 +314,34 @@ def run_cells(problem: Problem, config: LearnerConfig, horizons, seed: int,
             continue
         yield _cell(problem, config, horizon, seed, summarize(full.run, horizon, problem),
                     eps_zero)
+
+
+def _same(cell: CellResult) -> CellResult:
+    return cell
+
+
+def _lockstep(problem: Problem, rows: list, eps_zero: float, fn):
+    """Yield fn(cell) for the cell of every (config, horizon, seed) of rows,
+    in row order, the configs all ogd_const: the rows run as one
+    run_lockstep, and fn takes each cell as soon as its row ends, so no
+    cell outlives fn. A NumericalFailure, from a step, from _cell or from
+    fn, is raised after the results of the rows before it, naming its cell
+    as run_cell does: the first failing row's, as a walk of run_cell over
+    the rows would raise it."""
+    done = {}
+    for i, run in run_lockstep(problem, [row[:2] for row in rows], eps_zero):
+        config, horizon, seed = rows[i]
+        try:
+            if isinstance(run, NumericalFailure):
+                raise NumericalFailure(
+                    f"{run} [{_cell_label(problem, config, horizon, seed)}]") from run
+            done[i] = fn(_cell(problem, config, horizon, seed, run, eps_zero))
+        except NumericalFailure as exc:
+            done[i] = exc
+    for i in range(len(rows)):
+        if isinstance(done[i], NumericalFailure):
+            raise done[i]
+        yield done.pop(i)
 
 
 def _excess(a, b):
@@ -395,14 +424,13 @@ def summary_record(result: CellResult) -> dict:
     }
 
 
-def _visited_dist_sq(run: RunRecord, center: np.ndarray) -> np.ndarray:
-    """Squared distances from center of every point a run visited: the
-    loss-fed iterates, plus the stop point of an early stop."""
-    points = run.iterates
-    if run.terminated_early:
-        points = np.vstack([points, run.average_point])
-    z = points - center
-    return dot(z, z)
+def _visited_dist_sq(run: RunRecord, minimizer: np.ndarray) -> np.ndarray:
+    """Squared distances from the minimizer of every point a run visited:
+    its dist_sq column, plus the stop point's for an early stop."""
+    if not run.terminated_early:
+        return run.dist_sq
+    z = run.average_point - minimizer
+    return np.append(run.dist_sq, dot(z, z))
 
 
 def rate_fit_from_records(records) -> RateFit:
@@ -444,14 +472,34 @@ def _summary_point(record) -> tuple:
 # sweeps
 
 
-def _grid(problem, kind, seeds, horizons, distance=DEFAULT_DISTANCE, step_scale=1.0):
-    """Yield the cells of one (problem, kind) block seed by seed, each seed's
-    in the order of horizons, the learner started at distance with
-    step_scale: one resolved config and one run_cells walk per seed, done
-    before the next seed's starts, so a block holds one seed's run."""
+def _grid(fn, problem, kind, seeds, horizons, distance=DEFAULT_DISTANCE, step_scale=1.0):
+    """Yield fn(cell) for the cells of one (problem, kind) block seed by
+    seed, each seed's in the order of horizons, the learner started at
+    distance with step_scale from one config resolved per seed.
+
+    An ogd_const block runs all its (seed, horizon) rows as one _lockstep,
+    whose records keep no iterates; a seed whose config fails to resolve
+    raises after the rows of the seeds before it. Any other kind gets one
+    run_cells walk per seed, done before the next seed's starts, so the
+    block holds one seed's run. Either way the first error raised is the
+    first failing cell's in this order, and no cell outlives fn."""
     record = {"kind": kind, "start_distance": distance, "step_scale": step_scale}
+    if kind != "ogd_const":
+        for seed in map(int, seeds):
+            config = resolve_learner_config(problem, record, seed)
+            yield from map(fn, run_cells(problem, config, horizons, seed))
+        return
+    rows, unresolved = [], None
     for seed in map(int, seeds):
-        yield from run_cells(problem, resolve_learner_config(problem, record, seed), horizons, seed)
+        try:
+            config = resolve_learner_config(problem, record, seed)
+        except ConfigError as exc:
+            unresolved = exc
+            break
+        rows += [(config, int(h), seed) for h in horizons]
+    yield from _lockstep(problem, rows, DEFAULT_EPS_ZERO, fn)
+    if unresolved is not None:
+        raise unresolved
 
 
 def _sweep_row(cell: CellResult) -> dict:
@@ -470,9 +518,9 @@ def _sweep_row(cell: CellResult) -> dict:
 def _sweep_block(block: tuple) -> list:
     """The _sweep_rows of one (problem, kind, seeds, horizons, distance,
     step_scale) block, never a CellResult, in grid order: horizon by
-    horizon, seed by seed within one. _grid walks the seeds first, and map
+    horizon, seed by seed within one. _grid walks the seeds first and
     drops each cell once its row is built."""
-    rows = list(map(_sweep_row, _grid(*block)))
+    rows = list(_grid(_sweep_row, *block))
     n = len(block[3])
     return [row for h in range(n) for row in rows[h::n]]
 
@@ -528,9 +576,8 @@ def rate_experiment(nu: float, kind: str):
     """Canonical rate-fit experiment: one learner on the interpolation
     family at DEFAULT_DIMENSION, started at RATE_FIT_DISTANCE with seed 0,
     across DEFAULT_HORIZONS; returns (summary records, RateFit)."""
-    cells = _grid(PowerNorm(float(nu), DEFAULT_DIMENSION), kind, [0], DEFAULT_HORIZONS,
-                  RATE_FIT_DISTANCE, RATE_FIT_STEP_SCALES[kind])
-    summaries = [summary_record(cell) for cell in cells]
+    summaries = list(_grid(summary_record, PowerNorm(float(nu), DEFAULT_DIMENSION), kind, [0],
+                           DEFAULT_HORIZONS, RATE_FIT_DISTANCE, RATE_FIT_STEP_SCALES[kind]))
     return summaries, rate_fit_from_records(summaries)
 
 
@@ -711,14 +758,15 @@ def suite_local_constant(samples: int, seed: int) -> SuiteResult:
 
 def suite_means_ordering(samples: int, seed: int) -> SuiteResult:
     """hm <= gm <= am (relative 1e-12) on random positive sequences of
-    lengths 1..64 spanning twelve orders of magnitude."""
-    def residuals():
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            n = int(rng.integers(1, 65))
-            hm, gm, am = hm_gm_am(np.exp(rng.uniform(-14.0, 14.0, n)))
-            yield max((hm - gm) / gm, (gm - am) / am) - 1e-12
-    return _tally("means_ordering", residuals())
+    lengths 1..64 spanning twelve orders of magnitude, tallied as one
+    array."""
+    rng = np.random.default_rng(seed)
+    residuals = np.empty(samples)
+    for s in range(samples):
+        n = int(rng.integers(1, 65))
+        hm, gm, am = hm_gm_am(np.exp(rng.uniform(-14.0, 14.0, n)))
+        residuals[s] = max((hm - gm) / gm, (gm - am) / am) - 1e-12
+    return _tally("means_ordering", [residuals])
 
 
 _CHAIN_HORIZONS = tuple(2 ** k for k in range(4, 13))
@@ -749,19 +797,20 @@ def _family_pass(seed: int, kind: str, problem: Problem) -> tuple:
     only, and of the cells' _chain_residuals. Constant-step normalized runs
     keep every iterate within ||x_1 - x*||^2 + alpha^2 of the minimizer
     (one array of squared distances per cell)."""
-    bounded, chain = [], []
-    for cell in _grid(problem, kind, [seed], _CHAIN_HORIZONS):
-        if kind == "ogd_const":
-            center = problem.minimizer
-            start, alpha = cell.config.start, cell.config.step_scale
-            limit = l2_norm(start - center) ** 2 + alpha ** 2 + 1e-9
-            bounded.append(_visited_dist_sq(cell.run, center) - limit)
-        chain.extend(_chain_residuals(cell))
-    return bounded, chain
+    def residuals(cell):
+        chain = list(_chain_residuals(cell))
+        if kind != "ogd_const":
+            return [], chain
+        start, alpha = cell.config.start, cell.config.step_scale
+        limit = l2_norm(start - problem.minimizer) ** 2 + alpha ** 2 + 1e-9
+        return [_visited_dist_sq(cell.run, problem.minimizer) - limit], chain
+
+    return _joined(_grid(residuals, problem, kind, [seed], _CHAIN_HORIZONS))
 
 
 def _joined(passes) -> tuple:
-    """The family passes of one kind, concatenated in family order."""
+    """(bounded, chain) lists concatenated in order: a family pass's cells
+    in horizon order, or a kind's family passes in family order."""
     bounded, chain = [], []
     for b, c in passes:
         bounded += b

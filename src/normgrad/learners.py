@@ -125,7 +125,7 @@ class DaSqrtLearner:
         return self.config.start - (self.config.step_scale / math.sqrt(self.steps)) * self._sum
 
     def observe(self, q: np.ndarray) -> None:
-        self._sum = self._sum + q
+        self._sum += q
         self.steps += 1
 
 
@@ -143,6 +143,7 @@ class KTLearner:
 
     def __init__(self, config: LearnerConfig, horizon: int):
         self.config = config
+        self._start = config.start
         self._sum = np.zeros_like(config.start)
         self._spent = 0.0  # sum of <q_i, x_i - x_1>
         self.steps = 0
@@ -152,12 +153,13 @@ class KTLearner:
         return self.config.wealth_init - self._spent
 
     def next_point(self) -> np.ndarray:
-        return self.config.start + (-self._sum / (self.steps + 1.0)) * self.wealth
+        # -S / (t+1) with the sign in the divisor: the same bits, one pass fewer
+        return self._start + (self._sum / -(self.steps + 1.0)) * self.wealth
 
     def observe(self, q: np.ndarray) -> None:
         # <q, x_t - x_1> for the point served before this observation
         self._spent += -dot(q, self._sum) / (self.steps + 1.0) * self.wealth
-        self._sum = self._sum + q
+        self._sum += q
         self.steps += 1
 
 
@@ -183,7 +185,7 @@ class AdaGradDaLearner:
         return self.config.start - (self.config.step_scale / math.sqrt(g2)) * self._sum
 
     def observe(self, g: np.ndarray) -> None:
-        self._sum = self._sum + g
+        self._sum += g
         self.grad_sq_sum += dot(g, g)
 
 

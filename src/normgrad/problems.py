@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, DegeneratePointError
-from .vectors import as_vector, chunk_rows, dot, l2_norm, log, power
+from .vectors import as_vector, chunk_rows, dot, finite_at_least, l2_norm, log, power
 
 __all__ = [
     "HolderSpec",
@@ -112,12 +112,22 @@ def _rows(v):
     return v[:, None] if isinstance(v, np.ndarray) else v
 
 
+# The smallest positive float: a norm at least this is not 0.
+_TINY = math.ulp(0.0)
+
+
 def _radial(z: np.ndarray, r, exponent: float) -> np.ndarray:
-    """r ** exponent * z, row by row for a block, and a zero row where
-    r == 0: the subgradient chosen at x* (r is also 0 when the norm
-    underflows). 0 ** exponent is never computed there."""
+    """power(r, exponent) * z for an exponent below 0, row by row for a
+    block, and a zero row where r == 0: the subgradient chosen at x* (r is
+    also 0 when the norm underflows). A block with no zero norm takes one
+    power call and one product; 0 ** exponent raises ZeroDivisionError,
+    and the rows are then taken apart."""
     if not isinstance(r, np.ndarray):
-        return r ** exponent * z if r != 0.0 else np.zeros_like(z)
+        return power(r, exponent) * z if r != 0.0 else np.zeros_like(z)
+    try:
+        return power(r, exponent)[:, None] * z
+    except ZeroDivisionError:
+        pass
     out = np.zeros_like(z)
     live = r != 0.0
     out[live] = power(r[live], exponent)[:, None] * z[live]
@@ -253,9 +263,13 @@ class L2Norm(Problem):
 
     def grad(self, x):
         z = self._center(x)
-        r = _rows(l2_norm(z))
+        r = l2_norm(z)
+        if not isinstance(r, np.ndarray):
+            return z / r if r != 0.0 else np.zeros_like(z)
+        if finite_at_least(r, _TINY):
+            return z / r[:, None]
         # z / r, without the 0 / 0 at x*
-        return np.divide(z, r, out=np.zeros_like(z), where=r != 0.0)
+        return np.divide(z, r[:, None], out=np.zeros_like(z), where=r[:, None] != 0.0)
 
     def distance_to_nonsmooth(self, x):
         return l2_norm(self._center(x))
@@ -287,9 +301,12 @@ class Huber(Problem):
         return _where(r <= self.delta, r * r / (2.0 * self.delta), r - self.delta / 2.0)
 
     def grad(self, x):
+        # z / max(r, delta): z / delta in the bowl, z / r outside; a NaN r stays NaN
         z = self._center(x)
         r = l2_norm(z)
-        return z / _rows(_where(r <= self.delta, self.delta, r))
+        if isinstance(r, np.ndarray):
+            return z / np.maximum(r, self.delta)[:, None]
+        return z / max(r, self.delta)
 
     def distance_to_nonsmooth(self, x):
         # gradient is continuous everywhere; second derivative jumps on the sphere

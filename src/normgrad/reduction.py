@@ -5,7 +5,9 @@ learner the normalized gradients g_t / ||g_t|| and returns the
 1/||g_t||-weighted average of the iterates (stopping immediately when a
 gradient norm falls to the zero threshold). `run_adagrad_warmup` feeds raw
 gradients to the adagrad_da learner and returns the uniform average (the
-same loop with weight 1).
+same loop with weight 1). `run_lockstep` steps many ogd_const runs of one
+problem as the rows of one block, each row's record equal to
+run_normalized's without its iterates.
 
 The bound side composes a regret guarantee psi with the mean of pointwise
 local smoothness constants:
@@ -39,7 +41,7 @@ from .learners import (
     regret_bound,
 )
 from .problems import HolderSpec, Problem, local_constant_from_parts
-from .vectors import WeightedMeanAccumulator, chunk_rows, l2_norm, left_sum
+from .vectors import WeightedMeanAccumulator, chunk_rows, dot, finite_at_least, l2_norm, left_sum
 
 __all__ = [
     "DEFAULT_EPS_ZERO",
@@ -48,6 +50,7 @@ __all__ = [
     "RunRecord",
     "run_normalized",
     "run_adagrad_warmup",
+    "run_lockstep",
     "summarize",
     "MeanTriple",
     "hm_gm_am",
@@ -90,8 +93,9 @@ class RunRecord:
 
     The columns cover exactly the loss-fed steps. Each is a float64 array
     with one row per step: iterates is (steps_taken, d), the others 1-D.
-    The step loop records only the iterates and gradient norms;
-    suboptimalities (f(x_t) - f*) are computed from the iterates after it.
+    A run_lockstep record keeps no iterates (None). The step loop records
+    only the iterates and gradient norms; suboptimalities (f(x_t) - f*) and
+    dist_sq (||x_t - x*||^2) are computed from the iterates after it.
     weights are 1/||g_t|| for a unit-norm learner and 1.0 for adagrad_da;
     local_constants come from local_constant_from_parts, NaN at a nu > 0
     step whose gap is 0 or overflowed. stop_index is the step whose
@@ -107,11 +111,12 @@ class RunRecord:
     """
 
     horizon: int
-    iterates: np.ndarray
+    iterates: np.ndarray | None
     grad_norms: np.ndarray
     suboptimalities: np.ndarray
     weights: np.ndarray
     local_constants: np.ndarray
+    dist_sq: np.ndarray
     stop_index: int | None = None
     exceeded_index: int | None = None
     average_point: np.ndarray | None = None
@@ -171,8 +176,35 @@ def summarize(run: RunRecord, horizon: int, problem: Problem) -> RunRecord:
         mean_gap = left_sum(weights * gaps) / left_sum(weights) if steps else gap
     exceeded = run.exceeded_index is not None and run.exceeded_index <= steps
     return RunRecord(horizon, run.iterates[:steps], run.grad_norms[:steps], gaps, weights,
-                     run.local_constants[:steps], run.stop_index if stopped else None,
+                     run.local_constants[:steps], run.dist_sq[:steps],
+                     run.stop_index if stopped else None,
                      run.exceeded_index if exceeded else None, point, gap, mean_gap)
+
+
+def _check_run(config: LearnerConfig, problem: Problem, horizon: int) -> None:
+    """Refuse a horizon below 1 or a start of another dimension."""
+    if horizon < 1:
+        raise ContractViolation(f"horizon must be >= 1, got {horizon}")
+    if config.start.size != problem.dimension:
+        raise ContractViolation(
+            f"start has dimension {config.start.size}, problem wants {problem.dimension}")
+
+
+def _gaps_and_dist_sq(problem: Problem, points: np.ndarray) -> tuple:
+    """The gap and the squared distance from x* of each row of a block of
+    iterates, each equal to its one-point value."""
+    z = points - problem.minimizer
+    return problem.gap(points), dot(z, z)
+
+
+def _local_constants(spec: HolderSpec, grad_norms: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """One block call of local_constant_from_parts over the steps that have
+    a local constant, NaN at the others (a nu > 0 step whose gap is 0 or
+    not finite)."""
+    live = ((gaps > 0.0) & (gaps < math.inf)) | (spec.nu == 0.0)
+    local = np.full_like(gaps, np.nan)
+    local[live] = local_constant_from_parts(spec, grad_norms[live], gaps[live])
+    return local
 
 
 def _drive(config: LearnerConfig, problem: Problem, horizon: int,
@@ -189,20 +221,16 @@ def _drive(config: LearnerConfig, problem: Problem, horizon: int,
     ||g_t|| <= eps_zero; otherwise the round records (x_t, ||g_t||) and feeds
     the learner g_t / ||g_t|| (unit-norm learners, norm 1 by check_eps_zero)
     or the raw g_t (adagrad_da, which never stops early; a norm above G only
-    sets exceeded_index). After the loop problem.gap takes the recorded
-    iterates in blocks of chunk_rows(d) rows (each row equal to its
-    one-point call); config.kind in UNIT_NORM_KINDS alone decides the weights,
-    one block call of local_constant_from_parts gives the local constants
-    (NaN where none exists), and `summarize` computes the averages.
+    sets exceeded_index). After the loop problem.gap and dot take the
+    recorded iterates in blocks of chunk_rows(d) rows (each row equal to its
+    one-point call), giving the gaps and dist_sq; config.kind in
+    UNIT_NORM_KINDS alone decides the weights, _local_constants gives the
+    local constants, and `summarize` computes the averages.
 
     The iterates go into the rows of one array that doubles when full, so a
     run that stops early never allocates for its horizon.
     """
-    if horizon < 1:
-        raise ContractViolation(f"horizon must be >= 1, got {horizon}")
-    if config.start.size != problem.dimension:
-        raise ContractViolation(
-            f"start has dimension {config.start.size}, problem wants {problem.dimension}")
+    _check_run(config, problem, horizon)
     learner = make_learner(config, horizon)
     unit = config.kind in UNIT_NORM_KINDS
     d = problem.dimension
@@ -232,17 +260,17 @@ def _drive(config: LearnerConfig, problem: Problem, horizon: int,
 
         grad_norms = np.array(grad_norms)
         iterates.resize((len(grad_norms), d), refcheck=False)
-        gaps, chunk = np.empty_like(grad_norms), chunk_rows(d)
+        gaps, dist_sq = np.empty_like(grad_norms), np.empty_like(grad_norms)
+        chunk = chunk_rows(d)
         for lo in range(0, len(gaps), chunk):
-            gaps[lo:lo + chunk] = problem.gap(iterates[lo:lo + chunk])
+            gaps[lo:lo + chunk], dist_sq[lo:lo + chunk] = _gaps_and_dist_sq(
+                problem, iterates[lo:lo + chunk])
         weights = 1.0 / grad_norms if unit else np.ones_like(grad_norms)
-        live = ((gaps > 0.0) & (gaps < math.inf)) | (problem.spec.nu == 0.0)
-        local = np.full_like(gaps, np.nan)
-        local[live] = local_constant_from_parts(problem.spec, grad_norms[live], gaps[live])
+        local = _local_constants(problem.spec, grad_norms, gaps)
     over = np.flatnonzero(grad_norms > config.grad_bound_init + 1e-9)
     exceeded = int(over[0]) + 1 if over.size and not unit else None
-    return summarize(RunRecord(horizon, iterates, grad_norms, gaps, weights, local, stop_index,
-                               exceeded, stop_point), horizon, problem)
+    return summarize(RunRecord(horizon, iterates, grad_norms, gaps, weights, local, dist_sq,
+                               stop_index, exceeded, stop_point), horizon, problem)
 
 
 def run_normalized(config: LearnerConfig, problem: Problem, horizon: int,
@@ -268,6 +296,136 @@ def run_adagrad_warmup(config: LearnerConfig, problem: Problem, horizon: int) ->
             f"run_adagrad_warmup drives adagrad_da, got {config.kind!r}; "
             f"use run_normalized for unit-norm learners")
     return _drive(config, problem, horizon)
+
+
+def _running_sum(total: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """total plus the rows of values along axis 0, added left to right as
+    the WeightedMeanAccumulator and left_sum add; values is overwritten."""
+    values[0] += total
+    return np.add.accumulate(values, axis=0, out=values)[-1].copy()
+
+
+def run_lockstep(problem: Problem, rows, eps_zero: float = DEFAULT_EPS_ZERO):
+    """Drive ogd_const with normalized gradients on problem for every
+    (config, horizon) of rows in one step loop. Yield (i, record) as soon
+    as rows[i] ends: the record run_normalized(config, problem, horizon,
+    eps_zero) returns, bit for bit, but with no iterates. A row whose
+    gradient norm at some step is not finite yields (i, error) instead, the
+    NumericalFailure run_normalized raises, and the live rows after it in
+    rows are dropped unreported.
+
+    The live rows, longest horizon first, are a prefix of one (rows, d)
+    block. Each step makes one block grad and one block l2_norm call and
+    sets every row x <- x - (alpha / sqrt(T)) * (g / ||g||), as the
+    one-point step does; a lone row steps as one point, which costs less.
+    A row leaves at its horizon, or at a gradient norm at most eps_zero,
+    whose point is then its average point. The iterates of a chunk of
+    chunk_rows(rows * d) steps live until the chunk ends or a row leaves:
+    then one block gap and one block dot give the rows' gaps and dist_sq,
+    and the weighted point, weight and weighted gap sums advance left to
+    right, as summarize adds them.
+    """
+    eps_zero = check_eps_zero(eps_zero)
+    for config, horizon in rows:
+        if config.kind != "ogd_const":
+            raise ContractViolation(f"run_lockstep drives ogd_const, got {config.kind!r}")
+        _check_run(config, problem, horizon)
+    d, floor = problem.dimension, math.nextafter(eps_zero, math.inf)
+    live = sorted(range(len(rows)), key=lambda i: -rows[i][1])  # row indices
+    x = np.array([rows[i][0].start for i in live]).reshape(len(live), d)
+    eta = np.array([rows[i][0].step_scale / math.sqrt(rows[i][1]) for i in live])
+    point_sums, weight_sums, gap_sums = np.zeros_like(x), np.zeros(len(live)), np.zeros(len(live))
+    # each live row's grad norm, gap and dist_sq columns, filled step by step;
+    # a long row's pages are touched only as its steps come
+    columns = {i: np.empty((3, rows[i][1])) for i in live}
+    # halting: the gradients and norms of a step that stops or fails rows;
+    # kept: those of the rows that go on from that step
+    t, cutoff, kept = 0, len(rows), None
+
+    def record(p, stop_index=None):
+        i = live[p]
+        steps = rows[i][1] if stop_index is None else stop_index - 1
+        norms, gaps, dist_sq = columns.pop(i)[:, :steps]
+        weight_sum = weight_sums[p].item()
+        point = point_sums[p] / weight_sum if stop_index is None else x[p].copy()
+        gap = problem.gap(point)
+        mean_gap = gap_sums[p].item() / weight_sum if len(norms) else gap
+        return i, RunRecord(rows[i][1], None, norms, gaps, 1.0 / norms,
+                            _local_constants(problem.spec, norms, gaps), dist_sq,
+                            stop_index, None, point, gap, mean_gap)
+
+    while live:
+        ended = []
+        with _overflow_unwarned():
+            while live and not ended:
+                k = len(live)
+                size = chunk_rows(k * d)
+                points, norms = np.empty((size + 1, k, d)), np.empty((size, k))
+                points[0] = x
+                fed, halting, last = 0, None, rows[live[-1]][1]
+                base = t - (kept is not None)  # the steps each live row has been fed
+                if kept is not None:  # the rest of a step that stopped or failed rows
+                    g, gn = kept
+                    norms[0] = gn
+                    np.subtract(x, eta[:, None] * (g / gn[:, None]), out=points[1])
+                    fed, kept = 1, None
+                # one row steps as one point, which costs less and gives the same bits
+                single = k == 1
+                xs, ns = (points[:, 0], norms[:, 0]) if single else (points, norms)
+                scale = eta.item() if single else eta[:, None]
+                while fed < size and t < last:
+                    t += 1
+                    x_t = xs[fed]
+                    g = problem.grad(x_t)
+                    gn = l2_norm(g)
+                    if single:
+                        if not eps_zero < gn < math.inf:
+                            halting = g[None], np.array([gn])
+                            break
+                        ns[fed] = gn
+                        np.subtract(x_t, scale * (g / gn), out=xs[fed + 1])
+                    else:
+                        if not finite_at_least(gn, floor) and not all(
+                                eps_zero < v < math.inf for v in gn.tolist()):
+                            halting = g, gn
+                            break
+                        ns[fed] = gn
+                        np.subtract(x_t, scale * (g / gn[:, None]), out=xs[fed + 1])
+                    fed += 1
+                if fed:
+                    gaps, dists = (column.reshape(fed, k) for column in _gaps_and_dist_sq(
+                        problem, points[:fed].reshape(fed * k, d)))
+                    w = 1.0 / norms[:fed]
+                    point_sums = _running_sum(point_sums, points[:fed] * w[:, :, None])
+                    gap_sums = _running_sum(gap_sums, w * gaps)
+                    weight_sums = _running_sum(weight_sums, w)
+                    for p, i in enumerate(live):
+                        columns[i][:, base:base + fed] = norms[:fed, p], gaps[:, p], dists[:, p]
+                x = points[fed]
+                gone = []  # the positions of the rows that leave at step t
+                if halting is not None:  # step t stops or fails these rows
+                    for p, v in enumerate(halting[1].tolist()):
+                        if not math.isfinite(v):
+                            ended.append((live[p], NumericalFailure(
+                                f"the gradient norm at step {t} is not finite")))
+                            cutoff = min(cutoff, live[p])
+                            gone.append(p)
+                        elif v <= eps_zero:
+                            ended.append(record(p, t))
+                            gone.append(p)
+                elif t == last:
+                    gone = [p for p, i in enumerate(live) if rows[i][1] == t]
+                    ended += map(record, gone)
+                keep = np.array([p not in gone and i < cutoff for p, i in enumerate(live)])
+                if halting is not None:
+                    kept = halting[0][keep], halting[1][keep]
+                if not keep.all():
+                    for p in np.flatnonzero(~keep).tolist():
+                        columns.pop(live[p], None)
+                    live = [i for i, stays in zip(live, keep.tolist()) if stays]
+                    x, eta, point_sums = x[keep], eta[keep], point_sums[keep]
+                    weight_sums, gap_sums = weight_sums[keep], gap_sums[keep]
+        yield from ended
 
 
 class MeanTriple(NamedTuple):

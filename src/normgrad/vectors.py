@@ -26,6 +26,7 @@ __all__ = [
     "as_vector",
     "dot",
     "l2_norm",
+    "finite_at_least",
     "power",
     "log",
     "chunk_rows",
@@ -49,9 +50,10 @@ def dot(a: np.ndarray, b: np.ndarray):
     (n,) array for two (n, d) blocks. The one BLAS call of the package.
 
     A block row equals the vector call bit for bit: np.vecdot rows equal a
-    per-row np.dot, while einsum and (a * b).sum do not."""
+    per-row np.dot, while einsum and (a * b).sum do not. The vector call is
+    ndarray.dot, which is np.dot without its module-level dispatch."""
     if a.ndim == 1:
-        return float(np.dot(a, b))
+        return float(a.dot(b))
     return np.vecdot(a, b)
 
 
@@ -72,10 +74,28 @@ def l2_norm(v: np.ndarray):
     if v.ndim == 1:
         return math.sqrt(sq) if _NORMAL_MIN <= sq < math.inf else _scaled_norm(v)
     norms = np.sqrt(sq)
-    scaled = ~((sq >= _NORMAL_MIN) & (sq < math.inf))
-    if scaled.any():
+    if not finite_at_least(sq, _NORMAL_MIN):
+        scaled = ~((sq >= _NORMAL_MIN) & (sq < math.inf))
         norms[scaled] = [_scaled_norm(row) for row in v[scaled]]
     return norms
+
+
+# Up to this many values a Python pass over tolist() is faster than a numpy
+# reduction, whose fixed cost is about 1 us a call.
+_LIST_CHECK_MAX = 32
+
+
+def finite_at_least(values: np.ndarray, floor: float) -> bool:
+    """True when every value of a 1-D array of nonnegative floats (norms,
+    squared norms) is at least floor and finite, the common case a block
+    path takes without a per-row check. False for a value below floor, an
+    inf or a NaN, and also for a sum of up to _LIST_CHECK_MAX values that
+    passes the largest float; a caller then checks row by row."""
+    if values.size > _LIST_CHECK_MAX:
+        return bool(values.min() >= floor) and bool(values.max() < math.inf)
+    listed = values.tolist()
+    # a NaN or an inf makes the sum a NaN or an inf
+    return min(listed, default=floor) >= floor and sum(listed) < math.inf
 
 
 def _scaled_norm(v: np.ndarray) -> float:
@@ -112,7 +132,7 @@ def power(base, exponent: float):
         powers = [b ** exponent for b in values]
     except OverflowError:
         powers = [power(b, exponent) for b in values]
-    return np.array(powers).reshape(base.shape)
+    return np.array(powers) if base.ndim == 1 else np.array(powers).reshape(base.shape)
 
 
 def log(values):

@@ -371,12 +371,71 @@ def test_run_cells_equals_one_run_cell_per_horizon(kind, family, record, horizon
             assert np.array_equal(column, whole[:run.steps_taken], equal_nan=True)
 
 
+def _record_bits(run) -> list:
+    """Every field of a record but its iterates, as bytes or reprs."""
+    return [np.asarray(v).tobytes() if isinstance(v, np.ndarray) else repr(v)
+            for name, v in vars(run).items() if name != "iterates"]
+
+
+@pytest.mark.parametrize("problem,start,horizons,stops", [
+    # at nu = 1 from distance 1 each step moves 1/sqrt(T) straight at x*, so
+    # at a power-of-4 T the iterate lands on x* after sqrt(T) loss-fed steps
+    (PowerNorm(1.0, 10), None, (1024, 256, 512, 256, 16), {1024: 32, 256: 16, 16: 4}),
+    # a start at x* stops at step 1, before any loss is fed
+    (Huber(3), [0.0, 0.0, 0.0], (4, 1, 4), {4: 0, 1: 0}),
+], ids=["lands_on_x*", "stops_at_step_1"])
+def test_lockstep_cells_equal_run_cell_at_an_early_stop(problem, start, horizons, stops):
+    seeds = (0, 1, 2)
+    if start is None:
+        cells = list(normgrad.bench._grid(normgrad.bench._same, problem, "ogd_const", seeds,
+                                          horizons))
+    else:
+        config = resolve_learner_config(problem, {"kind": "ogd_const", "start": start}, 0)
+        cells = [cell for seed in seeds for cell in run_cells(problem, config, horizons, seed)]
+    assert [(c.seed, c.horizon) for c in cells] == [(s, h) for s in seeds for h in horizons]
+    for cell in cells:
+        alone = run_cell(problem, cell.config, cell.horizon, cell.seed)
+        assert cell.run.iterates is None
+        assert _record_bits(cell.run) == _record_bits(alone.run), cell.label
+        assert _cell_outputs(cell) == _cell_outputs(alone)
+        steps = stops.get(cell.horizon)  # the loss-fed steps before a stop
+        assert cell.run.stop_index == (None if steps is None else steps + 1)
+        assert cell.run.steps_taken == (cell.horizon if steps is None else steps)
+
+
+def test_a_lockstep_block_raises_the_per_cell_walks_first_error(monkeypatch, capsys):
+    # NaN gradients wherever x_2 > -0.1: from distance 1 at d = 3, seed 1
+    # starts there and fails at step 1, while seed 0 gets there later
+    grad = PowerNorm.grad
+    monkeypatch.setattr(PowerNorm, "grad", lambda self, x: np.where(
+        x[..., 1:2] > -0.1, np.nan, grad(self, x)))
+    problem, horizons = PowerNorm(0.5, 3), (64, 16)
+    walk = []
+    for seed in (0, 1):
+        config = resolve_learner_config(problem, {"kind": "ogd_const"}, seed)
+        for horizon in horizons:
+            with pytest.raises(NumericalFailure) as failure:
+                run_cell(problem, config, horizon, seed)
+            walk.append(str(failure.value))
+    assert " step 1 " not in walk[0] and " step 1 " in walk[2]
+    # a walk of run_cell raises seed 0's first cell's error; so does the
+    # sweep, in process and with its two blocks in a pool
+    argv = ["sweep", "--nu", "0.5", "--learner", "ogd_const", "kt", "--horizons", "64", "16",
+            "--seeds", "0", "1", "--dimension", "3"]
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {walk[0]}\n"
+        assert not multiprocessing.active_children()
+
+
 def test_sweep_runs_each_anytime_learner_once_per_seed(monkeypatch):
+    # gradient rows, not calls: an ogd_const block steps its rows as one block
     calls = []
     grad = PowerNorm.grad
 
     def counted(self, x):
-        calls.append(1)
+        calls.append(len(x) if x.ndim == 2 else 1)
         return grad(self, x)
 
     monkeypatch.setattr(PowerNorm, "grad", counted)
@@ -396,7 +455,7 @@ def test_sweep_runs_each_anytime_learner_once_per_seed(monkeypatch):
         # ogd_const runs every horizon; da_sqrt, kt and adagrad_da each run
         # once per seed, to the longest horizon; adagrad_da's default bound G
         # takes one more gradient, at the start
-        assert len(calls) == len(seeds) * grads, kind
+        assert sum(calls) == len(seeds) * grads, kind
     # dual averaging at distance 1 with alpha 1 lands on x* at step 2 from
     # seed 1; from seed 0 rounding keeps it off, so the two seeds' rows differ
     block = (problem, "da_sqrt", seeds, horizons, 1.0, 1.0)
@@ -411,10 +470,12 @@ def test_sweep_runs_each_anytime_learner_once_per_seed(monkeypatch):
 
 
 def test_a_sweep_block_holds_one_seeds_run_at_a_time(monkeypatch):
-    # when a run starts, no run of an earlier seed (or an earlier
-    # ogd_const horizon) is still alive
-    runs, alive = [], []
+    # when an anytime run starts, no run of an earlier seed is still alive;
+    # an ogd_const block steps all its rows at once, and none of its records
+    # holds an iterate array
+    runs, alive, records = [], [], []
     run_cell = normgrad.bench.run_cell
+    run_lockstep = normgrad.bench.run_lockstep
 
     def watched(*args):
         alive.append(sum(run() is not None for run in runs))
@@ -422,14 +483,24 @@ def test_a_sweep_block_holds_one_seeds_run_at_a_time(monkeypatch):
         runs.append(weakref.ref(cell.run))
         return cell
 
+    def watched_lockstep(*args):
+        for i, run in run_lockstep(*args):
+            records.append(run)
+            yield i, run
+
     monkeypatch.setattr(normgrad.bench, "run_cell", watched)
+    monkeypatch.setattr(normgrad.bench, "run_lockstep", watched_lockstep)
     for kind in LEARNER_KINDS:
         runs.clear()
         alive.clear()
+        records.clear()
         seeds, horizons = (0, 1, 2), (256, 1024, 4096)
         _sweep_block((PowerNorm(0.5, 3), kind, seeds, horizons, DEFAULT_DISTANCE, 1.0))
-        calls = len(seeds) * (len(horizons) if kind == "ogd_const" else 1)
-        assert alive == [0] * calls, kind
+        if kind == "ogd_const":
+            assert alive == [] and len(records) == len(seeds) * len(horizons)
+            assert all(run.iterates is None for run in records)
+        else:
+            assert alive == [0] * len(seeds) and records == [], kind
 
 
 def test_sweep_resolves_each_learner_record_once_per_seed(monkeypatch, capsys):
@@ -662,8 +733,11 @@ def _count_calls(monkeypatch, path, name, key):
 
 
 def test_driver_suites_share_one_pass_of_ogd_const_runs(monkeypatch, tmp_path):
+    # driven cells: one per run_normalized call, one per row of a lockstep
     calls = _count_calls(monkeypatch, tmp_path / "runs", "run_normalized",
                          lambda config, *args: config.kind)
+    _count_calls(monkeypatch, tmp_path / "runs", "run_lockstep",
+                 lambda problem, rows, *args: "\n".join(config.kind for config, _ in rows))
     resolves = _count_calls(monkeypatch, tmp_path / "resolves", "resolve_learner_config",
                             lambda problem, record, seed: record["kind"])
     names = ["bounded_iterates", "reduction_chain"]

@@ -3,8 +3,11 @@ and the chain cells the canonical families at d = 10, both from distance
 1; these records reach every family and kind off that grid. Each record
 parses or is refused with ConfigError, and its run finishes or raises
 NumericalFailure. A run that finishes holds every bound at every horizon,
-and its run_cells cells equal run_cell at each horizon bit for bit.
-Derandomized, so each run draws the same records."""
+and its run_cells cells equal run_cell at each horizon bit for bit. An
+ogd_const record also runs as one lockstep block over three seeds and its
+horizons, unsorted and repeated, which equals a walk of run_cell over the
+same rows: every cell bit for bit, and the same first error. Derandomized,
+so each run draws the same records."""
 
 from dataclasses import astuple, fields
 
@@ -15,8 +18,11 @@ from hypothesis import strategies as st
 from normgrad.bench import (
     ConfigError,
     NumericalFailure,
+    _lockstep,
+    _same,
     bound_violations,
     parse_experiment_config,
+    resolve_learner_config,
     run_cell,
     run_cells,
 )
@@ -56,12 +62,26 @@ def records(draw):
             "seed": draw(st.integers(0, 2 ** 32))}
 
 
-def _bits(cell) -> tuple:
-    """Everything a cell reports, as bytes or reprs: the record's columns,
-    stop and exceeded steps and averages, and every bound report field."""
+def _bits(cell, iterates=True) -> tuple:
+    """Everything a cell reports, as bytes or reprs: the record's columns
+    (dist_sq among them; the iterates unless iterates is False), stop and
+    exceeded steps and averages, and every bound report field."""
+    names = [f.name for f in fields(cell.run) if iterates or f.name != "iterates"]
     record = tuple((np.shape(v), np.asarray(v).tobytes()) if isinstance(v, np.ndarray)
-                   else repr(v) for v in (getattr(cell.run, f.name) for f in fields(cell.run)))
+                   else repr(v) for v in (getattr(cell.run, name) for name in names))
     return record, repr(astuple(cell.report))
+
+
+def _walked(cells) -> list:
+    """The _bits (without iterates) of each cell an iterator yields, then
+    the message of the NumericalFailure it raises, if it raises one."""
+    out = []
+    try:
+        for cell in cells:
+            out.append(_bits(cell, iterates=False))
+    except NumericalFailure as exc:
+        out.append(str(exc))
+    return out
 
 
 @settings(max_examples=160, derandomize=True, database=None, deadline=None)
@@ -72,6 +92,14 @@ def test_off_grid_cells_hold_their_bounds_and_share_runs_bit_for_bit(record):
     except ConfigError:
         return
     args = (config.problem, config.learner)
+    lockstep = config.learner.kind == "ogd_const"
+    if lockstep:
+        horizons = config.horizons[::-1] + config.horizons[-1:]
+        rows = [(resolve_learner_config(config.problem, record["learner"], seed), horizon, seed)
+                for seed in range(config.seed, config.seed + 3) for horizon in horizons]
+        block = _lockstep(config.problem, rows, config.eps_zero, _same)
+        walk = (run_cell(config.problem, *row, config.eps_zero) for row in rows)
+        assert _walked(block) == _walked(walk)
     try:
         cells = list(run_cells(*args, config.horizons, config.seed, config.eps_zero))
     except NumericalFailure:
@@ -80,4 +108,5 @@ def test_off_grid_cells_hold_their_bounds_and_share_runs_bit_for_bit(record):
     for cell in cells:
         assert bound_violations(cell) == []
         alone = run_cell(*args, cell.horizon, config.seed, config.eps_zero)
-        assert _bits(cell) == _bits(alone), cell.label
+        assert (cell.run.iterates is None) == lockstep
+        assert _bits(cell, not lockstep) == _bits(alone, not lockstep), cell.label

@@ -22,7 +22,7 @@ from normgrad import (
     summarize,
 )
 from normgrad import learners
-from normgrad.bench import canonical_problems, resolve_learner_config, run_cells
+from normgrad.bench import canonical_problems, resolve_learner_config, run_cell, run_cells
 from normgrad.learners import LEARNER_KINDS, UNIT_NORM_KINDS
 from normgrad.problems import HolderSpec, Problem
 from normgrad.reduction import DEFAULT_EPS_ZERO, EPS_ZERO_FLOOR, _drive
@@ -627,11 +627,15 @@ def _bits(a) -> bytes:
 def _assert_reflected(plain, flipped, sign, case):
     """flipped is plain's cell with every point multiplied by sign (-1, or a
     vector of +-1): its points are plain's times sign, and every per-step
-    column, stop, exceeded step, mean gap and bound field keeps its bits."""
+    column, stop, exceeded step, mean gap and bound field keeps its bits.
+    A lockstep record keeps no iterates, so run_cell's give its points."""
     a, b = plain.run, flipped.run
-    assert _bits(b.iterates) == _bits(sign * a.iterates), case
+    points = [run.iterates if run.iterates is not None else
+              run_cell(cell.problem, cell.config, cell.horizon, cell.seed).run.iterates
+              for cell, run in ((plain, a), (flipped, b))]
+    assert _bits(points[1]) == _bits(sign * points[0]), case
     assert _bits(b.average_point) == _bits(sign * a.average_point), case
-    for column in ("grad_norms", "suboptimalities", "weights", "local_constants"):
+    for column in ("grad_norms", "suboptimalities", "weights", "local_constants", "dist_sq"):
         assert _bits(getattr(b, column)) == _bits(getattr(a, column)), (column, case)
     assert (b.stop_index, b.exceeded_index) == (a.stop_index, a.exceeded_index), case
     assert _bits([b.mean_suboptimality, b.average_suboptimality, *astuple(flipped.report)]) \

@@ -1,12 +1,12 @@
+import ast
 import math
-import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from normgrad import ContractViolation, WeightedMeanAccumulator, as_vector, l2_norm
-from normgrad.vectors import _CHUNK_ELEMENTS, dot, left_sum
+from normgrad.vectors import _CHUNK_ELEMENTS, _LIST_CHECK_MAX, dot, finite_at_least, left_sum
 
 
 def test_l2_norm_examples():
@@ -119,14 +119,58 @@ def test_dot_block_rows_equal_point_calls(d):
     assert block.shape == (200,) and block.tobytes() == np.array(points).tobytes()
 
 
+# attributes that reach a BLAS product: np.dot, np.vecdot, ndarray.dot and kin
+_BLAS_ATTRIBUTES = {"dot", "vecdot", "vdot", "inner", "matmul", "tensordot"}
+
+
+def _names_blas(source: str) -> bool:
+    """Whether a module reads one of _BLAS_ATTRIBUTES off anything (np.dot,
+    numpy.vecdot, x.dot(y)) or uses the @ operator."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _BLAS_ATTRIBUTES:
+            return True
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", [1, 5, _LIST_CHECK_MAX, _LIST_CHECK_MAX + 1, 200])
+def test_finite_at_least_on_both_sides_of_the_list_check(n):
+    # a Python pass over the list up to _LIST_CHECK_MAX values, numpy above;
+    # one answer on both sides, wherever the offending value sits
+    values = np.linspace(1.0, 2.0, n)
+    assert finite_at_least(values, 1.0) and not finite_at_least(values, 1.5)
+    for bad in (math.nan, math.inf, 0.5):
+        for where in {0, n // 2, n - 1}:
+            spoiled = values.copy()
+            spoiled[where] = bad
+            assert not finite_at_least(spoiled, 1.0), (bad, where)
+    assert finite_at_least(np.empty(0), 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_block_norms_equal_point_norms_with_scaled_rows():
+    # finite_at_least sends a block with an underflowing or overflowing row
+    # to the per-row scaled norm, below and above the list check's size
+    rng = np.random.default_rng(5)
+    for n in (3, 3 * _LIST_CHECK_MAX):
+        block = rng.standard_normal((n, 4))
+        block[1] *= 1e-200
+        block[-1] *= 1e200
+        norms = l2_norm(block)
+        assert norms.tobytes() == np.array([l2_norm(row) for row in block]).tobytes()
+        assert 0.0 < norms[1] < 1e-199 and 1e199 < norms[-1] < math.inf
+
+
 def test_only_vectors_names_blas():
     # every inner product goes through vectors.dot, so one function fixes its bits
     package = Path(__file__).resolve().parents[1] / "src" / "normgrad"
     modules = sorted(package.glob("*.py"))
-    assert any(m.name == "vectors.py" for m in modules)
-    blas = re.compile(r"\b(np|numpy)\.(dot|vecdot)\b")
-    named = [m.name for m in modules if m.name != "vectors.py" and blas.search(m.read_text())]
-    assert named == []
+    assert [m.name for m in modules if _names_blas(m.read_text())] == ["vectors.py"]
+    # each form counts: a module, a method and the operator
+    for line in ("np.dot(a, b)", "numpy.vecdot(a, b)", "a.dot(b)", "a @ b", "a @= b"):
+        assert _names_blas(line), line
+    assert not _names_blas("from .vectors import dot\ndot(a, b)\n@property\ndef f(): pass")
 
 
 def test_norm_squared_matches_dot():
