@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientData, NumericalFailure
+from .errors import ConfigError, ContractViolation, InsufficientData, NumericalFailure, WorkerLost
 from .learners import LEARNER_KINDS, RECORD_SCALES, UNIT_NORM_KINDS, LearnerConfig
 from .problems import (
     SAMPLE_RADIUS,
@@ -45,6 +45,7 @@ from .reduction import (
     DEFAULT_EPS_ZERO,
     BoundReport,
     RunRecord,
+    _drive,
     _overflow_unwarned,
     bound_report,
     check_eps_zero,
@@ -302,10 +303,12 @@ def run_cells(problem: Problem, config: LearnerConfig, horizons, seed: int,
     at the first request. Each shorter horizon's record is summarized from
     the first T rows of that run when it is requested, so the run stays
     alive until the generator is done. ogd_const, whose step depends on the
-    horizon, runs every horizon as one _lockstep at the first request."""
+    horizon, runs every horizon as one run_lockstep at the first request."""
     horizons = [int(h) for h in horizons]
     if config.kind == "ogd_const":
-        yield from _lockstep(problem, [(config, h, seed) for h in horizons], eps_zero, _same)
+        rows = [(problem, config, (h,), seed) for h in horizons]
+        yield from _cells(run_lockstep(problem, [(config, h) for h in horizons], eps_zero), rows,
+                          eps_zero, _same)
         return
     full = run_cell(problem, config, max(horizons), seed, eps_zero)
     for horizon in horizons:
@@ -320,28 +323,38 @@ def _same(cell: CellResult) -> CellResult:
     return cell
 
 
-def _lockstep(problem: Problem, rows: list, eps_zero: float, fn):
-    """Yield fn(cell) for the cell of every (config, horizon, seed) of rows,
-    in row order, the configs all ogd_const: the rows run as one
-    run_lockstep, and fn takes each cell as soon as its row ends, so no
-    cell outlives fn. A NumericalFailure, from a step, from _cell or from
-    fn, is raised after the results of the rows before it, naming its cell
-    as run_cell does: the first failing row's, as a walk of run_cell over
-    the rows would raise it."""
+def _cells(runs, rows: list, eps_zero: float, fn):
+    """Yield fn(cell) for the cells of every (problem, config, horizons,
+    seed) of rows, row by row and each row's in the order of its horizons,
+    from runs, which yields (i, records) as rows[i] ends: its records at
+    its horizons (one record for one horizon), or the NumericalFailure of
+    its run. fn takes each cell as soon as its row ends, so no cell
+    outlives fn. As run_cells does, a row makes the cell of its longest
+    horizon first. A NumericalFailure, from a run, from _cell or from fn,
+    is raised after the results of the cells before it, naming its cell as
+    run_cell does (a run's names the longest horizon): the first failing
+    cell's, as a walk of run_cells over the rows would raise it."""
     done = {}
-    for i, run in run_lockstep(problem, [row[:2] for row in rows], eps_zero):
-        config, horizon, seed = rows[i]
+    for i, records in runs:
+        problem, config, horizons, seed = rows[i]
+        top = max(horizons)
+        out = done[i] = []
         try:
-            if isinstance(run, NumericalFailure):
+            if isinstance(records, NumericalFailure):
                 raise NumericalFailure(
-                    f"{run} [{_cell_label(problem, config, horizon, seed)}]") from run
-            done[i] = fn(_cell(problem, config, horizon, seed, run, eps_zero))
+                    f"{records} [{_cell_label(problem, config, top, seed)}]") from records
+            at = dict(zip(horizons, records if isinstance(records, list) else [records]))
+            full = _cell(problem, config, top, seed, at[top], eps_zero)
+            for horizon in horizons:
+                out.append(fn(full if horizon == top else _cell(
+                    problem, config, horizon, seed, at[horizon], eps_zero)))
         except NumericalFailure as exc:
-            done[i] = exc
+            out.append(exc)
     for i in range(len(rows)):
-        if isinstance(done[i], NumericalFailure):
-            raise done[i]
-        yield done.pop(i)
+        for result in done.pop(i):
+            if isinstance(result, NumericalFailure):
+                raise result
+            yield result
 
 
 def _excess(a, b):
@@ -473,31 +486,37 @@ def _summary_point(record) -> tuple:
 
 
 def _grid(fn, problem, kind, seeds, horizons, distance=DEFAULT_DISTANCE, step_scale=1.0):
-    """Yield fn(cell) for the cells of one (problem, kind) block seed by
-    seed, each seed's in the order of horizons, the learner started at
-    distance with step_scale from one config resolved per seed.
+    """Yield fn(cell) for the cells of one unit of work: its (problem,
+    seed) rows, problem by problem and seed by seed, each row's cells in
+    the order of horizons, the learner started at distance with step_scale
+    from one config resolved per row. problem is one problem or, for an
+    anytime kind, a tuple of them.
 
-    An ogd_const block runs all its (seed, horizon) rows as one _lockstep,
-    whose records keep no iterates; a seed whose config fails to resolve
-    raises after the rows of the seeds before it. Any other kind gets one
-    run_cells walk per seed, done before the next seed's starts, so the
-    block holds one seed's run. Either way the first error raised is the
-    first failing cell's in this order, and no cell outlives fn."""
+    An ogd_const block runs all its (seed, horizon) cells as one
+    run_lockstep. An anytime unit of one row takes run_cells, whose run
+    keeps its iterates, and of more rows one _drive block, whose records
+    keep none. A row whose config fails to resolve raises after the cells
+    of the rows before it. Either way the first error raised is the first
+    failing cell's in this order, as a walk of run_cells over the rows
+    would raise it, and no cell outlives fn."""
     record = {"kind": kind, "start_distance": distance, "step_scale": step_scale}
-    if kind != "ogd_const":
-        for seed in map(int, seeds):
-            config = resolve_learner_config(problem, record, seed)
-            yield from map(fn, run_cells(problem, config, horizons, seed))
-        return
+    horizons = tuple(map(int, horizons))
     rows, unresolved = [], None
-    for seed in map(int, seeds):
-        try:
-            config = resolve_learner_config(problem, record, seed)
-        except ConfigError as exc:
-            unresolved = exc
-            break
-        rows += [(config, int(h), seed) for h in horizons]
-    yield from _lockstep(problem, rows, DEFAULT_EPS_ZERO, fn)
+    try:
+        for p in problem if isinstance(problem, tuple) else (problem,):
+            for seed in map(int, seeds):
+                rows.append((p, resolve_learner_config(p, record, seed), horizons, seed))
+    except ConfigError as exc:
+        unresolved = exc
+    if kind == "ogd_const":
+        runs = run_lockstep(problem, [(row[1], h) for row in rows for h in horizons])
+        yield from _cells(runs, [(p, config, (h,), seed) for p, config, _, seed in rows
+                                 for h in horizons], DEFAULT_EPS_ZERO, fn)
+    elif len(rows) == 1:
+        yield from map(fn, run_cells(*rows[0][:2], horizons, rows[0][3]))
+    elif rows:
+        runs = _drive([(config, p, horizons) for p, config, _, _ in rows])
+        yield from _cells(runs, rows, DEFAULT_EPS_ZERO, fn)
     if unresolved is not None:
         raise unresolved
 
@@ -515,30 +534,61 @@ def _sweep_row(cell: CellResult) -> dict:
     return {**{c: fields[c] for c in SWEEP_COLUMNS}, "_violations": bound_violations(cell)}
 
 
-def _sweep_block(block: tuple) -> list:
-    """The _sweep_rows of one (problem, kind, seeds, horizons, distance,
-    step_scale) block, never a CellResult, in grid order: horizon by
-    horizon, seed by seed within one. _grid walks the seeds first and
-    drops each cell once its row is built."""
-    rows = list(_grid(_sweep_row, *block))
-    n = len(block[3])
+def _sweep_unit(unit: tuple) -> tuple:
+    """The _sweep_rows of one (problem or problems, kind, seeds, horizons,
+    distance, step_scale) unit, never a CellResult, in the order _grid
+    yields them, and the error that ended them (None if none did): one of
+    the errors a cell or a config raises, which sweep_rows raises at its
+    cell's place in the grid. _grid drops each cell once its row is
+    built."""
+    rows = []
+    try:
+        for row in _grid(_sweep_row, *unit):
+            rows.append(row)
+    except (ConfigError, ContractViolation, NumericalFailure, MemoryError) as exc:
+        return rows, exc
+    return rows, None
+
+
+def _block_rows(rows: list, n: int) -> list:
+    """The rows of one (problem, kind) block, seed by seed as _grid yields
+    them, in grid order: horizon by horizon of its n, seed by seed within
+    one."""
     return [row for h in range(n) for row in rows[h::n]]
 
 
 def _in_order(fn, items: list):
-    """Yield fn(item) for every item, in order: from a fork pool of
-    min(usable CPUs, len(items)) workers, whose imap keeps the order (so
-    the first error raised is the first failing item's) and which is
-    terminated and joined before this generator returns, raises or is
-    closed; or in this process, with one worker, no CPU affinity call or no
-    fork start method. multiprocessing is imported only to make a pool."""
+    """Yield fn(item) for every item, in order: from a fork
+    ProcessPoolExecutor of min(usable CPUs, len(items)) workers, whose map
+    keeps the order (so the first error raised is the first failing
+    item's) and which is shut down, its pending items cancelled, before
+    this generator returns, raises or is closed; or in this process, with
+    one worker, no CPU affinity call or no fork start method. The workers
+    ignore SIGINT, so Ctrl-C reaches the parent alone, which waits for the
+    running items. A worker that dies raises WorkerLost. fn and the items
+    must pickle (fn by its module-level name), which is checked before the
+    pool starts: on Python 3.11 an item that fails to pickle in the pool
+    leaves its shutdown waiting for it. multiprocessing, concurrent.futures
+    and signal are imported only to make a pool."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(items))
     if workers > 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                yield from pool.imap(fn, items)
+            import pickle
+            import signal
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+            pickle.dumps((fn, items))
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=signal.signal,
+                                       initargs=(signal.SIGINT, signal.SIG_IGN))
+            try:
+                yield from pool.map(fn, items)
+            except BrokenProcessPool as exc:
+                raise WorkerLost(f"a worker process died before it finished: {exc}") from None
+            finally:
+                pool.shutdown(cancel_futures=True)
             return
     yield from map(fn, items)
 
@@ -548,16 +598,22 @@ def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=LEARNER_KINDS,
                dimension=DEFAULT_DIMENSION, distance=DEFAULT_DISTANCE,
                step_scale=1.0):
     """Run the (nu x learner x horizon x seed) grid over the interpolation
-    family and yield one row dict per cell, in deterministic grid order.
+    family and yield one row dict per cell, in deterministic grid order:
+    (nu, learner) block by block, horizon by horizon within one, seed by
+    seed within a horizon.
 
     The whole grid is checked at the first request, before any cell runs:
     an empty axis, an unknown learner, a nu outside [0, 1], a horizon below
-    1 or a negative seed raises. Each (nu, learner) block is then one
-    _sweep_block call, mapped over every usable CPU by _in_order, so the
-    rows (the SWEEP_COLUMNS and "_violations"), their order and the first
-    error raised do not depend on the worker count. That error is the
-    first failing block's, and within the block the first failing cell's
-    in seed order (all of seed 0's horizons before seed 1's)."""
+    1 or a negative seed raises. The work is one _sweep_unit per ogd_const
+    block, a lockstep over its (seed, horizon) cells, and one per anytime
+    kind over every (nu, seed) row of the grid, which steps as one _drive
+    block (a lone row takes the one-point path of run_cells). The units
+    are mapped over every usable CPU by _in_order, in the order of their
+    first block, and the rows (the SWEEP_COLUMNS and "_violations") are
+    yielded in grid order as their units arrive. So the rows, their order
+    and the first error raised, the first failing block's and within it
+    the first failing cell's in seed order (all of seed 0's horizons before
+    seed 1's), do not depend on the units or on the worker count."""
     if not nus or not learners or not horizons or not seeds:
         raise ConfigError("sweep grid must be nonempty in every axis")
     for kind in learners:
@@ -565,11 +621,30 @@ def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=LEARNER_KINDS,
             raise ConfigError(f"unknown learner kind {kind!r}")
     if min(horizons) < 1 or min(seeds) < 0:
         raise ConfigError("sweep horizons must be >= 1 and seeds >= 0")
-    problems = [PowerNorm(float(nu), dimension) for nu in nus]
-    blocks = [(problem, kind, tuple(seeds), tuple(horizons), distance, step_scale)
-              for problem in problems for kind in learners]
-    for rows in _in_order(_sweep_block, blocks):
-        yield from rows
+    problems = tuple(PowerNorm(float(nu), dimension) for nu in nus)
+    seeds, horizons = tuple(seeds), tuple(horizons)
+    units = {}  # (nu's index for ogd_const, else None; kind): unit
+    blocks = []  # per block in grid order: its unit's key and the offset of its rows
+    for j, problem in enumerate(problems):
+        for kind in learners:
+            key = (j if kind == "ogd_const" else None, kind)
+            units.setdefault(key, (problem if kind == "ogd_const" else problems, kind, seeds,
+                                   horizons, distance, step_scale))
+            blocks.append((key, 0 if kind == "ogd_const" else j * len(seeds) * len(horizons)))
+    order = list(units)
+    results = _in_order(_sweep_unit, list(units.values()))
+    arrived = []
+    try:
+        for key, offset in blocks:
+            while len(arrived) <= order.index(key):
+                arrived.append(next(results))
+            rows, error = arrived[order.index(key)]
+            block = rows[offset:offset + len(seeds) * len(horizons)]
+            if len(block) < len(seeds) * len(horizons):
+                raise error
+            yield from _block_rows(block, len(horizons))
+    finally:
+        results.close()
 
 
 def rate_experiment(nu: float, kind: str):

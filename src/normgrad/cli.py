@@ -7,9 +7,11 @@
 
 Exit codes: 0 all checks pass, 1 a property or bound failed (or ratefit found
 too few usable horizons), 2 bad usage, configuration or file (including a
-problem too large to allocate, or a run whose gradient norm is not finite).
-Every command ends with `_finish`, the only place that returns 1; `main` is
-the only place that maps an error (to 2).
+problem too large to allocate, a run whose gradient norm is not finite, or
+a sweep or check worker process that died), 130 interrupted (Ctrl-C). Every
+command ends with `_finish`, the only place that returns 1; `main` is the
+only place that maps an error (to 2) or an interrupt (to 130), each with
+one line on stderr.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .bench import (
     sweep_rows,
     trajectory_rows,
 )
-from .errors import ContractViolation, NumericalFailure
+from .errors import ContractViolation, NumericalFailure, WorkerLost
 from .learners import LEARNER_KINDS
 
 __all__ = ["main"]
@@ -189,6 +191,12 @@ def main(argv=None) -> int:
             json.JSONDecodeError, UnicodeDecodeError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except WorkerLost as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -19,3 +19,7 @@ class ConfigError(Exception):
 
 class InsufficientData(ConfigError):
     """Too few usable horizons for a rate fit (CLI exit code 1)."""
+
+
+class WorkerLost(RuntimeError):
+    """A pool worker died before it finished its task (CLI exit code 2)."""

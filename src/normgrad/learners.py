@@ -7,6 +7,12 @@ and the fourth consumes raw gradients. `observe` checks neither: the driver
 normalized gradient at norm 1 up to rounding. A gradient above adagrad_da's
 bound G is reported by the driver, not raised here.
 
+A learner holds the state of one run at a point (`make_learner`), or of
+k runs of one kind over the rows of a (k, d) block (`stack_learners`):
+then `next_point()` serves a block, `observe` takes one, and `keep(rows)`
+drops the runs that have ended. Each row steps as its own learner would,
+bit for bit.
+
 kind            update for x_{t+1}                                  reads
 --------------  --------------------------------------------------  ---------
 ogd_const       x_t - (alpha / sqrt(T)) q_t                         alpha, T
@@ -39,6 +45,7 @@ __all__ = [
     "RECORD_SCALES",
     "LearnerConfig",
     "make_learner",
+    "stack_learners",
     "regret_bound",
     "OgdConstLearner",
     "DaSqrtLearner",
@@ -92,44 +99,67 @@ class LearnerConfig:
         return rec
 
 
-class OgdConstLearner:
+def _per_row(value):
+    """A block's per-row values as a column that scales its rows; a point's
+    float as it is."""
+    return value[:, None] if isinstance(value, np.ndarray) else value
+
+
+def _sqrt(value):
+    """math.sqrt of a point's float, np.sqrt of a block's per-row values
+    (the same bits)."""
+    return np.sqrt(value) if isinstance(value, np.ndarray) else math.sqrt(value)
+
+
+class _Learner:
+    """The state of one run at a point, or of k runs over the rows of a
+    block (stack_learners): each float becomes a (k,) array and each
+    vector a (k, d) block; the step count is shared."""
+
+    def keep(self, rows) -> None:
+        """Keep only the given rows (a boolean mask) of a block's state."""
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                setattr(self, name, value[rows])
+
+
+class OgdConstLearner(_Learner):
     """Gradient steps of fixed length alpha/sqrt(T) against unit losses (unchecked)."""
 
     kind = "ogd_const"
 
     def __init__(self, config: LearnerConfig, horizon: int):
-        self.config = config
-        self._eta = config.step_scale / math.sqrt(horizon)
-        self._x = config.start
+        self.eta = config.step_scale / math.sqrt(horizon)
+        self.x = config.start
 
     def next_point(self) -> np.ndarray:
-        return self._x
+        return self.x
 
     def observe(self, q: np.ndarray) -> None:
-        self._x = self._x - self._eta * q
+        self.x = self.x - _per_row(self.eta) * q
 
 
-class DaSqrtLearner:
+class DaSqrtLearner(_Learner):
     """Dual averaging: x_{t+1} = x_1 - (alpha / sqrt(t)) * (sum of unit losses)."""
 
     kind = "da_sqrt"
 
     def __init__(self, config: LearnerConfig, horizon: int):
-        self.config = config
-        self._sum = np.zeros_like(config.start)
+        self.start, self.alpha = config.start, config.step_scale
+        self.sum = np.zeros_like(config.start)
         self.steps = 0
 
     def next_point(self) -> np.ndarray:
         if self.steps == 0:
-            return self.config.start
-        return self.config.start - (self.config.step_scale / math.sqrt(self.steps)) * self._sum
+            return self.start
+        return self.start - _per_row(self.alpha / math.sqrt(self.steps)) * self.sum
 
     def observe(self, q: np.ndarray) -> None:
-        self._sum += q
+        self.sum += q
         self.steps += 1
 
 
-class KTLearner:
+class KTLearner(_Learner):
     """Coin-betting learner on iterates centered at the start point:
 
     x_{t+1} = x_1 - (sum q_i / (t+1)) * (d0 - sum <q_i, x_i - x_1>).
@@ -142,28 +172,26 @@ class KTLearner:
     kind = "kt"
 
     def __init__(self, config: LearnerConfig, horizon: int):
-        self.config = config
-        self._start = config.start
-        self._sum = np.zeros_like(config.start)
-        self._spent = 0.0  # sum of <q_i, x_i - x_1>
+        self.start, self.wealth_init = config.start, config.wealth_init
+        self.sum = np.zeros_like(config.start)
+        self.spent = 0.0  # sum of <q_i, x_i - x_1>
+        self.wealth = self.wealth_init - self.spent
         self.steps = 0
-
-    @property
-    def wealth(self) -> float:
-        return self.config.wealth_init - self._spent
 
     def next_point(self) -> np.ndarray:
         # -S / (t+1) with the sign in the divisor: the same bits, one pass fewer
-        return self._start + (self._sum / -(self.steps + 1.0)) * self.wealth
+        return self.start + (self.sum / -(self.steps + 1.0)) * _per_row(self.wealth)
 
     def observe(self, q: np.ndarray) -> None:
-        # <q, x_t - x_1> for the point served before this observation
-        self._spent += -dot(q, self._sum) / (self.steps + 1.0) * self.wealth
-        self._sum += q
+        # <q, x_t - x_1> for the point served before this observation, the
+        # sign again in the divisor
+        self.spent += dot(q, self.sum) / -(self.steps + 1.0) * self.wealth
+        self.wealth = self.wealth_init - self.spent
+        self.sum += q
         self.steps += 1
 
 
-class AdaGradDaLearner:
+class AdaGradDaLearner(_Learner):
     """Dual averaging with gradient-sum normalization:
 
     x_{t+1} = x_1 - alpha / sqrt(G^2 + sum ||g_i||^2) * sum g_i.
@@ -171,21 +199,24 @@ class AdaGradDaLearner:
     Consumes raw (not normalized) gradients; G must dominate every observed
     gradient norm for the guarantee to hold. observe does not check that:
     the driver reports the first step above G (RunRecord.exceeded_index).
+    Making the learner raises OverflowError for a G whose square
+    overflows, above about 1.3e154.
     """
 
     kind = "adagrad_da"
 
     def __init__(self, config: LearnerConfig, horizon: int):
-        self.config = config
-        self._sum = np.zeros_like(config.start)
+        self.start, self.alpha = config.start, config.step_scale
+        self.bound_sq = config.grad_bound_init ** 2
+        self.sum = np.zeros_like(config.start)
         self.grad_sq_sum = 0.0
 
     def next_point(self) -> np.ndarray:
-        g2 = self.config.grad_bound_init ** 2 + self.grad_sq_sum
-        return self.config.start - (self.config.step_scale / math.sqrt(g2)) * self._sum
+        scale = self.alpha / _sqrt(self.bound_sq + self.grad_sq_sum)
+        return self.start - _per_row(scale) * self.sum
 
     def observe(self, g: np.ndarray) -> None:
-        self._sum += g
+        self.sum += g
         self.grad_sq_sum += dot(g, g)
 
 
@@ -194,8 +225,23 @@ _LEARNER_CLASSES = {cls.kind: cls for cls in (
 
 
 def make_learner(config: LearnerConfig, horizon: int):
-    """The learner for config.kind, driven for horizon steps (ogd_const's step reads it)."""
+    """The learner for config.kind at a point, driven for horizon steps
+    (ogd_const's step reads it)."""
     return _LEARNER_CLASSES[config.kind](config, horizon)
+
+
+def stack_learners(learners: list):
+    """One learner over a (k, d) block whose row p holds learners[p]'s
+    state: learners of one kind from make_learner, none stepped yet. Every
+    attribute but the step count becomes the array of the k values, so
+    each block row steps as its learner would, bit for bit: the block's
+    dot is np.vecdot, whose rows equal np.dot, and every other operation is
+    elementwise."""
+    block = object.__new__(type(learners[0]))
+    for name, value in vars(learners[0]).items():
+        setattr(block, name, value if name == "steps" else np.array(
+            [vars(learner)[name] for learner in learners]))
+    return block
 
 
 def regret_bound(config: LearnerConfig, comparator_dist: float, horizon: int,

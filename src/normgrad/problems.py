@@ -50,6 +50,7 @@ __all__ = [
     "Huber",
     "LogSumExp",
     "FAMILIES",
+    "block_problem",
     "make_problem",
     "problem_from_config",
     "config_count",
@@ -116,12 +117,14 @@ def _rows(v):
 _TINY = math.ulp(0.0)
 
 
-def _radial(z: np.ndarray, r, exponent: float) -> np.ndarray:
+def _radial(z: np.ndarray, r, exponent) -> np.ndarray:
     """power(r, exponent) * z for an exponent below 0, row by row for a
     block, and a zero row where r == 0: the subgradient chosen at x* (r is
-    also 0 when the norm underflows). A block with no zero norm takes one
-    power call and one product; 0 ** exponent raises ZeroDivisionError,
-    and the rows are then taken apart."""
+    also 0 when the norm underflows). A block may give each row its own
+    exponent; a row whose exponent is 0 is z bit for bit, since libm's
+    power is then 1.0 for every r. A block with no zero norm takes one
+    power call and one product; 0 ** exponent raises ZeroDivisionError
+    below 0, and the rows are then taken apart."""
     if not isinstance(r, np.ndarray):
         return power(r, exponent) * z if r != 0.0 else np.zeros_like(z)
     try:
@@ -130,6 +133,9 @@ def _radial(z: np.ndarray, r, exponent: float) -> np.ndarray:
         pass
     out = np.zeros_like(z)
     live = r != 0.0
+    if isinstance(exponent, np.ndarray):
+        live |= exponent == 0.0
+        exponent = exponent[live]
     out[live] = power(r[live], exponent)[:, None] * z[live]
     return out
 
@@ -221,7 +227,8 @@ class PowerNorm(Problem):
     """f(x) = ||x - x*||^(1+nu) / (1+nu); gradient ||z||^(nu-1) z, zero at x*.
 
     nu = 1 coincides with the quadratic family and nu = 0 with the norm
-    family, including their declared constants.
+    family, including their declared constants. block_problem makes the
+    one instance whose nu is an (n,) array, one per row of a block.
     """
 
     family = "power_norm"
@@ -241,9 +248,10 @@ class PowerNorm(Problem):
 
     def grad(self, x):
         z = self._center(x)
-        if self.nu == 1.0:
-            return z
-        return _radial(z, l2_norm(z), self.nu - 1.0)
+        if isinstance(self.nu, float):
+            return z if self.nu == 1.0 else _radial(z, l2_norm(z), self.nu - 1.0)
+        # each row's own power by libm; a nu = 1 row keeps g = z (see _radial)
+        return _radial(z, l2_norm(z), self._exponent)
 
     def distance_to_nonsmooth(self, x):
         if self.nu == 1.0:
@@ -344,6 +352,27 @@ class LogSumExp(Problem):
 
 
 FAMILIES = {cls.family: cls for cls in (Quadratic, PowerNorm, L2Norm, Huber, LogSumExp)}
+
+
+def block_problem(problems) -> Problem:
+    """The problem whose grad takes a (k, d) block whose row p is a point of
+    problems[p], each gradient row equal to problems[p].grad of that point
+    bit for bit: the problem itself when the rows share one, and for
+    power_norm problems of one dimension and minimizer a PowerNorm whose nu
+    is the (k,) array of theirs, so each row carries its own. That
+    instance serves only grad. Any other mix raises ContractViolation."""
+    first = problems[0]
+    if all(p is first for p in problems):
+        return first
+    if not all(type(p) is PowerNorm and p.dimension == first.dimension
+               and np.array_equal(p.minimizer, first.minimizer) for p in problems):
+        raise ContractViolation(
+            "the rows of one block must share a problem, or be power_norm problems "
+            "of one dimension and minimizer")
+    block = PowerNorm(first.nu, first.dimension, first.minimizer)
+    block.nu = np.array([p.nu for p in problems])
+    block._exponent = block.nu - 1.0
+    return block
 
 
 def make_problem(family: str, dimension: int, minimizer=None, **params) -> Problem:

@@ -1,13 +1,16 @@
 """Black-box drivers and the theoretical bound compositions.
 
-Both drivers run one step loop. `run_normalized` feeds a unit-norm
-learner the normalized gradients g_t / ||g_t|| and returns the
-1/||g_t||-weighted average of the iterates (stopping immediately when a
-gradient norm falls to the zero threshold). `run_adagrad_warmup` feeds raw
+The package has two step loops. `_drive` steps every learner: one run at
+a point, or many runs of one kind as the rows of a (k, d) block, whose
+problems may differ in nu (`problems.block_problem`). Its two one-run
+entry points are `run_normalized`, which feeds a unit-norm learner the
+normalized gradients g_t / ||g_t|| and returns the 1/||g_t||-weighted
+average of the iterates (stopping immediately when a gradient norm falls
+to the zero threshold), and `run_adagrad_warmup`, which feeds raw
 gradients to the adagrad_da learner and returns the uniform average (the
 same loop with weight 1). `run_lockstep` steps many ogd_const runs of one
-problem as the rows of one block, each row's record equal to
-run_normalized's without its iterates.
+problem as the rows of one block with no learner object. A record of a
+block row equals the one-run entry's without its iterates.
 
 The bound side composes a regret guarantee psi with the mean of pointwise
 local smoothness constants:
@@ -39,8 +42,9 @@ from .learners import (
     LearnerConfig,
     make_learner,
     regret_bound,
+    stack_learners,
 )
-from .problems import HolderSpec, Problem, local_constant_from_parts
+from .problems import HolderSpec, Problem, block_problem, local_constant_from_parts
 from .vectors import WeightedMeanAccumulator, chunk_rows, dot, finite_at_least, l2_norm, left_sum
 
 __all__ = [
@@ -93,9 +97,12 @@ class RunRecord:
 
     The columns cover exactly the loss-fed steps. Each is a float64 array
     with one row per step: iterates is (steps_taken, d), the others 1-D.
-    A run_lockstep record keeps no iterates (None). The step loop records
-    only the iterates and gradient norms; suboptimalities (f(x_t) - f*) and
-    dist_sq (||x_t - x*||^2) are computed from the iterates after it.
+    Only a one-run record (run_normalized, run_adagrad_warmup, and the
+    records summarize takes from it) keeps its iterates; the record of a
+    block row, of _drive or run_lockstep, keeps none (None). The step loop
+    records the iterates and gradient norms; suboptimalities (f(x_t) - f*)
+    and dist_sq (||x_t - x*||^2) are computed from the iterates per chunk
+    of steps.
     weights are 1/||g_t|| for a unit-norm learner and 1.0 for adagrad_da;
     local_constants come from local_constant_from_parts, NaN at a nu > 0
     step whose gap is 0 or overflowed. stop_index is the step whose
@@ -107,7 +114,8 @@ class RunRecord:
     average_suboptimality is f(average_point) - f*. mean_suboptimality is
     the same weighting applied to the per-step suboptimalities; it
     upper-bounds average_suboptimality and is the statistic used for rate
-    fitting. `summarize` computes the averages.
+    fitting. The driver streams the averages' sums as it steps;
+    `summarize` computes them from a one-run record's columns.
     """
 
     horizon: int
@@ -151,9 +159,9 @@ def summarize(run: RunRecord, horizon: int, problem: Problem) -> RunRecord:
     """The record of the horizon-step run, with its averages computed from
     the columns `run` recorded.
 
-    The driver calls this on its own run; for an anytime learner, whose
-    steps never read the horizon, it also gives every shorter horizon's
-    record, bit for bit, from views of the first `horizon` rows of each
+    For an anytime learner, whose steps never read the horizon, it gives
+    every shorter horizon's record of a one-run record that keeps its
+    iterates, bit for bit, from views of the first `horizon` rows of each
     column, which copy nothing. A horizon at or after the run's early stop
     gets the stopped record, whose point is the stop point. A horizon past
     the recorded steps of a run that did not stop raises ContractViolation.
@@ -198,79 +206,222 @@ def _gaps_and_dist_sq(problem: Problem, points: np.ndarray) -> tuple:
 
 
 def _local_constants(spec: HolderSpec, grad_norms: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """One block call of local_constant_from_parts over the steps that have
-    a local constant, NaN at the others (a nu > 0 step whose gap is 0 or
-    not finite)."""
-    live = ((gaps > 0.0) & (gaps < math.inf)) | (spec.nu == 0.0)
+    """Block calls of local_constant_from_parts, one per chunk of
+    chunk_rows(1) steps, over the steps that have a local constant, NaN at
+    the others (a nu > 0 step whose gap is 0 or not finite)."""
     local = np.full_like(gaps, np.nan)
-    local[live] = local_constant_from_parts(spec, grad_norms[live], gaps[live])
+    chunk = chunk_rows(1)
+    for lo in range(0, len(gaps), chunk):
+        norms, part = grad_norms[lo:lo + chunk], gaps[lo:lo + chunk]
+        live = ((part > 0.0) & (part < math.inf)) | (spec.nu == 0.0)
+        local[lo:lo + chunk][live] = local_constant_from_parts(spec, norms[live], part[live])
     return local
 
 
-def _drive(config: LearnerConfig, problem: Problem, horizon: int,
-           eps_zero: float = DEFAULT_EPS_ZERO) -> RunRecord:
-    """The step loop behind both drivers: it records each step's iterate
-    and gradient norm, then derives the other per-step columns once.
+def _chunk_gaps(groups, points: np.ndarray) -> tuple:
+    """The gaps and dist_sq, (steps, k) each, of a (steps, k, d) chunk whose
+    column p holds row p's points: one block gap and one block dot per
+    (problem, its columns) of groups, each value equal to its one-point call."""
+    steps, _, d = points.shape
+    gaps, dist_sq = np.empty(points.shape[:2]), np.empty(points.shape[:2])
+    for problem, cols in groups:
+        g, s = _gaps_and_dist_sq(problem, points[:, cols].reshape(-1, d))
+        gaps[:, cols], dist_sq[:, cols] = g.reshape(steps, -1), s.reshape(steps, -1)
+    return gaps, dist_sq
 
-    Each round serves x_t and makes its one oracle call, g_t = grad f(x_t).
-    A gradient norm that is not finite (a NaN or inf coordinate, or an
-    overflow), or a learner's point whose computation overflows, raises
-    NumericalFailure naming the step; numpy's overflow
-    warnings are off, as that check and the caller's check of the bounds
-    report an overflow. A unit-norm learner stops returning x_t if
-    ||g_t|| <= eps_zero; otherwise the round records (x_t, ||g_t||) and feeds
-    the learner g_t / ||g_t|| (unit-norm learners, norm 1 by check_eps_zero)
-    or the raw g_t (adagrad_da, which never stops early; a norm above G only
-    sets exceeded_index). After the loop problem.gap and dot take the
-    recorded iterates in blocks of chunk_rows(d) rows (each row equal to its
-    one-point call), giving the gaps and dist_sq; config.kind in
-    UNIT_NORM_KINDS alone decides the weights, _local_constants gives the
-    local constants, and `summarize` computes the averages.
 
-    The iterates go into the rows of one array that doubles when full, so a
-    run that stops early never allocates for its horizon.
+def _grow(array: np.ndarray, n: int, cap: int) -> None:
+    """Resize array in place along its first axis to hold at least n rows,
+    doubling it but to at most cap rows, its rows so far kept. No view of
+    it may be alive."""
+    if n > len(array):
+        array.resize((min(max(2 * len(array), n), cap),) + array.shape[1:], refcheck=False)
+
+
+def _drive(rows, eps_zero: float = DEFAULT_EPS_ZERO):
+    """The step loop of the learners. Drive each (config, problem, horizons)
+    row of rows, all of one kind and dimension, from its config's start to
+    its longest horizon, and yield (i, records) as rows[i] ends: its
+    records at its horizons, in their order (a repeated horizon shares
+    one), each equal bit for bit to summarize's of the same run at that
+    horizon. A row whose run fails yields (i, error), its NumericalFailure,
+    and the live rows after it in rows are dropped unreported.
+
+    Each round every live row serves x_t and gets g_t = grad f(x_t), from
+    one grad call of block_problem over the rows. A gradient norm that is
+    not finite (a NaN or inf coordinate, or an overflow) fails the row at
+    that step, and a learner that cannot be made (adagrad_da's G ** 2
+    overflows) fails it at step 1; numpy's overflow warnings are off, as
+    that check and the caller's check of the bounds report an overflow. A
+    unit-norm row stops returning x_t if ||g_t|| <= eps_zero: x_t is then
+    the average point of its records from that horizon on. Otherwise the
+    round records x_t and ||g_t|| and feeds the learner g_t / ||g_t||
+    (unit-norm learners, norm 1 by check_eps_zero) or the raw g_t
+    (adagrad_da, which never stops early; a norm above G only sets
+    exceeded_index). The rows that go on from a step that stops or fails
+    others are fed that step's gradients, with no second grad call.
+
+    The points of a chunk of chunk_rows(k * d) steps live until the chunk
+    ends or a row leaves: then _chunk_gaps gives the rows' gaps and
+    dist_sq, and each row's weighted point, weight and weighted gap sums
+    advance left to right, as summarize adds them, with the sums kept at
+    each requested horizon. A row keeps its grad-norm, gap and dist_sq
+    columns; its weights (1/||g_t|| for a unit-norm kind, 1.0 for
+    adagrad_da) and local constants (_local_constants) are derived once
+    when it ends.
+
+    A lone row steps as one point, with learner and oracle calls on (d,)
+    vectors, and its records keep its iterates, in one array that doubles
+    when full, so a run that stops early never allocates for its horizon.
+    The rows of a block step as one (k, d) block (stack_learners) and keep
+    no iterates.
     """
-    _check_run(config, problem, horizon)
-    learner = make_learner(config, horizon)
-    unit = config.kind in UNIT_NORM_KINDS
-    d = problem.dimension
-    iterates = np.empty((min(horizon, 16), d))
-    grad_norms = []
-    stop_index, stop_point = None, None
+    kind, d = rows[0][0].kind, rows[0][1].dimension
+    for config, problem, horizons in rows:
+        if config.kind != kind or problem.dimension != d or not horizons:
+            raise ContractViolation(
+                "the rows of one drive share a learner kind and a dimension, and have horizons")
+        for horizon in horizons:
+            _check_run(config, problem, horizon)
+    unit, lone = kind in UNIT_NORM_KINDS, len(rows) == 1
+    floor = math.nextafter(eps_zero, math.inf) if unit else 0.0  # the least norm fed
+    live, learners = [], []  # row indices, and their learners
+    for i, (config, _, horizons) in enumerate(rows):
+        try:
+            learners.append(make_learner(config, max(horizons)))
+        except OverflowError:  # adagrad_da's G ** 2, for a G above about 1.3e154
+            yield i, NumericalFailure("the learner's point at step 1 overflows")
+            break
+        live.append(i)
+    if not live:
+        return
+    learner = learners[0] if lone else stack_learners(learners)
+    ends = [max(rows[i][2]) for i in live]
+    # each live row's grad norm, gap and dist_sq columns, filled chunk by chunk
+    columns = {i: np.empty((min(end, 16), 3)) for i, end in zip(live, ends)}
+    # the horizons each live row has yet to reach, and its sums at those reached
+    waiting = {i: sorted(set(rows[i][2])) for i in live}
+    sums_at = {i: {} for i in live}
+    point_sums = np.zeros((len(live), d))
+    weight_sums, gap_sums = np.zeros(len(live)), np.zeros(len(live))
+    iterates = np.empty((min(ends[0], 16), d)) if lone else None
+    # kept: the points, gradients and norms of the rows that go on from a
+    # step that stopped or failed others
+    t, cutoff, kept = 0, len(rows), None
 
+    def layout():
+        """The block problem of the live rows, and each problem's columns."""
+        groups = {}
+        for p, i in enumerate(live):
+            groups.setdefault(id(rows[i][1]), (rows[i][1], []))[1].append(p)
+        return block_problem([rows[i][1] for i in live]), list(groups.values())
+
+    def records(p, stop=None, stop_point=None):
+        """The records of live row p, which reached its longest horizon or
+        stopped at step stop, in the order of its horizons."""
+        i = live[p]
+        config, problem, horizons = rows[i]
+        steps = ends[p] if stop is None else stop - 1
+        norms, gaps, dist_sq = columns.pop(i)[:steps].T
+        weights = 1.0 / norms if unit else np.ones_like(norms)
+        local = _local_constants(problem.spec, norms, gaps)
+        over = np.flatnonzero(norms > config.grad_bound_init + 1e-9)
+        exceeded = int(over[0]) + 1 if over.size and not unit else None
+        if lone:
+            iterates.resize((steps, d), refcheck=False)
+        made = {}
+        for horizon in set(horizons):
+            if stop is not None and stop <= horizon:
+                n, point, stop_index = steps, stop_point, stop
+                weight_sum, gap_sum = weight_sums[p].item(), gap_sums[p].item()
+            else:
+                n, stop_index = horizon, None
+                point_sum, weight_sum, gap_sum = sums_at[i][horizon]
+                point = point_sum / weight_sum
+            gap = problem.gap(point)
+            made[horizon] = RunRecord(
+                horizon, iterates[:n] if lone else None, norms[:n], gaps[:n], weights[:n],
+                local[:n], dist_sq[:n], stop_index,
+                exceeded if exceeded is not None and exceeded <= n else None, point, gap,
+                gap_sum / weight_sum if n else gap)
+        return [made[horizon] for horizon in horizons]
+
+    oracle, groups = layout()
     with _overflow_unwarned():
-        for t in range(1, horizon + 1):
-            try:
+        while live:
+            k = len(live)
+            size = chunk_rows(k * d)
+            points, norms = np.empty((size, k, d)), np.empty((size, k))
+            xs, ns = (points[:, 0], norms[:, 0]) if lone else (points, norms)
+            fed, halting, last = 0, None, min(ends)
+            base = t - (kept is not None)  # the steps each live row has been fed
+            if kept is not None:  # the rest of a step that stopped or failed rows
+                points[0], g, norms[0] = kept
+                learner.observe(g / norms[0][:, None] if unit else g)
+                fed, kept = 1, None
+            while fed < size and t < last:
+                t += 1
                 x = learner.next_point()
-            except OverflowError as exc:  # adagrad_da's G ** 2, for a G above about 1.3e154
-                raise NumericalFailure(f"the learner's point at step {t} overflows") from exc
-            g = problem.grad(x)
-            gn = l2_norm(g)
-            if not math.isfinite(gn):
-                raise NumericalFailure(f"the gradient norm at step {t} is not finite")
-            if unit and gn <= eps_zero:
-                stop_index, stop_point = t, x.copy()
-                break
-            if t > len(iterates):
-                # no view of the buffer exists yet, so it may move
-                iterates.resize((min(2 * len(iterates), horizon), d), refcheck=False)
-            iterates[t - 1] = x
-            grad_norms.append(gn)
-            learner.observe(g / gn if unit else g)
-
-        grad_norms = np.array(grad_norms)
-        iterates.resize((len(grad_norms), d), refcheck=False)
-        gaps, dist_sq = np.empty_like(grad_norms), np.empty_like(grad_norms)
-        chunk = chunk_rows(d)
-        for lo in range(0, len(gaps), chunk):
-            gaps[lo:lo + chunk], dist_sq[lo:lo + chunk] = _gaps_and_dist_sq(
-                problem, iterates[lo:lo + chunk])
-        weights = 1.0 / grad_norms if unit else np.ones_like(grad_norms)
-        local = _local_constants(problem.spec, grad_norms, gaps)
-    over = np.flatnonzero(grad_norms > config.grad_bound_init + 1e-9)
-    exceeded = int(over[0]) + 1 if over.size and not unit else None
-    return summarize(RunRecord(horizon, iterates, grad_norms, gaps, weights, local, dist_sq,
-                               stop_index, exceeded, stop_point), horizon, problem)
+                g = oracle.grad(x)
+                gn = l2_norm(g)
+                if lone:
+                    if not floor <= gn < math.inf:
+                        halting = x[None], g[None], np.array([gn])
+                        break
+                    q = g / gn if unit else g
+                elif finite_at_least(gn, floor) or all(floor <= v < math.inf for v in gn.tolist()):
+                    q = g / gn[:, None] if unit else g
+                else:
+                    halting = x, g, gn
+                    break
+                xs[fed], ns[fed] = x, gn
+                learner.observe(q)
+                fed += 1
+            if fed:
+                gaps, dist_sq = _chunk_gaps(groups, points[:fed])
+                w = 1.0 / norms[:fed] if unit else np.ones((fed, k))
+                at_points = _running_sum(point_sums, points[:fed] * w[:, :, None])
+                at_gaps = _running_sum(gap_sums, w * gaps)
+                at_weights = _running_sum(weight_sums, w)  # last: w is overwritten
+                point_sums, weight_sums, gap_sums = (
+                    at[-1].copy() for at in (at_points, at_weights, at_gaps))
+                stacked = np.stack((norms[:fed], gaps, dist_sq), 2)
+                for p, i in enumerate(live):
+                    _grow(columns[i], base + fed, ends[p])
+                    columns[i][base:base + fed] = stacked[:, p]
+                    while waiting[i] and waiting[i][0] <= base + fed:
+                        j = waiting[i].pop(0) - base - 1
+                        sums_at[i][base + j + 1] = (
+                            at_points[j, p].copy(), at_weights[j, p].item(), at_gaps[j, p].item())
+                if lone:
+                    _grow(iterates, base + fed, ends[0])
+                    iterates[base:base + fed] = xs[:fed]
+            gone = {}  # position: None (its longest horizon), (stop step, point) or error
+            if halting is not None:  # step t stops or fails these rows
+                for p, v in enumerate(halting[2].tolist()):
+                    if not math.isfinite(v):
+                        gone[p] = NumericalFailure(f"the gradient norm at step {t} is not finite")
+                        cutoff = min(cutoff, live[p])
+                    elif v < floor:
+                        gone[p] = (t, halting[0][p].copy())
+            elif t == last:
+                gone = {p: None for p, end in enumerate(ends) if end == t}
+            for p, end in gone.items():
+                yield live[p], (end if isinstance(end, NumericalFailure)
+                                else records(p, *end or ()))
+            keep = np.array([p not in gone and i < cutoff for p, i in enumerate(live)])
+            if halting is not None:
+                kept = tuple(column[keep] for column in halting)
+            if not keep.all():
+                for p in np.flatnonzero(~keep).tolist():
+                    columns.pop(live[p], None)
+                live = [i for i, stays in zip(live, keep.tolist()) if stays]
+                ends = [end for end, stays in zip(ends, keep.tolist()) if stays]
+                point_sums, weight_sums, gap_sums = (
+                    sums[keep] for sums in (point_sums, weight_sums, gap_sums))
+                if live:
+                    learner.keep(keep)
+                    oracle, groups = layout()
 
 
 def run_normalized(config: LearnerConfig, problem: Problem, horizon: int,
@@ -283,7 +434,7 @@ def run_normalized(config: LearnerConfig, problem: Problem, horizon: int,
         raise ContractViolation(
             f"run_normalized drives unit-norm learners {UNIT_NORM_KINDS}, "
             f"got {config.kind!r}; use run_adagrad_warmup for raw gradients")
-    return _drive(config, problem, horizon, check_eps_zero(eps_zero))
+    return _run(config, problem, horizon, check_eps_zero(eps_zero))
 
 
 def run_adagrad_warmup(config: LearnerConfig, problem: Problem, horizon: int) -> RunRecord:
@@ -295,14 +446,24 @@ def run_adagrad_warmup(config: LearnerConfig, problem: Problem, horizon: int) ->
         raise ContractViolation(
             f"run_adagrad_warmup drives adagrad_da, got {config.kind!r}; "
             f"use run_normalized for unit-norm learners")
-    return _drive(config, problem, horizon)
+    return _run(config, problem, horizon, DEFAULT_EPS_ZERO)
+
+
+def _run(config: LearnerConfig, problem: Problem, horizon: int, eps_zero: float) -> RunRecord:
+    """The record of one run, a lone row of _drive, with its iterates; its
+    NumericalFailure is raised."""
+    (_, records), = _drive([(config, problem, (horizon,))], eps_zero)
+    if isinstance(records, NumericalFailure):
+        raise records
+    return records[0]
 
 
 def _running_sum(total: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """total plus the rows of values along axis 0, added left to right as
-    the WeightedMeanAccumulator and left_sum add; values is overwritten."""
+    """The running totals of total plus the rows of values along axis 0,
+    added left to right as the WeightedMeanAccumulator and left_sum add;
+    they overwrite values."""
     values[0] += total
-    return np.add.accumulate(values, axis=0, out=values)[-1].copy()
+    return np.add.accumulate(values, axis=0, out=values)
 
 
 def run_lockstep(problem: Problem, rows, eps_zero: float = DEFAULT_EPS_ZERO):
@@ -396,9 +557,9 @@ def run_lockstep(problem: Problem, rows, eps_zero: float = DEFAULT_EPS_ZERO):
                     gaps, dists = (column.reshape(fed, k) for column in _gaps_and_dist_sq(
                         problem, points[:fed].reshape(fed * k, d)))
                     w = 1.0 / norms[:fed]
-                    point_sums = _running_sum(point_sums, points[:fed] * w[:, :, None])
-                    gap_sums = _running_sum(gap_sums, w * gaps)
-                    weight_sums = _running_sum(weight_sums, w)
+                    point_sums = _running_sum(point_sums, points[:fed] * w[:, :, None])[-1].copy()
+                    gap_sums = _running_sum(gap_sums, w * gaps)[-1].copy()
+                    weight_sums = _running_sum(weight_sums, w)[-1].copy()
                     for p, i in enumerate(live):
                         columns[i][:, base:base + fed] = norms[:fed, p], gaps[:, p], dists[:, p]
                 x = points[fed]

@@ -4,9 +4,11 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
-import weakref
+import time
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -47,7 +49,8 @@ from normgrad.bench import (
     rate_fit_from_records,
     resolve_learner_config,
     rows_to_csv,
-    _sweep_block,
+    _block_rows,
+    _sweep_unit,
     _visited_dist_sq,
     run_cell,
     run_cells,
@@ -59,6 +62,7 @@ from normgrad.bench import (
 from normgrad.cli import main
 from normgrad.learners import ANYTIME_KINDS, LEARNER_KINDS, RECORD_SCALES
 from normgrad.problems import FAMILIES
+from normgrad.vectors import chunk_rows
 
 from golden_diff import json_diff
 
@@ -429,6 +433,15 @@ def test_a_lockstep_block_raises_the_per_cell_walks_first_error(monkeypatch, cap
         assert not multiprocessing.active_children()
 
 
+def _sweep_block(block: tuple) -> list:
+    """The sweep rows of one (problem, kind, seeds, horizons, distance,
+    step_scale) block, a unit of its own, in grid order; its error raised."""
+    rows, error = _sweep_unit(block)
+    if error is not None:
+        raise error
+    return _block_rows(rows, len(block[3]))
+
+
 def test_sweep_runs_each_anytime_learner_once_per_seed(monkeypatch):
     # gradient rows, not calls: an ogd_const block steps its rows as one block
     calls = []
@@ -469,38 +482,28 @@ def test_sweep_runs_each_anytime_learner_once_per_seed(monkeypatch):
         assert [repr(row) for row in rows] == [repr(row) for row in alone], kind
 
 
-def test_a_sweep_block_holds_one_seeds_run_at_a_time(monkeypatch):
-    # when an anytime run starts, no run of an earlier seed is still alive;
-    # an ogd_const block steps all its rows at once, and none of its records
-    # holds an iterate array
-    runs, alive, records = [], [], []
-    run_cell = normgrad.bench.run_cell
-    run_lockstep = normgrad.bench.run_lockstep
-
-    def watched(*args):
-        alive.append(sum(run() is not None for run in runs))
-        cell = run_cell(*args)
-        runs.append(weakref.ref(cell.run))
-        return cell
-
-    def watched_lockstep(*args):
-        for i, run in run_lockstep(*args):
-            records.append(run)
-            yield i, run
-
-    monkeypatch.setattr(normgrad.bench, "run_cell", watched)
-    monkeypatch.setattr(normgrad.bench, "run_lockstep", watched_lockstep)
-    for kind in LEARNER_KINDS:
-        runs.clear()
-        alive.clear()
-        records.clear()
-        seeds, horizons = (0, 1, 2), (256, 1024, 4096)
-        _sweep_block((PowerNorm(0.5, 3), kind, seeds, horizons, DEFAULT_DISTANCE, 1.0))
-        if kind == "ogd_const":
-            assert alive == [] and len(records) == len(seeds) * len(horizons)
-            assert all(run.iterates is None for run in records)
-        else:
-            assert alive == [0] * len(seeds) and records == [], kind
+def test_a_multi_row_anytime_unit_streams_its_rows():
+    # the default grid's kt unit steps its (nu, seed) rows as one _drive
+    # block: none of its records holds an iterate array, and with each
+    # row's records dropped once taken, as the sweep drops its cells, the
+    # block holds at most each row's grad-norm, gap and dist_sq columns (T
+    # float64 each) and one chunk of the block's points
+    problems = [PowerNorm(nu, 10) for nu in (0.0, 0.5, 1.0)]
+    horizons = tuple(2 ** k for k in range(8, 15))
+    rows = [(resolve_learner_config(p, {"kind": "kt"}, seed), p, horizons)
+            for p in problems for seed in (0, 1, 2)]
+    n, d = len(rows), 10
+    ended = []
+    tracemalloc.start()
+    try:
+        for i, records in normgrad.bench._drive(rows):
+            ended.append((i, [record.iterates is None for record in records]))
+            del records
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(ended) == [(i, [True] * len(horizons)) for i in range(n)]
+    assert peak <= n * max(horizons) * 3 * 8 + chunk_rows(n * d) * n * d * 8
 
 
 def test_sweep_resolves_each_learner_record_once_per_seed(monkeypatch, capsys):
@@ -548,9 +551,16 @@ def test_only_grid_and_cmd_run_call_run_cells():
     assert _calls_of("run_cells") == ["bench._grid", "cli.cmd_run"]
 
 
+def test_only_drive_steps_a_learner():
+    # two step loops: _drive steps every learner, and run_lockstep steps
+    # ogd_const rows with no learner object; no third loop calls a learner
+    assert set(_calls_of("next_point")) == set(_calls_of("observe")) == {"reduction._drive"}
+
+
 def test_only_in_order_makes_a_pool_for_the_sweep_and_the_check():
-    # one pool helper: multiprocessing is named (imported or read) only in
-    # bench._in_order, and only sweep_rows and run_suites map work through it
+    # one pool helper: multiprocessing and concurrent.futures are named
+    # (imported or read) only in bench._in_order, and only sweep_rows and
+    # run_suites map work through it
     def names(node):
         if isinstance(node, ast.Name):
             yield node.id
@@ -561,9 +571,10 @@ def test_only_in_order_makes_a_pool_for_the_sweep_and_the_check():
         elif isinstance(node, ast.ImportFrom):
             yield node.module or ""
 
-    named = {where for where, node in _package_nodes()
-             if any(name.split(".")[0] == "multiprocessing" for name in names(node))}
-    assert named == {"bench._in_order"}
+    for module in ("multiprocessing", "concurrent"):
+        named = {where for where, node in _package_nodes()
+                 if any(name.split(".")[0] == module for name in names(node))}
+        assert named == {"bench._in_order"}, module
     assert _calls_of("_in_order") == ["bench.sweep_rows", "bench.run_suites"]
 
 
@@ -653,13 +664,120 @@ def test_no_sweep_worker_outlives_its_sweep(monkeypatch, capsys):
         "[learner=kt problem=PowerNorm(dimension=10, nu=1.0) T=16384 seed=0]\n")
 
 
+def test_closing_a_pooled_sweep_cancels_its_pending_units(monkeypatch, tmp_path):
+    # 16 ogd_const units on 2 workers: when the first unit's rows are read
+    # and the sweep is closed, the units not yet handed to a worker never
+    # run. A unit resolves one config per seed, in its worker.
+    resolved = _count_calls(monkeypatch, tmp_path / "resolved", "resolve_learner_config",
+                            lambda problem, record, seed: repr(problem))
+    _usable_cpus(monkeypatch, 2)
+    rows = sweep_rows(nus=[k / 16 for k in range(16)], learners=("ogd_const",),
+                      horizons=(4096,), seeds=(0, 1, 2), dimension=3)
+    next(rows)
+    rows.close()
+    assert not multiprocessing.active_children()
+    assert 1 <= len(set(resolved())) < 16
+
+
+def test_a_task_that_cannot_pickle_is_refused_before_the_pool_starts():
+    # on Python 3.11 such a task would leave the pool's shutdown waiting for
+    # ever; run in a child under a timeout, so a regression cannot hang here
+    probe = ("import multiprocessing, os\n"
+             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+             "from normgrad.bench import _in_order\n"
+             "try:\n"
+             "    list(_in_order(lambda x: x, [1, 2, 3]))\n"
+             "except Exception as exc:\n"
+             "    print(type(exc).__name__, len(multiprocessing.active_children()))\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=_package_env(), capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out in ("PicklingError 0\n", "AttributeError 0\n")
+
+
 def test_importing_the_cli_leaves_multiprocessing_out():
-    # setup stays lean: the sweep and check import multiprocessing only to make a pool
-    probe = "import sys, normgrad.cli; print('multiprocessing' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    # setup stays lean: the sweep and check import multiprocessing and
+    # concurrent.futures only to make a pool
+    probe = ("import sys, normgrad.cli; "
+             "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=_package_env(), capture_output=True,
                          check=True, text=True).stdout
-    assert out == "False\n"
+    assert out == "False False\n"
+
+
+def _package_env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
+# A pooled command on 2 usable CPUs, one of whose tasks first touches the
+# file named by argv[2]; argv[3] names the task function to wrap and argv[4]
+# the item that SIGKILLs its own worker ("" for none). After main returns,
+# it prints the children left, and exits with main's code.
+_POOLED = """
+import multiprocessing, os, signal, sys
+import normgrad.bench as bench
+from normgrad.cli import main
+os.sched_getaffinity = lambda pid: {0, 1}
+marker, name, victim = sys.argv[2:5]
+task = getattr(bench, name)
+
+def wrapped(item):
+    open(marker, "a").close()
+    if victim and victim in repr(item):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return task(item)
+
+setattr(bench, name, wrapped)
+code = main(sys.argv[5:])
+print(len(multiprocessing.active_children()))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("name,victim,argv", [
+    ("_sweep_unit", "'kt'", ["sweep", "--horizons", "16", "256", "--seeds", "0", "1"]),
+    ("_check_task", "('kt', PowerNorm", ["check", "--samples", "100"]),
+], ids=["sweep", "check"])
+def test_a_dead_pool_worker_ends_the_command(name, victim, argv, tmp_path):
+    # a pool worker that dies takes its task with it: the command ends with
+    # one stderr line and exit 2, and leaves no child, instead of waiting
+    done = subprocess.run(
+        [sys.executable, "-c", _POOLED, "", str(tmp_path / "marker"), name, victim, *argv,
+         "--out", str(tmp_path / "out")],
+        env=_package_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: a worker process died")
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stdout.splitlines()[-1] == "0"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name,argv", [("_sweep_unit", ["sweep"]),
+                                       ("_check_task", ["check", "--samples", "10000"])],
+                         ids=["sweep", "check"])
+def test_ctrl_c_ends_a_pooled_command_with_one_line_and_exit_130(name, argv, tmp_path):
+    # SIGINT to the command's process group, as Ctrl-C sends it, once a
+    # worker runs a task: the workers ignore it, the parent stops the pool
+    marker = tmp_path / "marker"
+    child = subprocess.Popen(
+        [sys.executable, "-c", _POOLED, "", str(marker), name, "", *argv,
+         "--out", str(tmp_path / "out")],
+        env=_package_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        for _ in range(600):
+            if marker.exists() or child.poll() is not None:
+                break
+            time.sleep(0.05)
+        time.sleep(0.2)  # every worker has set its SIGINT handler by now
+        os.killpg(child.pid, signal.SIGINT)
+        out, err = child.communicate(timeout=120)
+    finally:
+        if child.poll() is None:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+    assert (child.returncode, err) == (130, "interrupted\n")
+    assert out.splitlines()[-1] == "0"
+    assert not (tmp_path / "out").exists()
 
 
 def test_rows_to_csv_deterministic():

@@ -85,6 +85,36 @@ def test_vector_helpers_rows_equal_one_point_calls():
     # an overflow gives inf, as libm's pow does, for a float and in a block
     assert power(1e200, 2.0) == math.inf
     assert same_bits(power(np.array([1e200, 2.0]), 2.0), [math.inf, 4.0])
+    # an exponent array gives each element its own, the one-point call's bits
+    exponents = rng.choice([0.0, 0.5, 1.5, -0.5, -1.0], 200)
+    block = power(values.reshape(20, 10), exponents.reshape(20, 10))
+    assert all(same_bits(b, power(v, e)) for b, v, e in
+               zip(block.ravel(), values.tolist(), exponents.tolist()))
+    assert same_bits(power(np.array([1e200, 2.0]), np.array([2.0, 3.0])), [math.inf, 8.0])
+
+
+@pytest.mark.parametrize("d", [3, 10])
+def test_block_problem_rows_carry_their_own_nu(d):
+    # power_norm rows at three nu, as a sweep unit steps them: each gradient
+    # row is its own problem's one-point gradient, a nu = 1 row keeps g = z
+    # (signed zeros too), and a zero row at nu < 1 gives the zero subgradient
+    nus = (0.0, 0.5, 1.0, 1e-6, 1.0 - 1e-6)
+    rows = [PowerNorm(nu, d) for nu in nus]
+    x = block_points(rows[0])
+    x[:3] = -0.0  # x* itself, with signed zeros, at nu 0, 0.5 and 1 below
+    for perm in (np.arange(len(x)) % len(rows), np.zeros(len(x), int), np.full(len(x), 2)):
+        mine = [rows[i] for i in perm]
+        # near nu = 0 the tiniest rows give inf * 0, a NaN, at a point as in a block
+        with np.errstate(over="ignore", invalid="ignore"):
+            grads = problems.block_problem(mine).grad(x)
+            alone = [p.grad(row) for p, row in zip(mine, x)]
+        for g, one, p, row in zip(grads, alone, mine, x):
+            assert same_bits(g, one), (p.nu, row)
+    assert problems.block_problem(rows[:1] * 3) is rows[0]
+    for bad in ([rows[0], problems.Quadratic(d)], [rows[0], PowerNorm(0.5, d + 1)],
+                [rows[0], PowerNorm(0.5, d, np.ones(d))]):
+        with pytest.raises(problems.ContractViolation):
+            problems.block_problem(bad)
 
 
 @pytest.mark.parametrize("d,index", FAMILY_CASES)

@@ -252,3 +252,34 @@ def test_config_record_round_trip_fields():
                    "wealth_init": 0.5}
     ogd = unit_config("ogd_const", [0.0])
     assert ogd.config_record() == {"kind": "ogd_const", "start": [0.0], "step_scale": 1.0}
+
+
+# --- block learners -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["ogd_const", "da_sqrt", "kt", "adagrad_da"])
+def test_a_stacked_block_steps_each_row_as_its_learner(kind):
+    # three runs with their own starts and scales as the rows of one block:
+    # every served row equals its point learner's point bit for bit, before
+    # and after the middle run leaves the block
+    from normgrad.learners import stack_learners
+
+    rng = np.random.default_rng(11)
+    configs = [LearnerConfig(kind, rng.standard_normal(4), step_scale=s, wealth_init=w,
+                             grad_bound_init=g)
+               for s, w, g in ((1.0, 1.0, 1.0), (0.3, 2.5, 4.0), (2.0, 0.7, 0.5))]
+    alone = [make_learner(c, 64) for c in configs]
+    block = stack_learners([make_learner(c, 64) for c in configs])
+    live = [0, 1, 2]
+    for t in range(40):
+        points = block.next_point()
+        assert [points[p].tobytes() for p in range(len(live))] == [
+            alone[i].next_point().tobytes() for i in live], t
+        q = rng.standard_normal((len(live), 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        block.observe(q)
+        for p, i in enumerate(live):
+            alone[i].observe(q[p].copy())
+        if t == 20:
+            block.keep(np.array([True, False, True]))
+            live = [0, 2]

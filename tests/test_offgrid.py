@@ -3,11 +3,13 @@ and the chain cells the canonical families at d = 10, both from distance
 1; these records reach every family and kind off that grid. Each record
 parses or is refused with ConfigError, and its run finishes or raises
 NumericalFailure. A run that finishes holds every bound at every horizon,
-and its run_cells cells equal run_cell at each horizon bit for bit. An
-ogd_const record also runs as one lockstep block over three seeds and its
-horizons, unsorted and repeated, which equals a walk of run_cell over the
-same rows: every cell bit for bit, and the same first error. Derandomized,
-so each run draws the same records."""
+and its run_cells cells equal run_cell at each horizon bit for bit. Each
+record also runs as one block over three seeds and its horizons, unsorted
+and repeated (an anytime power_norm record over three nu as well): an
+ogd_const record as one run_lockstep, any other as one _drive block. The
+block equals a walk of run_cell over the same cells, in the order
+run_cells takes them: every cell bit for bit, and the same first error.
+Derandomized, so each run draws the same records."""
 
 from dataclasses import astuple, fields
 
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from normgrad.bench import (
     ConfigError,
     NumericalFailure,
-    _lockstep,
+    _cells,
     _same,
     bound_violations,
     parse_experiment_config,
@@ -27,7 +29,8 @@ from normgrad.bench import (
     run_cells,
 )
 from normgrad.learners import LEARNER_KINDS, RECORD_SCALES
-from normgrad.problems import FAMILIES
+from normgrad.problems import FAMILIES, PowerNorm, problem_from_config
+from normgrad.reduction import DEFAULT_EPS_ZERO, _drive, run_lockstep
 
 
 def decades(lo: int, hi: int):
@@ -84,22 +87,66 @@ def _walked(cells) -> list:
     return out
 
 
+def _walk(rows, eps_zero):
+    """run_cell at every (problem, config, horizons, seed) row's horizons,
+    row by row, each row's longest horizon first, whose error names it, as
+    run_cells raises it."""
+    for problem, config, horizons, seed in rows:
+        top = run_cell(problem, config, max(horizons), seed, eps_zero)
+        for horizon in horizons:
+            yield top if horizon == top.horizon else run_cell(
+                problem, config, horizon, seed, eps_zero)
+
+
+def _block(rows, eps_zero):
+    """The cells of rows stepped as one block: one run_lockstep over every
+    ogd_const cell, or one _drive over the rows of another kind. Block
+    records keep no iterates."""
+    if rows[0][1].kind == "ogd_const":
+        cells = [(problem, config, (h,), seed) for problem, config, horizons, seed in rows
+                 for h in horizons]
+        runs = run_lockstep(rows[0][0], [(config, h) for _, config, (h,), _ in cells], eps_zero)
+    else:
+        cells = rows
+        runs = _drive([(config, problem, horizons) for problem, config, horizons, _ in rows],
+                      eps_zero)
+    for cell in _cells(runs, cells, eps_zero, _same):
+        assert cell.run.iterates is None, cell.label
+        yield cell
+
+
+def _assert_block_equals_walk(rows, eps_zero) -> list:
+    """The outcome of a block of rows, asserted equal to that of the walk
+    of run_cell over them, and returned."""
+    walked = _walked(_walk(rows, eps_zero))
+    assert _walked(_block(rows, eps_zero)) == walked
+    return walked
+
+
+def _block_rows(config, record):
+    """Three seeds of the record's learner, each at the record's horizons
+    reversed with the longest repeated; for an anytime power_norm record,
+    at three nu each: the record's, 0.0 and 1.0."""
+    horizons = tuple(config.horizons[::-1] + config.horizons[-1:])
+    problems = [config.problem]
+    if config.problem.family == "power_norm" and config.learner.kind != "ogd_const":
+        problems += [problem_from_config({**record["problem"], "parameters": {"nu": nu}})
+                     for nu in (0.0, 1.0)]
+    return [(problem, resolve_learner_config(problem, record["learner"], seed), horizons, seed)
+            for problem in problems for seed in range(config.seed, config.seed + 3)]
+
+
 @settings(max_examples=160, derandomize=True, database=None, deadline=None)
 @given(records())
 def test_off_grid_cells_hold_their_bounds_and_share_runs_bit_for_bit(record):
     try:
         config = parse_experiment_config(record)
+        rows = _block_rows(config, record)
     except ConfigError:
         return
+    _assert_block_equals_walk(rows, config.eps_zero)
     args = (config.problem, config.learner)
     lockstep = config.learner.kind == "ogd_const"
-    if lockstep:
-        horizons = config.horizons[::-1] + config.horizons[-1:]
-        rows = [(resolve_learner_config(config.problem, record["learner"], seed), horizon, seed)
-                for seed in range(config.seed, config.seed + 3) for horizon in horizons]
-        block = _lockstep(config.problem, rows, config.eps_zero, _same)
-        walk = (run_cell(config.problem, *row, config.eps_zero) for row in rows)
-        assert _walked(block) == _walked(walk)
     try:
         cells = list(run_cells(*args, config.horizons, config.seed, config.eps_zero))
     except NumericalFailure:
@@ -110,3 +157,53 @@ def test_off_grid_cells_hold_their_bounds_and_share_runs_bit_for_bit(record):
         alone = run_cell(*args, cell.horizon, config.seed, config.eps_zero)
         assert (cell.run.iterates is None) == lockstep
         assert _bits(cell, not lockstep) == _bits(alone, not lockstep), cell.label
+
+
+def _rows(problems, record, seeds, horizons):
+    return [(problem, resolve_learner_config(problem, record, seed), horizons, seed)
+            for problem in problems for seed in seeds]
+
+
+def test_a_block_whose_rows_stop_at_different_steps():
+    # in the default grid, dual averaging from distance 1 with alpha 1 lands
+    # on x* at step 2 from some (nu, seed) rows while the others run on
+    problems = [PowerNorm(nu, 10) for nu in (0.0, 0.5, 1.0)]
+    rows = _rows(problems, {"kind": "da_sqrt"}, (0, 1, 2), (4, 1, 16384, 2, 4))
+    walked = _assert_block_equals_walk(rows, DEFAULT_EPS_ZERO)
+    steps = {run_cell(problem, config, 16384, seed).run.steps_taken
+             for problem, config, _, seed in rows}
+    assert len(walked) == 9 * 5 and len(steps) >= 2 and 16384 in steps
+
+
+def test_a_block_whose_row_turns_non_finite_mid_run(monkeypatch):
+    # NaN gradients wherever x_1 > 0.3 at d = 3 from distance 1: seed 1
+    # starts there and fails at step 1; dual averaging takes seed 0 there at
+    # step 6, after seed 1 has left the block; kt and adagrad_da keep seed 0
+    # off it, so its cells come before seed 1's error
+    grad = PowerNorm.grad
+    monkeypatch.setattr(PowerNorm, "grad", lambda self, x: np.where(
+        x[..., :1] > 0.3, np.nan, grad(self, x)))
+    problems = [PowerNorm(nu, 3) for nu in (0.5, 0.0)]
+    errors = {}
+    for kind in ("da_sqrt", "kt", "adagrad_da"):
+        rows = _rows(problems, {"kind": kind}, (0, 1, 2), (64, 16, 64))
+        walked = _assert_block_equals_walk(rows, DEFAULT_EPS_ZERO)
+        errors[kind] = (len(walked), walked[-1].split(" [")[0])
+    assert errors == {"da_sqrt": (1, "the gradient norm at step 6 is not finite"),
+                      "kt": (4, "the gradient norm at step 1 is not finite"),
+                      "adagrad_da": (4, "the gradient norm at step 1 is not finite")}
+
+
+def test_adagrad_da_rows_above_their_bound_or_whose_bound_overflows():
+    # ||g_1|| = G, then the overshooting step 2 exceeds G; at G = 1e200 the
+    # learner cannot be made (G ** 2 overflows), which fails its row at step 1
+    problem = PowerNorm(1.0, 3)
+    rows = _rows([problem], {"kind": "adagrad_da", "start_distance": 1.0, "step_scale": 3.0,
+                             "grad_bound_init": 1.0}, (0, 1, 2), (8, 1, 2, 8))
+    walked = _assert_block_equals_walk(rows, DEFAULT_EPS_ZERO)
+    exceeded = [cell.run.grad_bound_exceeded for cell in _walk(rows, DEFAULT_EPS_ZERO)]
+    assert len(walked) == 12 and exceeded.count(True) == 9
+    huge = resolve_learner_config(problem, {"kind": "adagrad_da", "grad_bound_init": 1e200}, 1)
+    rows[1] = (problem, huge, *rows[1][2:])
+    walked = _assert_block_equals_walk(rows, DEFAULT_EPS_ZERO)
+    assert len(walked) == 5 and walked[-1].startswith("the learner's point at step 1 overflows")

@@ -208,8 +208,8 @@ def test_unit_learners_are_fed_unit_losses(monkeypatch):
         # below the floor the squared norm is subnormal, and the scaled norm
         # still gives a loss of norm 1
         norms.clear()
-        _drive(LearnerConfig(kind=kind, start=start_at_distance(p, 1e-160, 0)),
-               p, 4, eps_zero=1e-300)
+        list(_drive([(LearnerConfig(kind=kind, start=start_at_distance(p, 1e-160, 0)),
+                      p, (4,))], eps_zero=1e-300))
         assert norms and max(abs(n - 1.0) for n in norms) <= 1e-9
 
 
