@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, InsufficientData, NumericalFailure, WorkerLost
-from .learners import LEARNER_KINDS, RECORD_SCALES, UNIT_NORM_KINDS, LearnerConfig
+from .learners import ANYTIME_KINDS, LEARNER_KINDS, RECORD_SCALES, UNIT_NORM_KINDS, LearnerConfig
 from .problems import (
     SAMPLE_RADIUS,
     Huber,
@@ -51,7 +51,6 @@ from .reduction import (
     check_eps_zero,
     hm_gm_am,
     run_adagrad_warmup,
-    run_lockstep,
     run_normalized,
     start_at_distance,
     summarize,
@@ -300,15 +299,15 @@ def run_cells(problem: Problem, config: LearnerConfig, horizons, seed: int,
     bit for bit, except that an ogd_const record keeps no iterates.
 
     An anytime learner (ANYTIME_KINDS) runs once, to the largest horizon,
-    at the first request. Each shorter horizon's record is summarized from
-    the first T rows of that run when it is requested, so the run stays
-    alive until the generator is done. ogd_const, whose step depends on the
-    horizon, runs every horizon as one run_lockstep at the first request."""
+    at the first request, through run_cell, whose record keeps its
+    iterates. Each shorter horizon's record is summarized from the first T
+    rows of that run when it is requested, so the run stays alive until
+    the generator is done. ogd_const, whose step reads the horizon, runs
+    every horizon as a row of one _drive block at the first request
+    (_drive_cells)."""
     horizons = [int(h) for h in horizons]
-    if config.kind == "ogd_const":
-        rows = [(problem, config, (h,), seed) for h in horizons]
-        yield from _cells(run_lockstep(problem, [(config, h) for h in horizons], eps_zero), rows,
-                          eps_zero, _same)
+    if config.kind not in ANYTIME_KINDS:
+        yield from _drive_cells([(problem, config, horizons, seed)], eps_zero, _same)
         return
     full = run_cell(problem, config, max(horizons), seed, eps_zero)
     for horizon in horizons:
@@ -323,13 +322,24 @@ def _same(cell: CellResult) -> CellResult:
     return cell
 
 
+def _drive_cells(rows: list, eps_zero: float, fn):
+    """Yield fn(cell) for the cells of (problem, config, horizons, seed)
+    rows of one kind, as _cells yields them, from one _drive block whose
+    records keep no iterates: a block row per row, to its longest horizon,
+    or for ogd_const, whose step reads the horizon, per (row, horizon)."""
+    if rows[0][1].kind not in ANYTIME_KINDS:
+        rows = [(p, config, (h,), seed) for p, config, horizons, seed in rows for h in horizons]
+    runs = _drive([(config, p, horizons) for p, config, horizons, _ in rows], eps_zero)
+    return _cells(runs, rows, eps_zero, fn)
+
+
 def _cells(runs, rows: list, eps_zero: float, fn):
     """Yield fn(cell) for the cells of every (problem, config, horizons,
     seed) of rows, row by row and each row's in the order of its horizons,
-    from runs, which yields (i, records) as rows[i] ends: its records at
-    its horizons (one record for one horizon), or the NumericalFailure of
-    its run. fn takes each cell as soon as its row ends, so no cell
-    outlives fn. As run_cells does, a row makes the cell of its longest
+    from runs, which yields (i, records) as rows[i] ends, as _drive does:
+    its records at its horizons, or the NumericalFailure of its run. fn
+    takes each cell as soon as its row ends, so no cell outlives fn. As
+    run_cells does, a row makes the cell of its longest
     horizon first. A NumericalFailure, from a run, from _cell or from fn,
     is raised after the results of the cells before it, naming its cell as
     run_cell does (a run's names the longest horizon): the first failing
@@ -343,7 +353,7 @@ def _cells(runs, rows: list, eps_zero: float, fn):
             if isinstance(records, NumericalFailure):
                 raise NumericalFailure(
                     f"{records} [{_cell_label(problem, config, top, seed)}]") from records
-            at = dict(zip(horizons, records if isinstance(records, list) else [records]))
+            at = dict(zip(horizons, records))
             full = _cell(problem, config, top, seed, at[top], eps_zero)
             for horizon in horizons:
                 out.append(fn(full if horizon == top else _cell(
@@ -489,16 +499,15 @@ def _grid(fn, problem, kind, seeds, horizons, distance=DEFAULT_DISTANCE, step_sc
     """Yield fn(cell) for the cells of one unit of work: its (problem,
     seed) rows, problem by problem and seed by seed, each row's cells in
     the order of horizons, the learner started at distance with step_scale
-    from one config resolved per row. problem is one problem or, for an
-    anytime kind, a tuple of them.
+    from one config resolved per row. problem is one problem or a tuple of
+    them.
 
-    An ogd_const block runs all its (seed, horizon) cells as one
-    run_lockstep. An anytime unit of one row takes run_cells, whose run
-    keeps its iterates, and of more rows one _drive block, whose records
-    keep none. A row whose config fails to resolve raises after the cells
-    of the rows before it. Either way the first error raised is the first
-    failing cell's in this order, as a walk of run_cells over the rows
-    would raise it, and no cell outlives fn."""
+    A unit of one row takes run_cells, whose anytime run keeps its
+    iterates, and of more rows one _drive block (_drive_cells), whose
+    records keep none. A row whose config fails to resolve raises after the
+    cells of the rows before it. Either way the first error raised is the
+    first failing cell's in this order, as a walk of run_cells over the
+    rows would raise it, and no cell outlives fn."""
     record = {"kind": kind, "start_distance": distance, "step_scale": step_scale}
     horizons = tuple(map(int, horizons))
     rows, unresolved = [], None
@@ -508,15 +517,10 @@ def _grid(fn, problem, kind, seeds, horizons, distance=DEFAULT_DISTANCE, step_sc
                 rows.append((p, resolve_learner_config(p, record, seed), horizons, seed))
     except ConfigError as exc:
         unresolved = exc
-    if kind == "ogd_const":
-        runs = run_lockstep(problem, [(row[1], h) for row in rows for h in horizons])
-        yield from _cells(runs, [(p, config, (h,), seed) for p, config, _, seed in rows
-                                 for h in horizons], DEFAULT_EPS_ZERO, fn)
-    elif len(rows) == 1:
+    if len(rows) == 1:
         yield from map(fn, run_cells(*rows[0][:2], horizons, rows[0][3]))
     elif rows:
-        runs = _drive([(config, p, horizons) for p, config, _, _ in rows])
-        yield from _cells(runs, rows, DEFAULT_EPS_ZERO, fn)
+        yield from _drive_cells(rows, DEFAULT_EPS_ZERO, fn)
     if unresolved is not None:
         raise unresolved
 
@@ -604,16 +608,16 @@ def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=LEARNER_KINDS,
 
     The whole grid is checked at the first request, before any cell runs:
     an empty axis, an unknown learner, a nu outside [0, 1], a horizon below
-    1 or a negative seed raises. The work is one _sweep_unit per ogd_const
-    block, a lockstep over its (seed, horizon) cells, and one per anytime
+    1 or a negative seed raises. The work is one _sweep_unit per learner
     kind over every (nu, seed) row of the grid, which steps as one _drive
-    block (a lone row takes the one-point path of run_cells). The units
-    are mapped over every usable CPU by _in_order, in the order of their
-    first block, and the rows (the SWEEP_COLUMNS and "_violations") are
-    yielded in grid order as their units arrive. So the rows, their order
-    and the first error raised, the first failing block's and within it
-    the first failing cell's in seed order (all of seed 0's horizons before
-    seed 1's), do not depend on the units or on the worker count."""
+    block (an ogd_const row as one block row per horizon; a lone row takes
+    the one-point path of run_cells). The units are mapped over every
+    usable CPU by _in_order, in the order of the learners, and the rows
+    (the SWEEP_COLUMNS and "_violations") are yielded in grid order as
+    their units arrive. So the rows, their order and the first error
+    raised, the first failing block's and within it the first failing
+    cell's in seed order (all of seed 0's horizons before seed 1's), do not
+    depend on the units or on the worker count."""
     if not nus or not learners or not horizons or not seeds:
         raise ConfigError("sweep grid must be nonempty in every axis")
     for kind in learners:
@@ -623,26 +627,22 @@ def sweep_rows(nus=DEFAULT_SWEEP_NUS, learners=LEARNER_KINDS,
         raise ConfigError("sweep horizons must be >= 1 and seeds >= 0")
     problems = tuple(PowerNorm(float(nu), dimension) for nu in nus)
     seeds, horizons = tuple(seeds), tuple(horizons)
-    units = {}  # (nu's index for ogd_const, else None; kind): unit
-    blocks = []  # per block in grid order: its unit's key and the offset of its rows
-    for j, problem in enumerate(problems):
-        for kind in learners:
-            key = (j if kind == "ogd_const" else None, kind)
-            units.setdefault(key, (problem if kind == "ogd_const" else problems, kind, seeds,
-                                   horizons, distance, step_scale))
-            blocks.append((key, 0 if kind == "ogd_const" else j * len(seeds) * len(horizons)))
-    order = list(units)
-    results = _in_order(_sweep_unit, list(units.values()))
+    kinds = list(dict.fromkeys(learners))  # one unit per kind, in the order of the learners
+    size = len(seeds) * len(horizons)  # the rows of one (nu, kind) block
+    results = _in_order(_sweep_unit, [(problems, kind, seeds, horizons, distance, step_scale)
+                                      for kind in kinds])
     arrived = []
     try:
-        for key, offset in blocks:
-            while len(arrived) <= order.index(key):
-                arrived.append(next(results))
-            rows, error = arrived[order.index(key)]
-            block = rows[offset:offset + len(seeds) * len(horizons)]
-            if len(block) < len(seeds) * len(horizons):
-                raise error
-            yield from _block_rows(block, len(horizons))
+        for j in range(len(problems)):
+            for kind in learners:
+                unit = kinds.index(kind)
+                while len(arrived) <= unit:
+                    arrived.append(next(results))
+                rows, error = arrived[unit]
+                block = rows[j * size:(j + 1) * size]
+                if len(block) < size:
+                    raise error
+                yield from _block_rows(block, len(horizons))
     finally:
         results.close()
 

@@ -10,8 +10,8 @@ bound G is reported by the driver, not raised here.
 A learner holds the state of one run at a point (`make_learner`), or of
 k runs of one kind over the rows of a (k, d) block (`stack_learners`):
 then `next_point()` serves a block, `observe` takes one, and `keep(rows)`
-drops the runs that have ended. Each row steps as its own learner would,
-bit for bit.
+drops the runs that have ended, leaving the state of one run at a point
+when one is kept. Each row steps as its own learner would, bit for bit.
 
 kind            update for x_{t+1}                                  reads
 --------------  --------------------------------------------------  ---------
@@ -114,13 +114,20 @@ def _sqrt(value):
 class _Learner:
     """The state of one run at a point, or of k runs over the rows of a
     block (stack_learners): each float becomes a (k,) array and each
-    vector a (k, d) block; the step count is shared."""
+    array the stack of the k (a vector a (k, d) block); the step count is
+    shared."""
 
     def keep(self, rows) -> None:
-        """Keep only the given rows (a boolean mask) of a block's state."""
+        """Keep only the given rows (a boolean mask) of a block's state. With
+        one row kept, the state becomes that run's at a point, a float for
+        each (1,) array and its one row for each other array, whose steps
+        cost less and give the same bits."""
+        one = np.count_nonzero(rows) == 1
         for name, value in vars(self).items():
             if isinstance(value, np.ndarray):
-                setattr(self, name, value[rows])
+                value = value[rows]
+                setattr(self, name, (value.item() if value.ndim == 1 else value[0]) if one
+                        else value)
 
 
 class OgdConstLearner(_Learner):
@@ -129,14 +136,15 @@ class OgdConstLearner(_Learner):
     kind = "ogd_const"
 
     def __init__(self, config: LearnerConfig, horizon: int):
-        self.eta = config.step_scale / math.sqrt(horizon)
+        # (1,), so that a block's (k, 1) column scales its rows
+        self.eta = np.array([config.step_scale / math.sqrt(horizon)])
         self.x = config.start
 
     def next_point(self) -> np.ndarray:
         return self.x
 
     def observe(self, q: np.ndarray) -> None:
-        self.x = self.x - _per_row(self.eta) * q
+        self.x = self.x - self.eta * q
 
 
 class DaSqrtLearner(_Learner):

@@ -1,16 +1,15 @@
-"""Black-box drivers and the theoretical bound compositions.
+"""The black-box driver and the theoretical bound compositions.
 
-The package has two step loops. `_drive` steps every learner: one run at
-a point, or many runs of one kind as the rows of a (k, d) block, whose
-problems may differ in nu (`problems.block_problem`). Its two one-run
-entry points are `run_normalized`, which feeds a unit-norm learner the
-normalized gradients g_t / ||g_t|| and returns the 1/||g_t||-weighted
-average of the iterates (stopping immediately when a gradient norm falls
-to the zero threshold), and `run_adagrad_warmup`, which feeds raw
-gradients to the adagrad_da learner and returns the uniform average (the
-same loop with weight 1). `run_lockstep` steps many ogd_const runs of one
-problem as the rows of one block with no learner object. A record of a
-block row equals the one-run entry's without its iterates.
+`_drive` is the one step loop. It steps one run at a point, or many runs
+of one kind as the rows of a (k, d) block, whose problems may differ in nu
+(`problems.block_problem`). Its two one-run entry points are
+`run_normalized`, which feeds a unit-norm learner the normalized gradients
+g_t / ||g_t|| and returns the 1/||g_t||-weighted average of the iterates
+(stopping immediately when a gradient norm falls to the zero threshold),
+and `run_adagrad_warmup`, which feeds raw gradients to the adagrad_da
+learner and returns the uniform average (the same loop with weight 1).
+Their records keep the iterates; the record of a block row equals the
+one-run entry's without them.
 
 The bound side composes a regret guarantee psi with the mean of pointwise
 local smoothness constants:
@@ -38,6 +37,7 @@ import numpy as np
 
 from .errors import ContractViolation, NumericalFailure
 from .learners import (
+    ANYTIME_KINDS,
     UNIT_NORM_KINDS,
     LearnerConfig,
     make_learner,
@@ -54,7 +54,6 @@ __all__ = [
     "RunRecord",
     "run_normalized",
     "run_adagrad_warmup",
-    "run_lockstep",
     "summarize",
     "MeanTriple",
     "hm_gm_am",
@@ -99,7 +98,7 @@ class RunRecord:
     with one row per step: iterates is (steps_taken, d), the others 1-D.
     Only a one-run record (run_normalized, run_adagrad_warmup, and the
     records summarize takes from it) keeps its iterates; the record of a
-    block row, of _drive or run_lockstep, keeps none (None). The step loop
+    _drive block row keeps none (None), whatever its kind. The step loop
     records the iterates and gradient norms; suboptimalities (f(x_t) - f*)
     and dist_sq (||x_t - x*||^2) are computed from the iterates per chunk
     of steps.
@@ -198,13 +197,6 @@ def _check_run(config: LearnerConfig, problem: Problem, horizon: int) -> None:
             f"start has dimension {config.start.size}, problem wants {problem.dimension}")
 
 
-def _gaps_and_dist_sq(problem: Problem, points: np.ndarray) -> tuple:
-    """The gap and the squared distance from x* of each row of a block of
-    iterates, each equal to its one-point value."""
-    z = points - problem.minimizer
-    return problem.gap(points), dot(z, z)
-
-
 def _local_constants(spec: HolderSpec, grad_norms: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """Block calls of local_constant_from_parts, one per chunk of
     chunk_rows(1) steps, over the steps that have a local constant, NaN at
@@ -225,8 +217,10 @@ def _chunk_gaps(groups, points: np.ndarray) -> tuple:
     steps, _, d = points.shape
     gaps, dist_sq = np.empty(points.shape[:2]), np.empty(points.shape[:2])
     for problem, cols in groups:
-        g, s = _gaps_and_dist_sq(problem, points[:, cols].reshape(-1, d))
-        gaps[:, cols], dist_sq[:, cols] = g.reshape(steps, -1), s.reshape(steps, -1)
+        block = points[:, cols].reshape(-1, d)
+        z = block - problem.minimizer
+        gaps[:, cols] = problem.gap(block).reshape(steps, -1)
+        dist_sq[:, cols] = dot(z, z).reshape(steps, -1)
     return gaps, dist_sq
 
 
@@ -238,14 +232,15 @@ def _grow(array: np.ndarray, n: int, cap: int) -> None:
         array.resize((min(max(2 * len(array), n), cap),) + array.shape[1:], refcheck=False)
 
 
-def _drive(rows, eps_zero: float = DEFAULT_EPS_ZERO):
-    """The step loop of the learners. Drive each (config, problem, horizons)
-    row of rows, all of one kind and dimension, from its config's start to
-    its longest horizon, and yield (i, records) as rows[i] ends: its
-    records at its horizons, in their order (a repeated horizon shares
-    one), each equal bit for bit to summarize's of the same run at that
-    horizon. A row whose run fails yields (i, error), its NumericalFailure,
-    and the live rows after it in rows are dropped unreported.
+def _drive(rows, eps_zero: float = DEFAULT_EPS_ZERO, *, iterates: bool = False):
+    """The step loop. Drive each (config, problem, horizons) row of rows,
+    all of one kind and dimension, from its config's start to its longest
+    horizon, and yield (i, records) as rows[i] ends: its records at its
+    horizons, in their order (a repeated horizon shares one), each equal
+    bit for bit to summarize's of the same run at that horizon. An
+    ogd_const row, whose step reads the horizon, has one horizon. A row
+    whose run fails yields (i, error), its NumericalFailure, and the live
+    rows after it in rows are dropped unreported.
 
     Each round every live row serves x_t and gets g_t = grad f(x_t), from
     one grad call of block_problem over the rows. A gradient norm that is
@@ -270,20 +265,23 @@ def _drive(rows, eps_zero: float = DEFAULT_EPS_ZERO):
     adagrad_da) and local constants (_local_constants) are derived once
     when it ends.
 
-    A lone row steps as one point, with learner and oracle calls on (d,)
-    vectors, and its records keep its iterates, in one array that doubles
-    when full, so a run that stops early never allocates for its horizon.
-    The rows of a block step as one (k, d) block (stack_learners) and keep
-    no iterates.
+    The live rows step as one (k, d) block (stack_learners), and as one
+    point, with learner and oracle calls on (d,) vectors, whenever one row
+    is live, which costs less and gives the same bits. Only with iterates,
+    for a lone row, do its records keep its iterates, in one array that
+    doubles when full, so a run that stops early never allocates for its
+    horizon.
     """
     kind, d = rows[0][0].kind, rows[0][1].dimension
     for config, problem, horizons in rows:
-        if config.kind != kind or problem.dimension != d or not horizons:
+        if (config.kind != kind or problem.dimension != d or not horizons
+                or len(set(horizons)) > 1 and kind not in ANYTIME_KINDS):
             raise ContractViolation(
-                "the rows of one drive share a learner kind and a dimension, and have horizons")
+                "the rows of one drive share a learner kind and a dimension, and have "
+                "horizons, one for ogd_const")
         for horizon in horizons:
             _check_run(config, problem, horizon)
-    unit, lone = kind in UNIT_NORM_KINDS, len(rows) == 1
+    unit = kind in UNIT_NORM_KINDS
     floor = math.nextafter(eps_zero, math.inf) if unit else 0.0  # the least norm fed
     live, learners = [], []  # row indices, and their learners
     for i, (config, _, horizons) in enumerate(rows):
@@ -295,7 +293,7 @@ def _drive(rows, eps_zero: float = DEFAULT_EPS_ZERO):
         live.append(i)
     if not live:
         return
-    learner = learners[0] if lone else stack_learners(learners)
+    learner = learners[0] if len(live) == 1 else stack_learners(learners)
     ends = [max(rows[i][2]) for i in live]
     # each live row's grad norm, gap and dist_sq columns, filled chunk by chunk
     columns = {i: np.empty((min(end, 16), 3)) for i, end in zip(live, ends)}
@@ -304,7 +302,7 @@ def _drive(rows, eps_zero: float = DEFAULT_EPS_ZERO):
     sums_at = {i: {} for i in live}
     point_sums = np.zeros((len(live), d))
     weight_sums, gap_sums = np.zeros(len(live)), np.zeros(len(live))
-    iterates = np.empty((min(ends[0], 16), d)) if lone else None
+    visited = np.empty((min(ends[0], 16), d)) if iterates else None
     # kept: the points, gradients and norms of the rows that go on from a
     # step that stopped or failed others
     t, cutoff, kept = 0, len(rows), None
@@ -327,8 +325,8 @@ def _drive(rows, eps_zero: float = DEFAULT_EPS_ZERO):
         local = _local_constants(problem.spec, norms, gaps)
         over = np.flatnonzero(norms > config.grad_bound_init + 1e-9)
         exceeded = int(over[0]) + 1 if over.size and not unit else None
-        if lone:
-            iterates.resize((steps, d), refcheck=False)
+        if iterates:
+            visited.resize((steps, d), refcheck=False)
         made = {}
         for horizon in set(horizons):
             if stop is not None and stop <= horizon:
@@ -340,7 +338,7 @@ def _drive(rows, eps_zero: float = DEFAULT_EPS_ZERO):
                 point = point_sum / weight_sum
             gap = problem.gap(point)
             made[horizon] = RunRecord(
-                horizon, iterates[:n] if lone else None, norms[:n], gaps[:n], weights[:n],
+                horizon, visited[:n] if iterates else None, norms[:n], gaps[:n], weights[:n],
                 local[:n], dist_sq[:n], stop_index,
                 exceeded if exceeded is not None and exceeded <= n else None, point, gap,
                 gap_sum / weight_sum if n else gap)
@@ -350,21 +348,24 @@ def _drive(rows, eps_zero: float = DEFAULT_EPS_ZERO):
     with _overflow_unwarned():
         while live:
             k = len(live)
+            single = k == 1
             size = chunk_rows(k * d)
             points, norms = np.empty((size, k, d)), np.empty((size, k))
-            xs, ns = (points[:, 0], norms[:, 0]) if lone else (points, norms)
+            xs, ns = (points[:, 0], norms[:, 0]) if single else (points, norms)
             fed, halting, last = 0, None, min(ends)
             base = t - (kept is not None)  # the steps each live row has been fed
             if kept is not None:  # the rest of a step that stopped or failed rows
                 points[0], g, norms[0] = kept
-                learner.observe(g / norms[0][:, None] if unit else g)
+                q = g / norms[0][:, None] if unit else g
+                learner.observe(q[0] if single else q)
                 fed, kept = 1, None
+            next_point, observe, grad = learner.next_point, learner.observe, oracle.grad
             while fed < size and t < last:
                 t += 1
-                x = learner.next_point()
-                g = oracle.grad(x)
+                x = next_point()
+                g = grad(x)
                 gn = l2_norm(g)
-                if lone:
+                if single:
                     if not floor <= gn < math.inf:
                         halting = x[None], g[None], np.array([gn])
                         break
@@ -375,7 +376,7 @@ def _drive(rows, eps_zero: float = DEFAULT_EPS_ZERO):
                     halting = x, g, gn
                     break
                 xs[fed], ns[fed] = x, gn
-                learner.observe(q)
+                observe(q)
                 fed += 1
             if fed:
                 gaps, dist_sq = _chunk_gaps(groups, points[:fed])
@@ -393,9 +394,9 @@ def _drive(rows, eps_zero: float = DEFAULT_EPS_ZERO):
                         j = waiting[i].pop(0) - base - 1
                         sums_at[i][base + j + 1] = (
                             at_points[j, p].copy(), at_weights[j, p].item(), at_gaps[j, p].item())
-                if lone:
-                    _grow(iterates, base + fed, ends[0])
-                    iterates[base:base + fed] = xs[:fed]
+                if iterates:
+                    _grow(visited, base + fed, ends[0])
+                    visited[base:base + fed] = xs[:fed]
             gone = {}  # position: None (its longest horizon), (stop step, point) or error
             if halting is not None:  # step t stops or fails these rows
                 for p, v in enumerate(halting[2].tolist()):
@@ -452,7 +453,7 @@ def run_adagrad_warmup(config: LearnerConfig, problem: Problem, horizon: int) ->
 def _run(config: LearnerConfig, problem: Problem, horizon: int, eps_zero: float) -> RunRecord:
     """The record of one run, a lone row of _drive, with its iterates; its
     NumericalFailure is raised."""
-    (_, records), = _drive([(config, problem, (horizon,))], eps_zero)
+    (_, records), = _drive([(config, problem, (horizon,))], eps_zero, iterates=True)
     if isinstance(records, NumericalFailure):
         raise records
     return records[0]
@@ -464,129 +465,6 @@ def _running_sum(total: np.ndarray, values: np.ndarray) -> np.ndarray:
     they overwrite values."""
     values[0] += total
     return np.add.accumulate(values, axis=0, out=values)
-
-
-def run_lockstep(problem: Problem, rows, eps_zero: float = DEFAULT_EPS_ZERO):
-    """Drive ogd_const with normalized gradients on problem for every
-    (config, horizon) of rows in one step loop. Yield (i, record) as soon
-    as rows[i] ends: the record run_normalized(config, problem, horizon,
-    eps_zero) returns, bit for bit, but with no iterates. A row whose
-    gradient norm at some step is not finite yields (i, error) instead, the
-    NumericalFailure run_normalized raises, and the live rows after it in
-    rows are dropped unreported.
-
-    The live rows, longest horizon first, are a prefix of one (rows, d)
-    block. Each step makes one block grad and one block l2_norm call and
-    sets every row x <- x - (alpha / sqrt(T)) * (g / ||g||), as the
-    one-point step does; a lone row steps as one point, which costs less.
-    A row leaves at its horizon, or at a gradient norm at most eps_zero,
-    whose point is then its average point. The iterates of a chunk of
-    chunk_rows(rows * d) steps live until the chunk ends or a row leaves:
-    then one block gap and one block dot give the rows' gaps and dist_sq,
-    and the weighted point, weight and weighted gap sums advance left to
-    right, as summarize adds them.
-    """
-    eps_zero = check_eps_zero(eps_zero)
-    for config, horizon in rows:
-        if config.kind != "ogd_const":
-            raise ContractViolation(f"run_lockstep drives ogd_const, got {config.kind!r}")
-        _check_run(config, problem, horizon)
-    d, floor = problem.dimension, math.nextafter(eps_zero, math.inf)
-    live = sorted(range(len(rows)), key=lambda i: -rows[i][1])  # row indices
-    x = np.array([rows[i][0].start for i in live]).reshape(len(live), d)
-    eta = np.array([rows[i][0].step_scale / math.sqrt(rows[i][1]) for i in live])
-    point_sums, weight_sums, gap_sums = np.zeros_like(x), np.zeros(len(live)), np.zeros(len(live))
-    # each live row's grad norm, gap and dist_sq columns, filled step by step;
-    # a long row's pages are touched only as its steps come
-    columns = {i: np.empty((3, rows[i][1])) for i in live}
-    # halting: the gradients and norms of a step that stops or fails rows;
-    # kept: those of the rows that go on from that step
-    t, cutoff, kept = 0, len(rows), None
-
-    def record(p, stop_index=None):
-        i = live[p]
-        steps = rows[i][1] if stop_index is None else stop_index - 1
-        norms, gaps, dist_sq = columns.pop(i)[:, :steps]
-        weight_sum = weight_sums[p].item()
-        point = point_sums[p] / weight_sum if stop_index is None else x[p].copy()
-        gap = problem.gap(point)
-        mean_gap = gap_sums[p].item() / weight_sum if len(norms) else gap
-        return i, RunRecord(rows[i][1], None, norms, gaps, 1.0 / norms,
-                            _local_constants(problem.spec, norms, gaps), dist_sq,
-                            stop_index, None, point, gap, mean_gap)
-
-    while live:
-        ended = []
-        with _overflow_unwarned():
-            while live and not ended:
-                k = len(live)
-                size = chunk_rows(k * d)
-                points, norms = np.empty((size + 1, k, d)), np.empty((size, k))
-                points[0] = x
-                fed, halting, last = 0, None, rows[live[-1]][1]
-                base = t - (kept is not None)  # the steps each live row has been fed
-                if kept is not None:  # the rest of a step that stopped or failed rows
-                    g, gn = kept
-                    norms[0] = gn
-                    np.subtract(x, eta[:, None] * (g / gn[:, None]), out=points[1])
-                    fed, kept = 1, None
-                # one row steps as one point, which costs less and gives the same bits
-                single = k == 1
-                xs, ns = (points[:, 0], norms[:, 0]) if single else (points, norms)
-                scale = eta.item() if single else eta[:, None]
-                while fed < size and t < last:
-                    t += 1
-                    x_t = xs[fed]
-                    g = problem.grad(x_t)
-                    gn = l2_norm(g)
-                    if single:
-                        if not eps_zero < gn < math.inf:
-                            halting = g[None], np.array([gn])
-                            break
-                        ns[fed] = gn
-                        np.subtract(x_t, scale * (g / gn), out=xs[fed + 1])
-                    else:
-                        if not finite_at_least(gn, floor) and not all(
-                                eps_zero < v < math.inf for v in gn.tolist()):
-                            halting = g, gn
-                            break
-                        ns[fed] = gn
-                        np.subtract(x_t, scale * (g / gn[:, None]), out=xs[fed + 1])
-                    fed += 1
-                if fed:
-                    gaps, dists = (column.reshape(fed, k) for column in _gaps_and_dist_sq(
-                        problem, points[:fed].reshape(fed * k, d)))
-                    w = 1.0 / norms[:fed]
-                    point_sums = _running_sum(point_sums, points[:fed] * w[:, :, None])[-1].copy()
-                    gap_sums = _running_sum(gap_sums, w * gaps)[-1].copy()
-                    weight_sums = _running_sum(weight_sums, w)[-1].copy()
-                    for p, i in enumerate(live):
-                        columns[i][:, base:base + fed] = norms[:fed, p], gaps[:, p], dists[:, p]
-                x = points[fed]
-                gone = []  # the positions of the rows that leave at step t
-                if halting is not None:  # step t stops or fails these rows
-                    for p, v in enumerate(halting[1].tolist()):
-                        if not math.isfinite(v):
-                            ended.append((live[p], NumericalFailure(
-                                f"the gradient norm at step {t} is not finite")))
-                            cutoff = min(cutoff, live[p])
-                            gone.append(p)
-                        elif v <= eps_zero:
-                            ended.append(record(p, t))
-                            gone.append(p)
-                elif t == last:
-                    gone = [p for p, i in enumerate(live) if rows[i][1] == t]
-                    ended += map(record, gone)
-                keep = np.array([p not in gone and i < cutoff for p, i in enumerate(live)])
-                if halting is not None:
-                    kept = halting[0][keep], halting[1][keep]
-                if not keep.all():
-                    for p in np.flatnonzero(~keep).tolist():
-                        columns.pop(live[p], None)
-                    live = [i for i, stays in zip(live, keep.tolist()) if stays]
-                    x, eta, point_sums = x[keep], eta[keep], point_sums[keep]
-                    weight_sums, gap_sums = weight_sums[keep], gap_sums[keep]
-        yield from ended
 
 
 class MeanTriple(NamedTuple):

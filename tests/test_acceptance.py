@@ -5,6 +5,7 @@ captured output of failing tests)."""
 
 import json
 import math
+import os
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -59,6 +60,16 @@ def test_default_sweep_matches_reference_csv(default_sweep, kernel_note):
     reference = (REFERENCE_DIR / "sweep_default.csv").read_bytes()
     assert body.encode("utf-8") == reference, (
         f"{kernel_note}\n{csv_diff(body, reference.decode('utf-8'))}")
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in_process", "pool_of_2"])
+def test_a_one_nu_sweep_equals_its_rows_of_the_default_grid(default_sweep, cpus, monkeypatch):
+    # a unit steps every (nu, seed) row of its learner kind as one block, so
+    # the other nu's rows must not move a row's bits, in process or pooled
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    rows = [repr(row) for row in sweep_rows(nus=(0.5,))]
+    assert rows == [repr(row) for row in default_sweep if row["nu"] == 0.5]
+    assert len(rows) == 84
 
 
 def test_criterion_1_rate_interpolation():

@@ -50,6 +50,7 @@ from normgrad.bench import (
     resolve_learner_config,
     rows_to_csv,
     _block_rows,
+    _in_order,
     _sweep_unit,
     _visited_dist_sq,
     run_cell,
@@ -291,7 +292,8 @@ def test_kt_closed_form_distance_ratio():
 
 @pytest.mark.parametrize("kind", LEARNER_KINDS)
 @pytest.mark.parametrize("problem,distance", [
-    # the gap cancels to 0 at step 1 while ||g_1|| is about 1e-9
+    # the gap at step 1 is about 5e-18, which eval - f* would cancel to 0,
+    # while ||g_1|| is about 1e-9
     (LogSumExp(10), 1e-8),
     (PowerNorm(0.0, 10), RATE_FIT_DISTANCE),
     (PowerNorm(0.5, 10), RATE_FIT_DISTANCE),
@@ -310,7 +312,7 @@ def test_run_columns_weights_and_local_constants(kind, problem, distance):
         assert run.weights.tolist() == [1.0 / gn for gn in run.grad_norms.tolist()]
     at_optimum = [problem.spec.nu > 0.0 and gap == 0.0 for gap in run.suboptimalities.tolist()]
     if distance == 1e-8:
-        assert at_optimum[0] and run.grad_norms[0] > 1e-12
+        assert 0.0 < run.suboptimalities[0] < 1e-16 and run.grad_norms[0] > 1e-12
     assert np.isnan(run.local_constants).tolist() == at_optimum
     assert all(c == local_constant_from_parts(problem.spec, gn, gap)
                for c, gn, gap in zip(run.local_constants.tolist(), run.grad_norms.tolist(),
@@ -552,9 +554,11 @@ def test_only_grid_and_cmd_run_call_run_cells():
 
 
 def test_only_drive_steps_a_learner():
-    # two step loops: _drive steps every learner, and run_lockstep steps
-    # ogd_const rows with no learner object; no third loop calls a learner
+    # one step loop: _drive steps every learner, ogd_const's too, and is the
+    # one function of the reduction that calls an oracle's grad
     assert set(_calls_of("next_point")) == set(_calls_of("observe")) == {"reduction._drive"}
+    assert {where for where in _calls_of("grad")
+            if where.startswith("reduction.")} == {"reduction._drive"}
 
 
 def test_only_in_order_makes_a_pool_for_the_sweep_and_the_check():
@@ -665,16 +669,28 @@ def test_no_sweep_worker_outlives_its_sweep(monkeypatch, capsys):
 
 
 def test_closing_a_pooled_sweep_cancels_its_pending_units(monkeypatch, tmp_path):
-    # 16 ogd_const units on 2 workers: when the first unit's rows are read
-    # and the sweep is closed, the units not yet handed to a worker never
-    # run. A unit resolves one config per seed, in its worker.
+    # a sweep's units are its learner kinds, and a 2-worker pool has handed
+    # all four to its workers by the time the first ends: closing the sweep
+    # after the first unit's rows waits for the others and leaves no child.
+    # Units not yet handed to a worker never run: 16 per-kind units (one
+    # seed each), mapped on 2 workers as sweep_rows maps its units, closed
+    # after the first. A unit resolves one config per (nu, seed) row, in
+    # its worker.
     resolved = _count_calls(monkeypatch, tmp_path / "resolved", "resolve_learner_config",
-                            lambda problem, record, seed: repr(problem))
+                            lambda problem, record, seed: f"{record['kind']} {seed}")
     _usable_cpus(monkeypatch, 2)
-    rows = sweep_rows(nus=[k / 16 for k in range(16)], learners=("ogd_const",),
-                      horizons=(4096,), seeds=(0, 1, 2), dimension=3)
-    next(rows)
+    nus, horizons = [k / 4 for k in range(4)], (1024,)
+    rows = sweep_rows(nus=nus, horizons=horizons, seeds=(0, 1, 2), dimension=3)
+    assert next(rows)["learner"] == LEARNER_KINDS[0]
     rows.close()
+    assert not multiprocessing.active_children()
+    assert {line.split()[0] for line in resolved()} <= set(LEARNER_KINDS)
+    problems = tuple(PowerNorm(nu, 3) for nu in nus)
+    units = [(problems, kind, (seed,), horizons, DEFAULT_DISTANCE, 1.0)
+             for seed in range(4) for kind in LEARNER_KINDS]
+    results = _in_order(_sweep_unit, units)
+    assert len(next(results)[0]) == len(nus)
+    results.close()
     assert not multiprocessing.active_children()
     assert 1 <= len(set(resolved())) < 16
 
@@ -851,11 +867,11 @@ def _count_calls(monkeypatch, path, name, key):
 
 
 def test_driver_suites_share_one_pass_of_ogd_const_runs(monkeypatch, tmp_path):
-    # driven cells: one per run_normalized call, one per row of a lockstep
+    # driven cells: one per run_normalized call, one per row of a _drive block
     calls = _count_calls(monkeypatch, tmp_path / "runs", "run_normalized",
                          lambda config, *args: config.kind)
-    _count_calls(monkeypatch, tmp_path / "runs", "run_lockstep",
-                 lambda problem, rows, *args: "\n".join(config.kind for config, _ in rows))
+    _count_calls(monkeypatch, tmp_path / "runs", "_drive",
+                 lambda rows, *args: "\n".join(config.kind for config, _, _ in rows))
     resolves = _count_calls(monkeypatch, tmp_path / "resolves", "resolve_learner_config",
                             lambda problem, record, seed: record["kind"])
     names = ["bounded_iterates", "reduction_chain"]

@@ -4,11 +4,11 @@ and the chain cells the canonical families at d = 10, both from distance
 parses or is refused with ConfigError, and its run finishes or raises
 NumericalFailure. A run that finishes holds every bound at every horizon,
 and its run_cells cells equal run_cell at each horizon bit for bit. Each
-record also runs as one block over three seeds and its horizons, unsorted
-and repeated (an anytime power_norm record over three nu as well): an
-ogd_const record as one run_lockstep, any other as one _drive block. The
-block equals a walk of run_cell over the same cells, in the order
-run_cells takes them: every cell bit for bit, and the same first error.
+record also runs as one _drive block over three seeds and its horizons,
+unsorted and repeated (a power_norm record over three nu as well), an
+ogd_const record as one block row per (seed, horizon) cell. The block
+equals a walk of run_cell over the same cells, in the order run_cells
+takes them: every cell bit for bit, and the same first error.
 Derandomized, so each run draws the same records."""
 
 from dataclasses import astuple, fields
@@ -30,7 +30,7 @@ from normgrad.bench import (
 )
 from normgrad.learners import LEARNER_KINDS, RECORD_SCALES
 from normgrad.problems import FAMILIES, PowerNorm, problem_from_config
-from normgrad.reduction import DEFAULT_EPS_ZERO, _drive, run_lockstep
+from normgrad.reduction import DEFAULT_EPS_ZERO, _drive
 
 
 def decades(lo: int, hi: int):
@@ -99,17 +99,15 @@ def _walk(rows, eps_zero):
 
 
 def _block(rows, eps_zero):
-    """The cells of rows stepped as one block: one run_lockstep over every
-    ogd_const cell, or one _drive over the rows of another kind. Block
-    records keep no iterates."""
+    """The cells of rows stepped as one _drive block: one block row per
+    ogd_const cell, whose step reads its horizon, or per row of another
+    kind. Block records keep no iterates."""
+    cells = rows
     if rows[0][1].kind == "ogd_const":
         cells = [(problem, config, (h,), seed) for problem, config, horizons, seed in rows
                  for h in horizons]
-        runs = run_lockstep(rows[0][0], [(config, h) for _, config, (h,), _ in cells], eps_zero)
-    else:
-        cells = rows
-        runs = _drive([(config, problem, horizons) for problem, config, horizons, _ in rows],
-                      eps_zero)
+    runs = _drive([(config, problem, horizons) for problem, config, horizons, _ in cells],
+                  eps_zero)
     for cell in _cells(runs, cells, eps_zero, _same):
         assert cell.run.iterates is None, cell.label
         yield cell
@@ -125,11 +123,11 @@ def _assert_block_equals_walk(rows, eps_zero) -> list:
 
 def _block_rows(config, record):
     """Three seeds of the record's learner, each at the record's horizons
-    reversed with the longest repeated; for an anytime power_norm record,
-    at three nu each: the record's, 0.0 and 1.0."""
+    reversed with the longest repeated; for a power_norm record, at three
+    nu each: the record's, 0.0 and 1.0."""
     horizons = tuple(config.horizons[::-1] + config.horizons[-1:])
     problems = [config.problem]
-    if config.problem.family == "power_norm" and config.learner.kind != "ogd_const":
+    if config.problem.family == "power_norm":
         problems += [problem_from_config({**record["problem"], "parameters": {"nu": nu}})
                      for nu in (0.0, 1.0)]
     return [(problem, resolve_learner_config(problem, record["learner"], seed), horizons, seed)
@@ -146,7 +144,7 @@ def test_off_grid_cells_hold_their_bounds_and_share_runs_bit_for_bit(record):
         return
     _assert_block_equals_walk(rows, config.eps_zero)
     args = (config.problem, config.learner)
-    lockstep = config.learner.kind == "ogd_const"
+    blocked = config.learner.kind == "ogd_const"  # run_cells steps it as a _drive block
     try:
         cells = list(run_cells(*args, config.horizons, config.seed, config.eps_zero))
     except NumericalFailure:
@@ -155,8 +153,8 @@ def test_off_grid_cells_hold_their_bounds_and_share_runs_bit_for_bit(record):
     for cell in cells:
         assert bound_violations(cell) == []
         alone = run_cell(*args, cell.horizon, config.seed, config.eps_zero)
-        assert (cell.run.iterates is None) == lockstep
-        assert _bits(cell, not lockstep) == _bits(alone, not lockstep), cell.label
+        assert (cell.run.iterates is None) == blocked
+        assert _bits(cell, not blocked) == _bits(alone, not blocked), cell.label
 
 
 def _rows(problems, record, seeds, horizons):

@@ -59,13 +59,26 @@ and the sum of the 2d terms (each through at most d sums) by sigma =
   is at most S, and |g_i| <= 1, so g_i errs by (u + sigma + beta (1 + u))
   / (1 - sigma).
 
-gap and grad of log_sum_exp cancel near x*, so their relative errors are
-unbounded there; only their absolute errors are bounded here.
+The gradient of log_sum_exp cancels near x*, so its relative error is
+unbounded there; only its absolute error is bounded here. Where max |z_i|
+< 1 the gap is log1p(2 y) + (log 2d - f*), y = mean(sinh(z_i / 2)^2), with
+log 2d - f* = 0 exactly, and keeps a relative bound, checked at ||z| =
+1e-7 and 1e-8 below, where eval - f* cancelled to 4.4e-16 (of 5.0e-16)
+and 0:
+
+* sinh(fl(z_i) / 2) is sinh(z_i / 2) within e_z = u cosh(1/2) (1 + u)
+  relative, as |sinh a| >= |a|, and numpy's sinh is within t of it;
+* the dot of the d squares errs by e_y = (1 + e_z)^2 (1 + t)^2 (1 + gamma_d)
+  - 1, and 2 dot / d by one rounding more, e_2 = (1 + e_y) (1 + u) - 1;
+* log1p's relative condition is y / ((1 + y) log1p(y)) <= 1, so log1p of
+  the computed argument errs by e_2 / (1 - e_2), and numpy's log1p by t.
+
 Derandomized, so each run draws the same points.
 """
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -142,6 +155,14 @@ def reference(family: str, x, minimizer) -> tuple:
     return f, f, grad, big_m
 
 
+def lse_gap_near_bound(d: int):
+    """The relative bound of log_sum_exp's gap where max |z_i| < 1; see the
+    module docstring."""
+    e_z = U * mpmath.cosh(mpmath.mpf(1) / 2) * (1 + U)
+    e_2 = compose(e_z, e_z, T, T, gamma(d), U)
+    return compose(e_2 / (1 - e_2), T)
+
+
 @st.composite
 def points(draw):
     """A canonical family at d in 1..20 with a minimizer of scale 10^-3 to
@@ -178,3 +199,23 @@ def test_oracles_are_within_their_rounding_bounds_of_exact_values(point):
             assert eval_err <= eval_rel * f, case
             assert gap_err <= eval_rel * gap, case
             assert grad_err <= grad_rel * grad_max, case
+
+
+@pytest.mark.parametrize("radius", [1e-7, 1e-8])
+@pytest.mark.parametrize("seed", range(4))
+def test_log_sum_exp_gap_keeps_its_relative_bound_near_the_minimizer(radius, seed):
+    # d = 10, at x* = 0 and at a minimizer of scale 1; the gap is about
+    # radius^2 / 20, and a block row equals the point call, beside a row
+    # near x* and beside one that is not
+    rng = np.random.default_rng(seed)
+    for minimizer in (np.zeros(10), rng.standard_normal(10)):
+        problem = make_problem("log_sum_exp", 10, minimizer)
+        v = rng.standard_normal(10)
+        x = minimizer + radius * (v / l2_norm(v))
+        gap = problem.gap(x)
+        for other in (2.0 * minimizer - x, minimizer + 5.0 * v):
+            assert problem.gap(np.stack([x, other]))[0] == gap
+        with mpmath.workdps(60):
+            _, exact, _, big_m = reference("log_sum_exp", x, minimizer)
+            assert big_m < 1 and 0.0 < gap
+            assert abs(mpmath.mpf(gap) - exact) <= lse_gap_near_bound(10) * exact, (radius, gap)

@@ -628,7 +628,8 @@ def _assert_reflected(plain, flipped, sign, case):
     """flipped is plain's cell with every point multiplied by sign (-1, or a
     vector of +-1): its points are plain's times sign, and every per-step
     column, stop, exceeded step, mean gap and bound field keeps its bits.
-    A lockstep record keeps no iterates, so run_cell's give its points."""
+    An ogd_const record from run_cells keeps no iterates, so run_cell's
+    give its points."""
     a, b = plain.run, flipped.run
     points = [run.iterates if run.iterates is not None else
               run_cell(cell.problem, cell.config, cell.horizon, cell.seed).run.iterates
